@@ -12,13 +12,15 @@ import numpy as np
 
 from .experiment import (
     GENERATORS,
-    ExperimentConfig,
+    MODES,
+    PROCEDURES,
     NetworkSpec,
     build_network,
     load_config,
     run_experiment,
+    summarize,
 )
-from .graph import Graph, all_pairs_hops, anchor_hops
+from .graph import all_pairs_hops, anchor_hops
 from .lowrank import CompletionConfig, complete_nuclear_norm, normalized_spectrum
 from .metrics import (
     ScanLineConfig,
@@ -35,6 +37,7 @@ from .netgen import (
     write_layout,
 )
 from .sampling import (
+    STRATEGIES,
     AnchorSelection,
     load_observed,
     random_entry_observations,
@@ -92,24 +95,16 @@ def _build_parser() -> _Parser:
     s.add_argument("--centered", action="store_true")
     s.add_argument("--top", type=int, default=None, help="keep first K values")
     s.add_argument("--anchors", type=int, default=20, help="anchor count for vc")
-    s.add_argument(
-        "--strategy",
-        choices=["random", "degree", "closeness", "betweenness"],
-        default="random",
-    )
+    s.add_argument("--strategy", choices=STRATEGIES, default="random")
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out", required=True, help="output CSV path")
 
     p = sub.add_parser("sample", help="draw a partial observation of P or H")
     p.add_argument("--input", required=True, help="edge list path")
-    p.add_argument("--mode", choices=["vc", "random_entry"], default="vc")
+    p.add_argument("--mode", choices=MODES, default="vc")
     p.add_argument("--fraction", type=float, required=True, help="missing fraction")
     p.add_argument("--anchors", type=int, default=20)
-    p.add_argument(
-        "--strategy",
-        choices=["random", "degree", "closeness", "betweenness"],
-        default="random",
-    )
+    p.add_argument("--strategy", choices=STRATEGIES, default="random")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="observation base path (no suffix)")
 
@@ -123,16 +118,10 @@ def _build_parser() -> _Parser:
     t = sub.add_parser("tpm", help="topology map from observations or full VCs")
     t.add_argument("--input", default=None, help="observation base path")
     t.add_argument("--edges", default=None, help="edge list for the full-VC map")
-    t.add_argument(
-        "--procedure", choices=["grammian", "p-completion"], default="p-completion"
-    )
+    t.add_argument("--procedure", choices=PROCEDURES, default="p-completion")
     t.add_argument("--k", type=int, default=2, choices=[2, 3])
     t.add_argument("--anchors", type=int, default=20)
-    t.add_argument(
-        "--strategy",
-        choices=["random", "degree", "closeness", "betweenness"],
-        default="random",
-    )
+    t.add_argument("--strategy", choices=STRATEGIES, default="random")
     t.add_argument("--seed", type=int, default=0)
     t.add_argument("--tolerance", type=float, default=1e-6)
     t.add_argument("--max-iters", type=int, default=500)
@@ -320,19 +309,13 @@ def _cmd_experiment(args) -> int:
         f"{result.total_runs} runs, {len(result.failures)} failures, "
         f"results in {cfg.out_dir}"
     )
-    for key, (mean, std) in sorted(_summary_items(result), key=str):
+    for key, (mean, std) in sorted(summarize(result).items(), key=str):
         net, procedure, f, metric = key
         print(f"  {net} {procedure} f={f:g} {metric}: mean={mean:.4f} std={std:.4f}")
     if not result.acceptable:
         print("more than 10% of runs failed", file=sys.stderr)
         return EXIT_CONVERGENCE
     return EXIT_OK
-
-
-def _summary_items(result):
-    from .experiment import summarize
-
-    return summarize(result).items()
 
 
 _HANDLERS = {

@@ -3,10 +3,12 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import inspect
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +61,28 @@ GENERATORS = {
     "cube": gen_cube_void_3d,
     "t-cylinder": gen_t_cylinder_3d,
 }
+# network params of the kinds that are not layout generators
+NETWORK_PARAMS = {"holme-kim": ("n", "m", "p_triad"), "edges": ("path", "target_n", "root")}
+
+
+def _field_names(cls) -> set[str]:
+    return {f.name for f in dataclasses.fields(cls)}
+
+
+def _reject_unknown(block: dict, accepted, where: str) -> None:
+    unknown = sorted(set(block) - set(accepted))
+    if unknown:
+        raise ValueError(
+            f"unknown {where} key(s) {unknown}; accepted keys: {sorted(accepted)}"
+        )
+
+
+def _accepted_params(kind: str) -> set[str]:
+    if kind in GENERATORS:
+        # placement fields of GeneratorConfig, then the generator's geometry
+        geometry = set(inspect.signature(GENERATORS[kind]).parameters) - {"cfg"}
+        return (_field_names(GeneratorConfig) - {"seed"}) | geometry
+    return set(NETWORK_PARAMS[kind])
 
 
 @dataclass(frozen=True)
@@ -68,9 +92,10 @@ class NetworkSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        known = set(GENERATORS) | {"holme-kim", "edges"}
+        known = set(GENERATORS) | set(NETWORK_PARAMS)
         if self.kind not in known:
             raise ValueError(f"unknown network kind {self.kind!r}; choose from {sorted(known)}")
+        _reject_unknown(self.params, _accepted_params(self.kind), f"{self.kind} network")
 
 
 @dataclass(frozen=True)
@@ -106,8 +131,11 @@ class ExperimentConfig:
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
+    """Read a JSON experiment config; unknown keys in any block raise
+    ValueError naming them."""
     with open(path) as fh:
         raw = json.load(fh)
+    _reject_unknown(raw, _field_names(ExperimentConfig) | {"procedure"}, "config")
     net = dict(raw.pop("network"))
     kind = net.pop("kind")
     net_seed = net.pop("seed", 0)
@@ -116,26 +144,19 @@ def load_config(path: str | Path) -> ExperimentConfig:
     if params is not None and net:
         raise ValueError(f"network has both 'params' and inline keys {sorted(net)}")
     spec = NetworkSpec(kind=kind, seed=net_seed, params=params if params is not None else net)
-    anchors = raw.pop("anchors", None)
-    sel = (
-        AnchorSelection(
-            strategy=anchors.get("strategy", "random"),
-            m=anchors.get("m", 20),
-            seed=anchors.get("seed", 0),
-        )
-        if anchors
-        else AnchorSelection("random", 20)
-    )
+    anchors = raw.pop("anchors", None) or {}
+    _reject_unknown(anchors, _field_names(AnchorSelection), "anchors")
+    completion = raw.pop("completion", {})
+    _reject_unknown(completion, _field_names(CompletionConfig), "completion")
     procedures = raw.pop("procedures", raw.pop("procedure", "p-completion"))
     if isinstance(procedures, str):
         procedures = (procedures,)
-    completion = CompletionConfig(**raw.pop("completion", {}))
     return ExperimentConfig(
         network=spec,
-        anchors=sel,
+        anchors=AnchorSelection(**anchors),
         procedures=tuple(procedures),
         fractions=tuple(raw.pop("fractions", (0.1, 0.2, 0.4, 0.6, 0.8))),
-        completion=completion,
+        completion=CompletionConfig(**completion),
         **raw,
     )
 
@@ -143,32 +164,25 @@ def load_config(path: str | Path) -> ExperimentConfig:
 def build_network(spec: NetworkSpec) -> tuple[Graph, PointCloud | None, str]:
     """Realize a network spec: the graph, its layout when one exists, and
     a short display name."""
+    params = spec.params
     if spec.kind in GENERATORS:
         # placement params (pitch, jitter, ...) go to the generator config,
         # geometry params (extents, voids, ...) to the generator itself
-        cfg_fields = {f.name for f in dataclasses.fields(GeneratorConfig)}
-        cfg_params = {k: v for k, v in spec.params.items() if k in cfg_fields}
-        geo_params = {k: v for k, v in spec.params.items() if k not in cfg_fields}
+        cfg_fields = _field_names(GeneratorConfig)
+        cfg_params = {k: v for k, v in params.items() if k in cfg_fields}
+        geo_params = {k: v for k, v in params.items() if k not in cfg_fields}
         cfg = GeneratorConfig(seed=spec.seed, **cfg_params)
         pc, g = GENERATORS[spec.kind](cfg, **geo_params)
         return g, pc, f"{spec.kind}-{g.n}"
     if spec.kind == "holme-kim":
-        params = dict(spec.params)
-        n = int(params.pop("n", 500))
-        m = int(params.pop("m", 3))
-        p_triad = float(params.pop("p_triad", 0.5))
-        if params:
-            raise ValueError(f"unknown holme-kim params {sorted(params)}")
+        n = int(params.get("n", 500))
+        m = int(params.get("m", 3))
+        p_triad = float(params.get("p_triad", 0.5))
         return gen_holme_kim(n, m, p_triad, seed=spec.seed), None, f"holme-kim-{n}"
-    params = dict(spec.params)
-    path = params.pop("path")
-    target_n = params.pop("target_n", None)
-    root = params.pop("root", 0)
-    if params:
-        raise ValueError(f"unknown edge-list params {sorted(params)}")
+    path = params["path"]
     g, _ = load_snap_edge_list(path)
-    if target_n is not None:
-        g = subgraph_bfs(g, int(root), int(target_n))
+    if params.get("target_n") is not None:
+        g = subgraph_bfs(g, int(params.get("root", 0)), int(params["target_n"]))
     return g, None, f"{Path(path).stem}-{g.n}"
 
 
@@ -220,14 +234,14 @@ def _vc_run(task: tuple) -> tuple:
 
 
 def _entry_run(task: tuple) -> tuple:
-    procedure, fi, f, rep = task
+    fi, f, rep = task
     h: HopDistanceMatrix = _WORK["h"]
     seed = run_seed(_WORK["seed"], "run", fi, rep)
     o = random_entry_observations(h, 1.0 - f, seed=seed)
     res = complete_nuclear_norm(o, _WORK["completion"])
     if not res.converged:
         raise CompletionFailure(res)
-    return procedure, fi, f, rep, seed, res.completed
+    return seed, res.completed
 
 
 def _map_tasks(fn, tasks, payload, jobs):
@@ -240,7 +254,7 @@ def _map_tasks(fn, tasks, payload, jobs):
     with ProcessPoolExecutor(
         max_workers=jobs, initializer=_init_worker, initargs=(payload,)
     ) as pool:
-        for task, outcome in zip(tasks, pool.map(_guard_star(fn), tasks)):
+        for task, outcome in zip(tasks, pool.map(partial(_call_guarded, fn), tasks)):
             yield task, outcome
 
 
@@ -251,16 +265,6 @@ def _call_guarded(fn, task):
         return False, f"{type(exc).__name__}: {exc}"
 
 
-class _guard_star:
-    """Picklable wrapper running one task under the failure guard."""
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def __call__(self, task):
-        return _call_guarded(self.fn, task)
-
-
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -269,6 +273,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     g, layout, net_name = build_network(cfg.network)
     reports: list[MetricReport] = []
     failures: list[RunFailure] = []
+    tasks = [
+        (fi, f, rep) for fi, f in enumerate(cfg.fractions) for rep in range(cfg.repeats)
+    ]
 
     if cfg.mode == "vc":
         sel = replace(cfg.anchors, seed=run_seed(cfg.seed, "anchors"))
@@ -290,11 +297,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             "completion": cfg.completion,
             "procedures": cfg.procedures,
         }
-        tasks = [
-            (fi, f, rep)
-            for fi, f in enumerate(cfg.fractions)
-            for rep in range(cfg.repeats)
-        ]
         scan_cfg = ScanLineConfig(bin_width=cfg.bin_width)
         # rows stay grouped by procedure, then fraction, then repeat
         by_proc = {procedure: ([], []) for procedure in cfg.procedures}
@@ -326,17 +328,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         h = all_pairs_hops(g)
         h.require_finite()
         payload = {"h": h, "seed": cfg.seed, "completion": cfg.completion}
-        tasks = [
-            ("completion", fi, f, rep)
-            for fi, f in enumerate(cfg.fractions)
-            for rep in range(cfg.repeats)
-        ]
-        for task, (ok, value) in _map_tasks(_entry_run, tasks, payload, cfg.jobs):
-            _, fi, f, rep = task
+        for (_, f, rep), (ok, value) in _map_tasks(_entry_run, tasks, payload, cfg.jobs):
             if not ok:
                 failures.append(RunFailure(net_name, "completion", f, rep, value))
                 continue
-            _, _, _, _, seed, completed = value
+            seed, completed = value
             em = hdm_mean_error(completed, h)
             ea = hdm_absolute_error(completed, h)
             # every node acts as an anchor in entrywise observation mode
@@ -346,9 +342,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     result = ExperimentResult(
         reports=tuple(reports),
         failures=tuple(failures),
-        total_runs=len(cfg.procedures) * len(cfg.fractions) * cfg.repeats
-        if cfg.mode == "vc"
-        else len(cfg.fractions) * cfg.repeats,
+        total_runs=len(tasks) * (len(cfg.procedures) if cfg.mode == "vc" else 1),
     )
     _write_outputs(cfg, result, out, net_name, time.time() - started)
     return result
@@ -363,18 +357,13 @@ def _write_outputs(cfg, result, out, net_name, elapsed):
                 [r.network, r.procedure, r.m, r.f, r.seed, r.metric, repr(float(r.value))]
             )
 
-    cells: dict[tuple, list[float]] = {}
-    for r in result.reports:
-        cells.setdefault((r.network, r.procedure, r.m, r.f, r.metric), []).append(r.value)
+    cells = _summary_cells(result)
     with open(out / "summary.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["network", "procedure", "M", "f", "metric", "mean", "std", "n_runs"])
         for key in sorted(cells, key=str):
-            vals = np.array(cells[key])
-            w.writerow(
-                list(key)
-                + [repr(float(vals.mean())), repr(float(vals.std())), len(vals)]
-            )
+            mean, std, n_runs = cells[key]
+            w.writerow(list(key) + [repr(mean), repr(std), n_runs])
 
     with open(out / "failures.csv", "w", newline="") as fh:
         w = csv.writer(fh)
@@ -398,11 +387,21 @@ def _write_outputs(cfg, result, out, net_name, elapsed):
         fh.write("\n")
 
 
-def summarize(result: ExperimentResult) -> dict[tuple, tuple[float, float]]:
-    """(network, procedure, f, metric) -> (mean, std) over repeats."""
+def _summary_cells(result: ExperimentResult) -> dict[tuple, tuple[float, float, int]]:
+    """(network, procedure, M, f, metric) -> (mean, std, run count) over
+    repeats, in order of first report."""
     cells: dict[tuple, list[float]] = {}
     for r in result.reports:
-        cells.setdefault((r.network, r.procedure, r.f, r.metric), []).append(r.value)
+        cells.setdefault((r.network, r.procedure, r.m, r.f, r.metric), []).append(r.value)
     return {
-        key: (float(np.mean(v)), float(np.std(v))) for key, v in cells.items()
+        key: (float(np.mean(v)), float(np.std(v)), len(v)) for key, v in cells.items()
+    }
+
+
+def summarize(result: ExperimentResult) -> dict[tuple, tuple[float, float]]:
+    """(network, procedure, f, metric) -> (mean, std) over repeats; M is
+    fixed within one experiment."""
+    return {
+        (net, procedure, f, metric): (mean, std)
+        for (net, procedure, _, f, metric), (mean, std, _) in _summary_cells(result).items()
     }

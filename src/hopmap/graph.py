@@ -6,14 +6,12 @@ that consume hop matrices reject the sentinel unless stated otherwise.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
+from scipy.sparse import csgraph, csr_matrix
 
 UNREACHABLE = -1
 
@@ -62,29 +60,26 @@ class Graph:
 
     @cached_property
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n, dtype=np.int64)
-        for i, j in self.edges:
-            deg[i] += 1
-            deg[j] += 1
+        deg = np.diff(self.csr.indptr).astype(np.int64)
         deg.flags.writeable = False
         return deg
 
     def adjacency_matrix(self) -> np.ndarray:
         """Dense 0/1 adjacency matrix as float64."""
-        a = np.zeros((self.n, self.n))
-        for i, j in self.edges:
-            a[i, j] = 1.0
-            a[j, i] = 1.0
-        return a
+        return self.csr.toarray().astype(float)
 
-    def _csr(self) -> csr_matrix:
+    @cached_property
+    def csr(self) -> csr_matrix:
+        """Symmetric 0/1 adjacency in CSR form, column indices sorted."""
         if not self.edges:
             return csr_matrix((self.n, self.n), dtype=np.int8)
         ij = np.array(sorted(self.edges), dtype=np.int64)
         rows = np.concatenate([ij[:, 0], ij[:, 1]])
         cols = np.concatenate([ij[:, 1], ij[:, 0]])
         data = np.ones(len(rows), dtype=np.int8)
-        return csr_matrix((data, (rows, cols)), shape=(self.n, self.n))
+        a = csr_matrix((data, (rows, cols)), shape=(self.n, self.n))
+        a.sort_indices()
+        return a
 
 
 @dataclass(frozen=True)
@@ -150,37 +145,31 @@ class VcMatrix:
         return self.hops.astype(float)
 
 
+def _hops_from(g: Graph, sources) -> np.ndarray:
+    """Hop counts from each source (rows) to every node; UNREACHABLE where
+    no path."""
+    d = csgraph.shortest_path(
+        g.csr, method="D", directed=False, unweighted=True, indices=sources
+    )
+    return np.where(np.isfinite(d), d, UNREACHABLE).astype(np.int64)
+
+
 def bfs_hops(g: Graph, source: int) -> np.ndarray:
     """Hop counts from ``source`` to every node; UNREACHABLE where no path."""
     if not (0 <= source < g.n):
         raise ValueError(f"source {source} out of range for n={g.n}")
-    dist = np.full(g.n, UNREACHABLE, dtype=np.int64)
-    dist[source] = 0
-    queue = deque([source])
-    adj = g.adjacency
-    while queue:
-        u = queue.popleft()
-        du = dist[u] + 1
-        for v in adj[u]:
-            if dist[v] == UNREACHABLE:
-                dist[v] = du
-                queue.append(v)
-    return dist
+    return _hops_from(g, [source])[0]
 
 
 def all_pairs_hops(g: Graph) -> HopDistanceMatrix:
     """Full hop-distance matrix (equivalent to stacking bfs_hops rows)."""
     if g.n == 0:
         return HopDistanceMatrix(np.zeros((0, 0), dtype=np.int64))
-    d = shortest_path(g._csr(), method="D", directed=False, unweighted=True)
-    hops = np.full(d.shape, UNREACHABLE, dtype=np.int64)
-    finite = np.isfinite(d)
-    hops[finite] = d[finite].astype(np.int64)
-    return HopDistanceMatrix(hops)
+    return HopDistanceMatrix(_hops_from(g, None))
 
 
 def anchor_hops(g: Graph, anchors: Sequence[int]) -> VcMatrix:
-    """Hop distances to each anchor, one BFS per anchor.
+    """Hop distances to each anchor, one column per anchor.
 
     Anchors must be distinct, in range, and able to reach every node
     (a sentinel in the result would poison downstream numerics).
@@ -188,13 +177,16 @@ def anchor_hops(g: Graph, anchors: Sequence[int]) -> VcMatrix:
     anchors = [int(a) for a in anchors]
     if len(set(anchors)) != len(anchors):
         raise ValueError("duplicate anchors")
-    cols = []
     for a in anchors:
-        col = bfs_hops(g, a)
-        if (col == UNREACHABLE).any():
-            raise ValueError(f"anchor {a} cannot reach every node")
-        cols.append(col)
-    return VcMatrix(hops=np.stack(cols, axis=1), anchor_ids=tuple(anchors))
+        if not 0 <= a < g.n:
+            raise ValueError(f"anchor {a} out of range for n={g.n}")
+    # row-major like the full hop matrix: float reductions over it downstream
+    # sum in memory order
+    hops = np.ascontiguousarray(_hops_from(g, anchors).T)
+    unreached = (hops == UNREACHABLE).any(axis=0)
+    if unreached.any():
+        raise ValueError(f"anchor {anchors[int(np.argmax(unreached))]} cannot reach every node")
+    return VcMatrix(hops=hops, anchor_ids=tuple(anchors))
 
 
 def adjacency_from_hdm(h) -> Graph:
@@ -226,24 +218,9 @@ def graph_laplacian(g: Graph) -> np.ndarray:
 
 def connected_components(g: Graph) -> list[list[int]]:
     """Maximal connected node sets, each sorted, ordered by smallest member."""
-    seen = np.zeros(g.n, dtype=bool)
-    adj = g.adjacency
-    parts = []
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        comp = [start]
-        seen[start] = True
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    comp.append(v)
-                    queue.append(v)
-        parts.append(sorted(comp))
-    return parts
+    _, labels = csgraph.connected_components(g.csr, directed=False)
+    _, first = np.unique(labels, return_index=True)
+    return [np.flatnonzero(labels == labels[i]).tolist() for i in np.sort(first)]
 
 
 def is_connected(g: Graph) -> bool:

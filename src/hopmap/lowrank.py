@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +11,14 @@ import numpy as np
 from .sampling import ObservedMatrix, validate_mask
 
 RANK_TOLERANCE = 1e-10
+
+# singular value thresholding: mu_0 = MU_SCALE / ||P_Omega(M)||_2; plain SVD
+# when the smaller dimension is at most FULL_SVD_BELOW, else a randomized
+# range finder with OVERSAMPLE extra columns and POWER_ITERS power steps
+MU_SCALE = 1.0
+FULL_SVD_BELOW = 400
+OVERSAMPLE = 10
+POWER_ITERS = 2
 
 
 @dataclass(frozen=True)
@@ -132,13 +140,19 @@ def double_center_partial(o: ObservedMatrix) -> ObservedMatrix:
 
 @dataclass(frozen=True)
 class CompletionConfig:
+    """Stopping rule and penalty schedule of complete_nuclear_norm.
+
+    tolerance: stop once the relative Frobenius residual over the mask is
+    at most this. max_iters: give up (converged=False) after this many
+    iterations. mu_growth: geometric growth of the penalty mu per
+    iteration. The starting penalty and the SVD method of each
+    thresholding step are fixed by the module constants MU_SCALE,
+    FULL_SVD_BELOW, OVERSAMPLE and POWER_ITERS.
+    """
+
     tolerance: float = 1e-6
     max_iters: int = 500
-    mu_scale: float = 1.0          # mu_0 = mu_scale / ||P_Omega(M)||_2
-    mu_growth: float = 1.05        # geometric penalty growth per iteration
-    full_svd_below: int = 400      # min dimension under which plain SVD is used
-    oversample: int = 10           # extra columns for the randomized range finder
-    power_iters: int = 2
+    mu_growth: float = 1.05
 
     def __post_init__(self):
         if self.tolerance <= 0:
@@ -179,22 +193,22 @@ def _spectral_norm(a: np.ndarray, iters: int = 100, tol: float = 1e-9) -> float:
     return float(sigma)
 
 
-def _randomized_svd(a, k, oversample, power_iters, rng):
+def _randomized_svd(a, k, rng):
     """Halko-style range finder; top ~k singular triplets of a."""
     min_dim = min(a.shape)
-    p = min(k + oversample, min_dim)
+    p = min(k + OVERSAMPLE, min_dim)
     q = np.linalg.qr(a @ rng.standard_normal((a.shape[1], p)))[0]
-    for _ in range(power_iters):
+    for _ in range(POWER_ITERS):
         q = np.linalg.qr(a.T @ q)[0]
         q = np.linalg.qr(a @ q)[0]
     ub, s, vt = np.linalg.svd(q.T @ a, full_matrices=False)
     return q @ ub, s, vt
 
 
-def _svt(g, thresh, rank_guess, cfg, rng):
+def _svt(g, thresh, rank_guess, rng):
     """Singular value thresholding: keep sigma > thresh, shrink by thresh."""
     min_dim = min(g.shape)
-    if min_dim <= cfg.full_svd_below:
+    if min_dim <= FULL_SVD_BELOW:
         u, s, vt = np.linalg.svd(g, full_matrices=False)
     else:
         k = max(rank_guess, 1)
@@ -203,7 +217,7 @@ def _svt(g, thresh, rank_guess, cfg, rng):
                 # partial SVD no longer pays off at this rank
                 u, s, vt = np.linalg.svd(g, full_matrices=False)
                 break
-            u, s, vt = _randomized_svd(g, k, cfg.oversample, cfg.power_iters, rng)
+            u, s, vt = _randomized_svd(g, k, rng)
             if s.size >= min_dim or s[-1] <= thresh:
                 break
             k = 2 * k + 5
@@ -263,7 +277,7 @@ def complete_nuclear_norm(
                 converged=True,
             )
 
-        mu = cfg.mu_scale / _spectral_norm(d)
+        mu = MU_SCALE / _spectral_norm(d)
         rng = np.random.default_rng(np.random.SeedSequence(0x5EED))
         a = np.zeros_like(d)
         y = np.zeros_like(d)
@@ -275,7 +289,7 @@ def complete_nuclear_norm(
         for it in range(1, cfg.max_iters + 1):
             iterations = it
             g = np.where(mask, d + y / mu, a)
-            a, n_kept, nuclear = _svt(g, 1.0 / mu, rank_guess, cfg, rng)
+            a, n_kept, nuclear = _svt(g, 1.0 / mu, rank_guess, rng)
             rank_guess = n_kept + 5
             gap = np.where(mask, d - a, 0.0)
             residual = float(np.linalg.norm(gap) / obs_norm)

@@ -3,11 +3,12 @@ from __future__ import annotations
 
 import csv
 import math
-from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy.sparse import triu
+from scipy.sparse.csgraph import breadth_first_order
 from scipy.spatial import cKDTree
 
 from .graph import Graph, is_connected
@@ -280,52 +281,52 @@ def subgraph_bfs(g: Graph, root: int, target_n: int) -> Graph:
         raise ValueError(f"root {root} out of range")
     if target_n < 1 or target_n > g.n:
         raise ValueError(f"target_n {target_n} out of range")
-    order = []
-    seen = np.zeros(g.n, dtype=bool)
-    seen[root] = True
-    queue = deque([root])
-    while queue and len(order) < target_n:
-        v = queue.popleft()
-        order.append(v)
-        for w in g.adjacency[v]:
-            if not seen[w]:
-                seen[w] = True
-                queue.append(w)
+    order = breadth_first_order(g.csr, root, return_predecessors=False)[:target_n]
     if len(order) < target_n:
         raise ValueError(
             f"component of root holds only {len(order)} of {target_n} requested nodes"
         )
-    index = {v: i for i, v in enumerate(order)}
-    keep = set(order)
-    pairs = [
-        (index[i], index[j]) for i, j in g.edges if i in keep and j in keep
-    ]
-    return Graph.from_edge_list(target_n, pairs)
+    rows, cols = triu(g.csr[order][:, order]).nonzero()
+    return Graph.from_edge_list(target_n, zip(rows.tolist(), cols.tolist()))
 
 
-def write_layout(pc: PointCloud, path: str | Path) -> None:
-    header = ["node_id", "x", "y"] + (["z"] if pc.dim == 3 else [])
+def write_point_table(coords: np.ndarray, path: str | Path) -> None:
+    """Write n x k coordinates (k in {2, 3}) as CSV rows node_id,x,y[,z],
+    floats in repr form so that reading them back is exact."""
+    header = ["node_id", "x", "y", "z"][: 1 + coords.shape[1]]
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        for i in range(pc.n):
-            w.writerow([i] + [repr(float(c)) for c in pc.coords[i]])
+        w.writerows([i, *map(repr, row)] for i, row in enumerate(coords.tolist()))
 
 
-def read_layout(path: str | Path) -> PointCloud:
+def read_point_table(path: str | Path) -> np.ndarray:
+    """Coordinates from a write_point_table file, as an n x k array in
+    node order; rows may come in any order but ids must cover 0..n-1."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header not in (["node_id", "x", "y"], ["node_id", "x", "y", "z"]):
-            raise ValueError(f"bad layout header: {header}")
+            raise ValueError(f"{path}: bad point table header {header}")
         rows = []
         for line in reader:
-            if len(line) != len(header):
-                raise ValueError(f"malformed layout row: {line}")
-            rows.append((int(line[0]), [float(v) for v in line[1:]]))
+            try:
+                if len(line) != len(header):
+                    raise ValueError
+                rows.append((int(line[0]), [float(v) for v in line[1:]]))
+            except ValueError:
+                raise ValueError(f"{path}: malformed row {line}") from None
     if not rows:
-        raise ValueError("layout file has no points")
+        raise ValueError(f"{path}: no points")
     rows.sort()
     if [r[0] for r in rows] != list(range(len(rows))):
-        raise ValueError("layout node ids are not a dense 0..n-1 range")
-    return PointCloud(coords=np.array([r[1] for r in rows]))
+        raise ValueError(f"{path}: node ids are not a dense 0..n-1 range")
+    return np.array([r[1] for r in rows])
+
+
+def write_layout(pc: PointCloud, path: str | Path) -> None:
+    write_point_table(pc.coords, path)
+
+
+def read_layout(path: str | Path) -> PointCloud:
+    return PointCloud(coords=read_point_table(path))

@@ -4,12 +4,12 @@ from __future__ import annotations
 import csv
 import json
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .graph import Graph, HopDistanceMatrix, VcMatrix, all_pairs_hops, bfs_hops
+from .graph import Graph, HopDistanceMatrix, VcMatrix, all_pairs_hops
 from .seeding import spawn_rng
 
 STRATEGIES = ("random", "degree", "closeness", "betweenness")

@@ -1,7 +1,6 @@
 """Topology coordinates and topology-preserving maps from anchor distances."""
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,6 +16,7 @@ from .lowrank import (
     double_center_partial,  # noqa: F401  bound here for perfbench's lowrank.center span
     svd,
 )
+from .netgen import read_point_table, write_point_table
 from .sampling import ObservedMatrix
 
 
@@ -261,28 +261,8 @@ def align_maps(a: TopologyMap, b: TopologyMap) -> tuple[TopologyMap, AlignmentTr
 
 
 def write_tpm(tm: TopologyMap, path: str | Path) -> None:
-    header = ["node_id", "x", "y"] + (["z"] if tm.k == 3 else [])
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for i in range(tm.n):
-            w.writerow([i] + [repr(float(c)) for c in tm.coords[i]])
+    write_point_table(tm.coords, path)
 
 
 def read_tpm(path: str | Path) -> TopologyMap:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header not in (["node_id", "x", "y"], ["node_id", "x", "y", "z"]):
-            raise ValueError(f"bad map header: {header}")
-        rows = []
-        for line in reader:
-            if len(line) != len(header):
-                raise ValueError(f"malformed map row: {line}")
-            rows.append((int(line[0]), [float(v) for v in line[1:]]))
-    if not rows:
-        raise ValueError("map file has no points")
-    rows.sort()
-    if [r[0] for r in rows] != list(range(len(rows))):
-        raise ValueError("map node ids are not a dense 0..n-1 range")
-    return TopologyMap(coords=np.array([r[1] for r in rows]))
+    return TopologyMap(coords=read_point_table(path))

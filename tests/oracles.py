@@ -25,6 +25,22 @@ def floyd_warshall_hops(g: Graph) -> np.ndarray:
     return d
 
 
+def naive_bfs_order(g: Graph, root: int) -> list[int]:
+    """Breadth-first discovery order from root with neighbours taken in
+    increasing id, built level by level from Floyd-Warshall distances: a
+    node at distance d + 1 comes after every node at distance d, and among
+    its level it is ranked by its earliest-ordered neighbour at distance d,
+    then by id. Only root's component is listed."""
+    h = floyd_warshall_hops(g)[root]
+    order = [root]
+    for d in range(1, int(h.max()) + 1):
+        pos = {v: i for i, v in enumerate(order)}
+        level = [v for v in range(g.n) if h[v] == d]
+        level.sort(key=lambda v: (min(pos[u] for u in g.adjacency[v] if u in pos), v))
+        order += level
+    return order
+
+
 def triangle_violations(hops: np.ndarray) -> int:
     """Count triples (i, j, k), all finite, with h_ij > h_ik + h_kj."""
     h = hops.astype(np.int64)

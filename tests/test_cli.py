@@ -252,3 +252,36 @@ class TestExperimentCommand:
         p = tmp_path / "cfg.json"
         p.write_text("{not json")
         assert main(["experiment", "--config", str(p)]) == EXIT_DATA
+
+
+class TestConfigKeys:
+    """Unknown keys in any config block are a data error naming the key."""
+
+    def _run(self, tmp_path, capsys, raw):
+        raw = {"repeats": 1, "fractions": [0.2], "out_dir": str(tmp_path / "r"), **raw}
+        raw.setdefault("network", {"kind": "holme-kim", "params": {"n": 40}})
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(raw))
+        rc = main(["experiment", "--config", str(p)])
+        return rc, capsys.readouterr().err
+
+    def test_unknown_top_level_key(self, tmp_path, capsys):
+        rc, err = self._run(tmp_path, capsys, {"repetas": 1})
+        assert rc == EXIT_DATA
+        assert err.startswith("error:") and "repetas" in err
+
+    def test_unknown_completion_key(self, tmp_path, capsys):
+        rc, err = self._run(tmp_path, capsys, {"completion": {"oversampel": 3}})
+        assert rc == EXIT_DATA
+        assert err.startswith("error:") and "oversampel" in err
+
+    def test_unknown_anchors_key(self, tmp_path, capsys):
+        rc, err = self._run(tmp_path, capsys, {"anchors": {"mm": 5}})
+        assert rc == EXIT_DATA
+        assert err.startswith("error:") and "mm" in err
+        assert not (tmp_path / "r").exists()
+
+    def test_unknown_generator_param(self, tmp_path, capsys):
+        rc, err = self._run(tmp_path, capsys, {"network": {"kind": "concave", "widht": 20}})
+        assert rc == EXIT_DATA
+        assert err.startswith("error:") and "widht" in err

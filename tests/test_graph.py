@@ -16,10 +16,13 @@ from hopmap.graph import (
     is_connected,
 )
 
+from hopmap.netgen import subgraph_bfs
+
 from oracles import (
     complete_graph,
     cycle_graph,
     floyd_warshall_hops,
+    naive_bfs_order,
     grid_graph,
     path_graph,
     petersen_graph,
@@ -257,3 +260,61 @@ def test_hdm_wrapper_is_read_only():
     with pytest.raises(ValueError):
         h.hops[0, 0] = 3
     assert isinstance(h, HopDistanceMatrix)
+
+
+def _oracle_graphs(seed: int) -> list[Graph]:
+    """Random connected graphs and disjoint unions of them."""
+    rng = np.random.default_rng(seed)
+    graphs = [random_connected_graph(rng, int(rng.integers(2, 50))) for _ in range(6)]
+    for _ in range(6):
+        sizes = rng.integers(1, 15, size=int(rng.integers(2, 5))).tolist()
+        graphs.append(random_graph_with_components(rng, sizes))
+    return graphs
+
+
+class TestTraversalOracles:
+    """Every traversal against the brute-force references in oracles.py."""
+
+    def test_bfs_hops_equal_floyd_warshall_rows(self):
+        for g in _oracle_graphs(31):
+            fw = floyd_warshall_hops(g)
+            for s in range(g.n):
+                assert bfs_hops(g, s).tolist() == fw[s].tolist()
+
+    def test_bfs_hops_unreachable_across_components(self):
+        g = random_graph_with_components(np.random.default_rng(32), [6, 4, 5])
+        hops = bfs_hops(g, 7)
+        assert (hops[:6] == UNREACHABLE).all() and (hops[10:] == UNREACHABLE).all()
+        assert (hops[6:10] >= 0).all()
+
+    def test_anchor_hops_equal_floyd_warshall_columns(self):
+        rng = np.random.default_rng(33)
+        for g in _oracle_graphs(34):
+            fw = floyd_warshall_hops(g)
+            anchors = rng.permutation(g.n)[: min(g.n, 5)].tolist()
+            if (fw[anchors] == UNREACHABLE).any():
+                with pytest.raises(ValueError, match="cannot reach"):
+                    anchor_hops(g, anchors)
+            else:
+                assert (anchor_hops(g, anchors).hops == fw[:, anchors]).all()
+
+    def test_components_are_floyd_warshall_reachability_classes(self):
+        for g in _oracle_graphs(35):
+            fw = floyd_warshall_hops(g)
+            classes = {tuple(np.flatnonzero(fw[v] != UNREACHABLE).tolist()) for v in range(g.n)}
+            expected = sorted(list(c) for c in classes)
+            assert connected_components(g) == expected
+            assert is_connected(g) == (len(expected) == 1)
+
+    def test_subgraph_bfs_relabels_in_naive_bfs_order(self):
+        rng = np.random.default_rng(36)
+        for g in _oracle_graphs(37):
+            root = int(rng.integers(0, g.n))
+            order = naive_bfs_order(g, root)
+            for target_n in sorted({1, (len(order) + 1) // 2, len(order)}):
+                index = {v: i for i, v in enumerate(order[:target_n])}
+                expected = Graph.from_edge_list(
+                    target_n,
+                    [(index[i], index[j]) for i, j in g.edges if i in index and j in index],
+                )
+                assert subgraph_bfs(g, root, target_n).edges == expected.edges

@@ -12,12 +12,14 @@ from hopmap.netgen import (
     gen_t_cylinder_3d,
     load_snap_edge_list,
     read_layout,
+    read_point_table,
     subgraph_bfs,
     unit_disk_connect,
     write_edge_list,
     write_layout,
     write_node_map,
 )
+from hopmap.tpm import TopologyMap, write_tpm
 from oracles import cycle_graph, random_connected_graph
 
 
@@ -258,3 +260,43 @@ class TestLayoutIo:
         p.write_text("id,a,b\n0,1,2\n")
         with pytest.raises(ValueError):
             read_layout(p)
+
+
+class TestPointTable:
+    """Layouts and maps share one CSV format, pinned byte for byte."""
+
+    @pytest.mark.parametrize(
+        "coords, expected",
+        [
+            (
+                np.array([[1 / 3, -2.0], [0.1, 1e-20]]),
+                b"node_id,x,y\r\n0,0.3333333333333333,-2.0\r\n1,0.1,1e-20\r\n",
+            ),
+            (
+                np.array([[1 / 3, 0.0, 2.5]]),
+                b"node_id,x,y,z\r\n0,0.3333333333333333,0.0,2.5\r\n",
+            ),
+        ],
+    )
+    def test_layout_and_map_bytes(self, tmp_path, coords, expected):
+        write_layout(PointCloud(coords=coords.copy()), tmp_path / "layout.csv")
+        write_tpm(TopologyMap(coords=coords.copy()), tmp_path / "map.csv")
+        assert (tmp_path / "layout.csv").read_bytes() == expected
+        assert (tmp_path / "map.csv").read_bytes() == expected
+        assert np.array_equal(read_point_table(tmp_path / "map.csv"), coords)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "id,x,y\n0,1,2\n",
+            "node_id,x,y\n0,1.0\n",
+            "node_id,x,y\n0,one,2.0\n",
+            "node_id,x,y\n",
+            "node_id,x,y\n0,1.0,2.0\n2,3.0,4.0\n",
+        ],
+    )
+    def test_malformed_file_error_names_path(self, tmp_path, text):
+        path = tmp_path / "points.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="points.csv"):
+            read_point_table(path)
