@@ -220,6 +220,7 @@ def _cmd_complete(args) -> int:
         "iterations": res.iterations,
         "final_residual": res.final_residual,
         "converged": res.converged,
+        "kept_rank": res.rank_trace[-1] if res.rank_trace else None,
     }
     meta_path = Path(args.out).with_suffix(".meta.json")
     with open(meta_path, "w") as fh:

@@ -6,6 +6,7 @@ import dataclasses
 import inspect
 import json
 import time
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -77,6 +78,31 @@ def _reject_unknown(block: dict, accepted, where: str) -> None:
         )
 
 
+def _fits(value, want) -> bool:
+    if want in (int, float):
+        # JSON true/false are not numbers; an integer is a valid float
+        ok = (int,) if want is int else (int, float)
+        return isinstance(value, ok) and not isinstance(value, bool)
+    return isinstance(value, want)
+
+
+def _check_types(block: dict, cls, where: str) -> None:
+    """Raise ValueError naming the first key of block whose value does not
+    have the type of cls's field of that name (a tuple field takes a list)."""
+    hints = typing.get_type_hints(cls)
+    for key, value in block.items():
+        want = hints[key]
+        if typing.get_origin(want) is tuple:
+            item = typing.get_args(want)[0]
+            ok = isinstance(value, (list, tuple)) and all(_fits(v, item) for v in value)
+            name = f"a list of {item.__name__}"
+        else:
+            ok = _fits(value, want)
+            name = want.__name__
+        if not ok:
+            raise ValueError(f"{where} key {key!r} must be {name}, got {value!r}")
+
+
 def _accepted_params(kind: str) -> set[str]:
     if kind in GENERATORS:
         # placement fields of GeneratorConfig, then the generator's geometry
@@ -131,14 +157,15 @@ class ExperimentConfig:
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
-    """Read a JSON experiment config; unknown keys in any block raise
-    ValueError naming them."""
+    """Read a JSON experiment config; unknown keys in any block, and values
+    of the wrong type, raise ValueError naming them."""
     with open(path) as fh:
         raw = json.load(fh)
     _reject_unknown(raw, _field_names(ExperimentConfig) | {"procedure"}, "config")
     net = dict(raw.pop("network"))
     kind = net.pop("kind")
     net_seed = net.pop("seed", 0)
+    _check_types({"kind": kind, "seed": net_seed}, NetworkSpec, "network")
     # generator params may sit under an explicit "params" key or inline
     params = net.pop("params", None)
     if params is not None and net:
@@ -146,11 +173,14 @@ def load_config(path: str | Path) -> ExperimentConfig:
     spec = NetworkSpec(kind=kind, seed=net_seed, params=params if params is not None else net)
     anchors = raw.pop("anchors", None) or {}
     _reject_unknown(anchors, _field_names(AnchorSelection), "anchors")
+    _check_types(anchors, AnchorSelection, "anchors")
     completion = raw.pop("completion", {})
     _reject_unknown(completion, _field_names(CompletionConfig), "completion")
+    _check_types(completion, CompletionConfig, "completion")
     procedures = raw.pop("procedures", raw.pop("procedure", "p-completion"))
     if isinstance(procedures, str):
         procedures = (procedures,)
+    _check_types({"procedures": procedures, **raw}, ExperimentConfig, "config")
     return ExperimentConfig(
         network=spec,
         anchors=AnchorSelection(**anchors),

@@ -14,11 +14,13 @@ RANK_TOLERANCE = 1e-10
 
 # singular value thresholding: mu_0 = MU_SCALE / ||P_Omega(M)||_2; plain SVD
 # when the smaller dimension is at most FULL_SVD_BELOW, else a randomized
-# range finder with OVERSAMPLE extra columns and POWER_ITERS power steps
+# range finder with OVERSAMPLE extra columns and POWER_ITERS power steps,
+# warm-started: its test block leads with the right singular vectors the
+# previous iteration kept, so one power step is enough
 MU_SCALE = 1.0
 FULL_SVD_BELOW = 400
 OVERSAMPLE = 10
-POWER_ITERS = 2
+POWER_ITERS = 1
 
 
 @dataclass(frozen=True)
@@ -171,6 +173,7 @@ class CompletionResult:
     converged: bool
     residual_trace: tuple[float, ...] = ()
     nuclear_trace: tuple[float, ...] = ()
+    rank_trace: tuple[int, ...] = ()
 
 
 def _spectral_norm(a: np.ndarray, iters: int = 100, tol: float = 1e-9) -> float:
@@ -193,11 +196,20 @@ def _spectral_norm(a: np.ndarray, iters: int = 100, tol: float = 1e-9) -> float:
     return float(sigma)
 
 
-def _randomized_svd(a, k, rng):
-    """Halko-style range finder; top ~k singular triplets of a."""
+def _randomized_svd(a, k, rng, start=None):
+    """Halko-style range finder; top ~k singular triplets of a.
+
+    The test block has p = min(k + OVERSAMPLE, min_dim) columns: the
+    columns of start (orthonormal right vectors, at most p of them) first,
+    then Gaussian columns drawn from rng.
+    """
     min_dim = min(a.shape)
     p = min(k + OVERSAMPLE, min_dim)
-    q = np.linalg.qr(a @ rng.standard_normal((a.shape[1], p)))[0]
+    if start is None:
+        q = np.linalg.qr(a @ rng.standard_normal((a.shape[1], p)))[0]
+    else:
+        gauss = rng.standard_normal((a.shape[1], p - start.shape[1]))
+        q = np.linalg.qr(a @ np.hstack([start, gauss]))[0]
     for _ in range(POWER_ITERS):
         q = np.linalg.qr(a.T @ q)[0]
         q = np.linalg.qr(a @ q)[0]
@@ -205,8 +217,13 @@ def _randomized_svd(a, k, rng):
     return q @ ub, s, vt
 
 
-def _svt(g, thresh, rank_guess, rng):
-    """Singular value thresholding: keep sigma > thresh, shrink by thresh."""
+def _svt(g, thresh, rank_guess, rng, start=None):
+    """Singular value thresholding: keep sigma > thresh, shrink by thresh.
+
+    Returns the thresholded matrix, its rank, its nuclear norm and the kept
+    right singular vectors as columns (None when none is kept), which the
+    next call can take as start for its randomized range finder.
+    """
     min_dim = min(g.shape)
     if min_dim <= FULL_SVD_BELOW:
         u, s, vt = np.linalg.svd(g, full_matrices=False)
@@ -217,7 +234,7 @@ def _svt(g, thresh, rank_guess, rng):
                 # partial SVD no longer pays off at this rank
                 u, s, vt = np.linalg.svd(g, full_matrices=False)
                 break
-            u, s, vt = _randomized_svd(g, k, rng)
+            u, s, vt = _randomized_svd(g, k, rng, start)
             if s.size >= min_dim or s[-1] <= thresh:
                 break
             k = 2 * k + 5
@@ -225,10 +242,11 @@ def _svt(g, thresh, rank_guess, rng):
     n_kept = int(np.count_nonzero(kept))
     if n_kept == 0:
         m, n = g.shape
-        return np.zeros((m, n)), 0, 0.0
+        return np.zeros((m, n)), 0, 0.0, None
     shrunk = s[kept] - thresh
     a = (u[:, kept] * shrunk) @ vt[kept]
-    return a, n_kept, float(shrunk.sum())
+    # s is descending, so the kept vectors are the leading rows of vt
+    return a, n_kept, float(shrunk.sum()), vt[:n_kept].T
 
 
 def complete_nuclear_norm(
@@ -283,14 +301,20 @@ def complete_nuclear_norm(
         y = np.zeros_like(d)
         residuals: list[float] = []
         nuclears: list[float] = []
+        ranks: list[int] = []
         rank_guess = 10
+        v = None
         converged = False
         iterations = 0
         for it in range(1, cfg.max_iters + 1):
             iterations = it
-            g = np.where(mask, d + y / mu, a)
-            a, n_kept, nuclear = _svt(g, 1.0 / mu, rank_guess, rng)
+            # the step's input is a temporary, freed before the residual
+            # step allocates: one fewer n x n array live keeps peak memory down
+            a, n_kept, nuclear, v = _svt(
+                np.where(mask, d + y / mu, a), 1.0 / mu, rank_guess, rng, v
+            )
             rank_guess = n_kept + 5
+            ranks.append(n_kept)
             gap = np.where(mask, d - a, 0.0)
             residual = float(np.linalg.norm(gap) / obs_norm)
             residuals.append(residual)
@@ -313,6 +337,7 @@ def complete_nuclear_norm(
             converged=converged,
             residual_trace=tuple(residuals),
             nuclear_trace=tuple(nuclears),
+            rank_trace=tuple(ranks),
         )
     finally:
         if trace_file is not None:

@@ -86,18 +86,16 @@ def _scan_lines(values: np.ndarray, bin_width: float) -> list[np.ndarray]:
     return lines
 
 
-def _ordered_pair_violations(order_key: np.ndarray, proj: np.ndarray) -> tuple[int, int]:
-    """Count ordered pairs whose projected order disagrees with the
-    original order along a line."""
-    sort = np.argsort(order_key, kind="stable")
-    p = proj[sort]
-    m = p.size
-    # after sorting by the original coordinate, any non-increasing pair is
-    # out of order; each bad unordered pair counts twice (i,j) and (j,i)
-    bad = 0
-    for i in range(m - 1):
-        bad += int(np.count_nonzero(p[i] >= p[i + 1 :]))
-    return 2 * bad, m * (m - 1)
+def _line_pairs(lines: list[np.ndarray], order_coord: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Node pairs (i, j) on a common line with i before j in the stable
+    order of order_coord along that line."""
+    firsts, seconds = [], []
+    for line in lines:
+        idx = line[np.argsort(order_coord[line], kind="stable")]
+        i, j = np.triu_indices(idx.size, k=1)
+        firsts.append(idx[i])
+        seconds.append(idx[j])
+    return np.concatenate(firsts), np.concatenate(seconds)
 
 
 def topology_preservation_error(
@@ -114,26 +112,37 @@ def topology_preservation_error(
     if layout.n != tpm.n:
         raise ValueError("layout and map must share node indexing")
 
-    # direction -> (line node sets, original order key axis, map axis)
-    jobs = []
-    if "horizontal" in cfg.directions:
-        for line in _scan_lines(layout.coords[:, 1], cfg.bin_width):
-            jobs.append((line, layout.coords[line, 0], 0))
-    if "vertical" in cfg.directions:
-        for line in _scan_lines(layout.coords[:, 0], cfg.bin_width):
-            jobs.append((line, layout.coords[line, 1], 1))
-    if not jobs:
+    # horizontal lines bin y, run along x and are read on map axis 0;
+    # vertical lines bin x, run along y and are read on map axis 1
+    groups = []
+    for direction, axis in (("horizontal", 0), ("vertical", 1)):
+        if direction not in cfg.directions:
+            continue
+        lines = _scan_lines(layout.coords[:, 1 - axis], cfg.bin_width)
+        if lines:
+            groups.append((axis, _line_pairs(lines, layout.coords[:, axis])))
+    if not groups:
         raise ValueError("no scan line holds two or more nodes")
+
+    # an out-of-order pair (i before j) has p_i >= p_j on a map axis a
+    # transform keeps, p_i <= p_j on one it negates; ties count both ways.
+    # bad[(axis, src, sign)]: such pairs of the lines read on axis, when
+    # that axis of the transformed map is sign * source map axis src
+    bad = {}
+    pair_total = 0
+    for axis, (i, j) in groups:
+        pair_total += 2 * i.size
+        for src in (0, 1):
+            p_i, p_j = tpm.coords[i, src], tpm.coords[j, src]
+            bad[axis, src, 1] = int(np.count_nonzero(p_i >= p_j))
+            bad[axis, src, -1] = int(np.count_nonzero(p_i <= p_j))
 
     best = None
     for t in _AXIS_TRANSFORMS:
-        mapped = tpm.coords @ t.T
         bad_total = 0
-        pair_total = 0
-        for line, order_key, axis in jobs:
-            bad, pairs = _ordered_pair_violations(order_key, mapped[line, axis])
-            bad_total += bad
-            pair_total += pairs
+        for axis, _ in groups:
+            src = int(np.flatnonzero(t[axis])[0])
+            bad_total += 2 * bad[axis, src, int(t[axis, src])]
         score = bad_total / pair_total
         if best is None or score < best:
             best = score

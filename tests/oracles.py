@@ -210,3 +210,52 @@ def naive_neighbour_fill(
                 nxt[i, j] = min(max(mean, lower[i, j]), upper[i, j])
         h = nxt
     return h
+
+
+def naive_topology_preservation_error(
+    layout: np.ndarray,
+    coords: np.ndarray,
+    bin_width: float = 1.0,
+    directions: tuple[str, ...] = ("horizontal", "vertical"),
+) -> float:
+    """E_TP over every ordered pair and every axis transform, one at a time.
+
+    A line groups the nodes whose binned cross coordinate agrees. For
+    each ordered pair (a, b) on a line, the node that comes first along
+    the line (smaller coordinate, then smaller index) must also come
+    strictly first on the transformed map axis; otherwise the pair is
+    out of order. Returns the smallest fraction over the 8 transforms.
+    """
+    n = layout.shape[0]
+    # (binned coordinate index, coordinate along the line = map axis)
+    reads = {"horizontal": (1, 0), "vertical": (0, 1)}
+    lines = []
+    for d in directions:
+        cross, along = reads[d]
+        bins: dict[float, list[int]] = {}
+        for v in range(n):
+            bins.setdefault(round(float(layout[v, cross]) / bin_width), []).append(v)
+        lines += [(nodes, along) for nodes in bins.values() if len(nodes) >= 2]
+    best = None
+    for swap in (False, True):
+        for sx in (1, -1):
+            for sy in (1, -1):
+                def mapped(v, axis):
+                    x, y = float(coords[v, 0]), float(coords[v, 1])
+                    if swap:
+                        return sx * y if axis == 0 else sy * x
+                    return sx * x if axis == 0 else sy * y
+
+                bad = pairs = 0
+                for nodes, axis in lines:
+                    for a in nodes:
+                        for b in nodes:
+                            if a == b:
+                                continue
+                            pairs += 1
+                            first, second = sorted((a, b), key=lambda v: (layout[v, axis], v))
+                            if mapped(first, axis) >= mapped(second, axis):
+                                bad += 1
+                score = bad / pairs
+                best = score if best is None else min(best, score)
+    return best

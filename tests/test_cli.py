@@ -99,6 +99,8 @@ class TestPipeline:
         assert rc == EXIT_OK
         meta = json.loads((tmp_path / "done.meta.json").read_text())
         assert meta["converged"] is True
+        # a vc observation has 10 anchor columns, so at most rank 10
+        assert isinstance(meta["kept_rank"], int) and 1 <= meta["kept_rank"] <= 10
         trace = (tmp_path / "trace.csv").read_text().strip().splitlines()
         assert trace[0] == "iter,residual,nuclear_norm"
         assert len(trace) == meta["iterations"] + 1
@@ -285,3 +287,26 @@ class TestConfigKeys:
         rc, err = self._run(tmp_path, capsys, {"network": {"kind": "concave", "widht": 20}})
         assert rc == EXIT_DATA
         assert err.startswith("error:") and "widht" in err
+
+    @pytest.mark.parametrize(
+        "raw, key",
+        [
+            ({"repeats": "2"}, "repeats"),
+            ({"repeats": 2.0}, "repeats"),
+            ({"fractions": [0.2, "0.4"]}, "fractions"),
+            ({"fractions": 0.2}, "fractions"),
+            ({"completion": {"tolerance": "1e-4"}}, "tolerance"),
+            ({"completion": {"max_iters": True}}, "max_iters"),
+            ({"anchors": {"m": "5"}}, "m"),
+            ({"network": {"kind": "holme-kim", "seed": "1", "params": {"n": 40}}}, "seed"),
+        ],
+    )
+    def test_wrong_value_type(self, tmp_path, capsys, raw, key):
+        rc, err = self._run(tmp_path, capsys, raw)
+        assert rc == EXIT_DATA
+        assert err.startswith("error:") and repr(key) in err
+        assert not (tmp_path / "r").exists()
+
+    def test_integer_accepted_for_float_field(self, tmp_path, capsys):
+        rc, _ = self._run(tmp_path, capsys, {"bin_width": 1, "completion": {"tolerance": 1}})
+        assert rc == EXIT_OK

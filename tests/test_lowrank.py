@@ -6,6 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from hopmap.graph import all_pairs_hops
 from hopmap.lowrank import (
+    FULL_SVD_BELOW,
     CompletionConfig,
     SvdFactors,
     complete_nuclear_norm,
@@ -15,6 +16,7 @@ from hopmap.lowrank import (
     normalized_spectrum,
     singular_rank,
     svd,
+    _svt,
 )
 from hopmap.sampling import ObservedMatrix, random_entry_observations, vc_observations
 from hopmap.graph import VcMatrix
@@ -239,6 +241,17 @@ class TestCompletion:
         # final residual in the trace matches the result
         assert float(lines[-1].split(",")[1]) == res.final_residual
 
+    def test_rank_trace_one_entry_per_iteration(self):
+        rng = np.random.default_rng(14)
+        truth = rng.standard_normal((40, 3)) @ rng.standard_normal((3, 40))
+        mask = rng.random((40, 40)) < 0.6
+        mask[~mask.any(axis=1), 0] = True
+        mask[0, ~mask.any(axis=0)] = True
+        o = ObservedMatrix(values=np.where(mask, truth, 0.0), mask=mask)
+        res = complete_nuclear_norm(o)
+        assert len(res.rank_trace) == res.iterations
+        assert res.rank_trace[-1] == 3
+
     def test_non_convergence_flagged_not_raised(self):
         rng = np.random.default_rng(13)
         truth = rng.standard_normal((30, 5)) @ rng.standard_normal((5, 30))
@@ -276,3 +289,56 @@ class TestCompletion:
             CompletionConfig(max_iters=0)
         with pytest.raises(ValueError):
             CompletionConfig(mu_growth=1.0)
+
+
+def _symmetric_rank5_observation(n=450, seed=21):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, 5))
+    truth = x @ x.T
+    upper = np.triu(rng.random((n, n)) < 0.3, k=1)
+    mask = upper | upper.T | np.eye(n, dtype=bool)
+    return truth, ObservedMatrix(values=np.where(mask, truth, 0.0), mask=mask, symmetric=True)
+
+
+class TestRandomizedSvt:
+    """Matrices above FULL_SVD_BELOW on a side take the warm-started
+    randomized range finder instead of a full SVD."""
+
+    def test_symmetric_low_rank_recovery(self):
+        truth, o = _symmetric_rank5_observation()
+        assert min(truth.shape) > FULL_SVD_BELOW
+        res = complete_nuclear_norm(o)
+        assert res.converged
+        assert np.linalg.norm(res.completed - truth) / np.linalg.norm(truth) <= 1e-3
+        assert len(res.rank_trace) == res.iterations
+        assert res.rank_trace[-1] == 5
+
+    def test_deterministic(self):
+        _, o = _symmetric_rank5_observation(seed=22)
+        cfg = CompletionConfig(tolerance=1e-4)
+        a = complete_nuclear_norm(o, cfg)
+        b = complete_nuclear_norm(o, cfg)
+        assert np.array_equal(a.completed, b.completed)
+        assert a.iterations == b.iterations
+
+    def test_one_step_matches_full_svd_threshold(self):
+        # eight singular values 10..100 over a tail of 1e-3: a clear gap
+        rng = np.random.default_rng(23)
+        n = 450
+        u = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        v = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        s = np.full(n, 1e-3)
+        s[:8] = np.linspace(100.0, 10.0, 8)
+        g = (u * s) @ v.T
+        thresh = 5.0
+        full_u, full_s, full_vt = np.linalg.svd(g)
+        keep = full_s > thresh
+        expected = (full_u[:, keep] * (full_s[keep] - thresh)) @ full_vt[keep]
+        a, rank, nuclear, kept_v = _svt(g, thresh, 10, np.random.default_rng(0))
+        assert rank == 8
+        assert np.linalg.norm(a - expected) <= 1e-8 * np.linalg.norm(expected)
+        assert abs(nuclear - (full_s[keep] - thresh).sum()) <= 1e-8 * nuclear
+        # warm-started from its own kept subspace, the step agrees as well
+        warm, rank, _, _ = _svt(g, thresh, 13, np.random.default_rng(1), kept_v)
+        assert rank == 8
+        assert np.linalg.norm(warm - expected) <= 1e-8 * np.linalg.norm(expected)

@@ -15,7 +15,7 @@ from hopmap.metrics import (
 from hopmap.netgen import PointCloud
 from hopmap.tpm import TopologyMap
 
-from oracles import cycle_graph, random_connected_graph
+from oracles import cycle_graph, naive_topology_preservation_error, random_connected_graph
 
 
 def _map(coords):
@@ -196,6 +196,25 @@ class TestTopologyPreservation:
         tm = _map([[0.0, 0.0], [5.0, 5.0], [10.0, 10.0]])
         with pytest.raises(ValueError):
             topology_preservation_error(layout, tm)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_brute_force_oracle(self, seed):
+        # integer-rounded coordinates put many ties on the layout's lines
+        # and on the map's axes, where the order of ties matters
+        rng = np.random.default_rng(100 + seed)
+        layout_coords = np.round(rng.uniform(0, 6, size=(60, 2)) * 2) / 2
+        noise = rng.standard_normal((60, 2)) * (0.5 * seed)
+        map_coords = np.round(layout_coords @ np.linalg.qr(rng.standard_normal((2, 2)))[0] + noise)
+        layout, tm = _cloud(layout_coords), _map(map_coords)
+        for cfg in (
+            ScanLineConfig(),
+            ScanLineConfig(bin_width=0.5),
+            ScanLineConfig(directions=("vertical",)),
+        ):
+            expected = naive_topology_preservation_error(
+                layout_coords, map_coords, cfg.bin_width, cfg.directions
+            )
+            assert topology_preservation_error(layout, tm, cfg) == expected
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
