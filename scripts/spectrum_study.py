@@ -27,7 +27,7 @@ def save_curve(path, values):
     with open(path, "w") as fh:
         fh.write("index,value\n")
         for i, v in enumerate(values, start=1):
-            fh.write(f"{i},{v!r}\n")
+            fh.write(f"{i},{float(v)!r}\n")
 
 
 def run(args):

@@ -50,15 +50,6 @@ class Graph:
         return len(self.edges)
 
     @cached_property
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """Sorted neighbor tuples, one per node."""
-        nbrs: list[list[int]] = [[] for _ in range(self.n)]
-        for i, j in self.edges:
-            nbrs[i].append(j)
-            nbrs[j].append(i)
-        return tuple(tuple(sorted(b)) for b in nbrs)
-
-    @cached_property
     def degrees(self) -> np.ndarray:
         deg = np.diff(self.csr.indptr).astype(np.int64)
         deg.flags.writeable = False

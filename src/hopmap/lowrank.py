@@ -71,13 +71,17 @@ def _fix_signs(u: np.ndarray, v: np.ndarray) -> None:
             v[:, i] = -v[:, i]
 
 
-def svd(m: np.ndarray) -> SvdFactors:
+def _svd_input(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.size == 0:
         raise ValueError("svd expects a nonempty 2-d array")
     if not np.all(np.isfinite(m)):
         raise ValueError("svd input contains non-finite entries")
-    u, s, vt = np.linalg.svd(m, full_matrices=False)
+    return m
+
+
+def svd(m: np.ndarray) -> SvdFactors:
+    u, s, vt = np.linalg.svd(_svd_input(m), full_matrices=False)
     v = vt.T
     _fix_signs(u, v)
     return SvdFactors(u=u, s=s, v=v)
@@ -95,7 +99,7 @@ def normalized_spectrum(m: np.ndarray, center: bool = False) -> np.ndarray:
         raise ValueError("empty matrix")
     if center:
         m = double_center_full(m * m)
-    s = svd(m).s
+    s = np.linalg.svd(_svd_input(m), compute_uv=False)
     if s[0] <= 0.0:
         raise ValueError("all-zero matrix has no normalized spectrum")
     return s / s[0]

@@ -5,11 +5,22 @@ paths under test.
 """
 from __future__ import annotations
 
+from collections import deque
+
 import numpy as np
 
 from hopmap.graph import Graph
 
 INF = np.iinfo(np.int64).max // 4
+
+
+def neighbours(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """Sorted neighbour tuples, one per node, built from the edge set."""
+    nbrs: list[list[int]] = [[] for _ in range(g.n)]
+    for i, j in g.edges:
+        nbrs[i].append(j)
+        nbrs[j].append(i)
+    return tuple(tuple(sorted(b)) for b in nbrs)
 
 
 def floyd_warshall_hops(g: Graph) -> np.ndarray:
@@ -32,11 +43,12 @@ def naive_bfs_order(g: Graph, root: int) -> list[int]:
     its level it is ranked by its earliest-ordered neighbour at distance d,
     then by id. Only root's component is listed."""
     h = floyd_warshall_hops(g)[root]
+    adj = neighbours(g)
     order = [root]
     for d in range(1, int(h.max()) + 1):
         pos = {v: i for i, v in enumerate(order)}
         level = [v for v in range(g.n) if h[v] == d]
-        level.sort(key=lambda v: (min(pos[u] for u in g.adjacency[v] if u in pos), v))
+        level.sort(key=lambda v: (min(pos[u] for u in adj[v] if u in pos), v))
         order += level
     return order
 
@@ -126,7 +138,7 @@ def random_graph_with_components(rng: np.random.Generator, sizes: list[int]) -> 
 def brute_betweenness(g: Graph) -> np.ndarray:
     """Betweenness by enumerating every shortest path (tiny graphs only)."""
     h = floyd_warshall_hops(g)
-    adj = g.adjacency
+    adj = neighbours(g)
 
     def all_shortest_paths(s, t):
         if h[s, t] < 0:
@@ -153,6 +165,39 @@ def brute_betweenness(g: Graph) -> np.ndarray:
                 for v in path[1:-1]:
                     cb[v] += 1.0 / len(paths)
     return cb
+
+
+def brandes_betweenness(g: Graph) -> np.ndarray:
+    """Betweenness by Brandes (2001): one breadth-first search per source,
+    dependencies accumulated in reverse discovery order."""
+    cb = np.zeros(g.n)
+    adj = neighbours(g)
+    for s in range(g.n):
+        stack = []
+        preds: list[list[int]] = [[] for _ in range(g.n)]
+        sigma = np.zeros(g.n)
+        sigma[s] = 1.0
+        dist = np.full(g.n, -1, dtype=np.int64)
+        dist[s] = 0
+        queue = deque([s])
+        while queue:
+            v = queue.popleft()
+            stack.append(v)
+            for w in adj[v]:
+                if dist[w] < 0:
+                    dist[w] = dist[v] + 1
+                    queue.append(w)
+                if dist[w] == dist[v] + 1:
+                    sigma[w] += sigma[v]
+                    preds[w].append(v)
+        delta = np.zeros(g.n)
+        while stack:
+            w = stack.pop()
+            for v in preds[w]:
+                delta[v] += sigma[v] / sigma[w] * (1.0 + delta[w])
+            if w != s:
+                cb[w] += delta[w]
+    return cb / 2.0  # each undirected pair counted twice
 
 
 def naive_partial_center(values: np.ndarray, mask: np.ndarray) -> np.ndarray:

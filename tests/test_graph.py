@@ -23,6 +23,7 @@ from oracles import (
     cycle_graph,
     floyd_warshall_hops,
     naive_bfs_order,
+    neighbours,
     grid_graph,
     path_graph,
     petersen_graph,
@@ -53,8 +54,8 @@ class TestFromEdgeList:
     def test_degrees_and_adjacency(self):
         g = Graph.from_edge_list(4, [(0, 1), (0, 2), (0, 3)])
         assert g.degrees.tolist() == [3, 1, 1, 1]
-        assert g.adjacency[0] == (1, 2, 3)
-        assert g.adjacency[2] == (0,)
+        assert neighbours(g)[0] == (1, 2, 3)
+        assert neighbours(g)[2] == (0,)
 
 
 class TestBfs:

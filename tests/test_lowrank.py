@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from hopmap.graph import all_pairs_hops
+from hopmap.netgen import gen_holme_kim
 from hopmap.lowrank import (
     FULL_SVD_BELOW,
     CompletionConfig,
@@ -116,6 +117,25 @@ class TestNormalizedSpectrum:
     def test_all_zero_rejected(self):
         with pytest.raises(ValueError):
             normalized_spectrum(np.zeros((4, 4)))
+
+    @pytest.mark.parametrize(
+        "m, center",
+        [
+            (np.random.default_rng(3).standard_normal((40, 25)), False),
+            (np.random.default_rng(4).standard_normal((25, 40)), False),
+            (all_pairs_hops(gen_holme_kim(200, 2, 0.5, seed=1)).hops.astype(float), True),
+        ],
+        ids=["tall", "wide", "centered-hops"],
+    )
+    def test_values_match_full_svd(self, m, center):
+        # values relative to the largest, so tiny trailing values compare absolutely
+        full = svd(double_center_full(m * m) if center else m).s
+        np.testing.assert_allclose(normalized_spectrum(m, center), full / full[0], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("m", [np.zeros((0, 3)), np.array([[1.0, np.nan], [0.0, 1.0]])])
+    def test_empty_or_non_finite_rejected(self, m):
+        with pytest.raises(ValueError):
+            normalized_spectrum(m)
 
 
 class TestCentering:

@@ -1,9 +1,13 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from hopmap import sampling
 from hopmap.graph import Graph, VcMatrix, all_pairs_hops, anchor_hops
+from hopmap.netgen import gen_holme_kim
 from hopmap.sampling import (
     AnchorSelection,
     ObservedMatrix,
@@ -14,7 +18,16 @@ from hopmap.sampling import (
     validate_mask,
     vc_observations,
 )
-from oracles import brute_betweenness, cycle_graph, path_graph, random_connected_graph
+from oracles import (
+    brandes_betweenness,
+    brute_betweenness,
+    cartesian_product,
+    cycle_graph,
+    path_graph,
+    petersen_graph,
+    random_connected_graph,
+    random_graph_with_components,
+)
 
 
 def star_graph(n):
@@ -57,6 +70,22 @@ class TestSelectAnchors:
         order = np.lexsort((np.arange(n), -scores))
         assert sorted(got) == sorted(order[:m].tolist())
 
+    @pytest.mark.parametrize(
+        "g",
+        [
+            cycle_graph(9),
+            cartesian_product(cycle_graph(7), cycle_graph(7)),
+            cartesian_product(cycle_graph(12), cycle_graph(12)),
+            reduce(cartesian_product, [path_graph(2)] * 6),
+            petersen_graph(),
+        ],
+        ids=["cycle-9", "torus-7x7", "torus-12x12", "6-cube", "petersen"],
+    )
+    def test_betweenness_ties_break_low_index(self, g):
+        # every node of a vertex-transitive graph is equally central
+        got = select_anchors(g, AnchorSelection("betweenness", 3))
+        assert list(got) == [0, 1, 2]
+
     def test_degree_ties_break_low_index(self):
         # all cycle nodes have equal degree
         got = select_anchors(cycle_graph(5), AnchorSelection("degree", 2))
@@ -79,6 +108,49 @@ class TestSelectAnchors:
     def test_bad_strategy_rejected(self):
         with pytest.raises(ValueError):
             AnchorSelection("pagerank", 3)
+
+
+class TestBetweenness:
+    """The blocked level-by-level sweeps against Brandes' per-source loop
+    (same sums in another order) and against path enumeration."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_brandes_connected(self, seed):
+        rng = np.random.default_rng(seed)
+        g = random_connected_graph(rng, int(rng.integers(20, 80)), extra_edge_frac=0.6)
+        np.testing.assert_allclose(sampling._betweenness(g), brandes_betweenness(g), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_brandes_disconnected(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        g = random_graph_with_components(rng, [1, 2, 15, 30, 7])
+        np.testing.assert_allclose(sampling._betweenness(g), brandes_betweenness(g), rtol=1e-12, atol=0)
+
+    def test_matches_brandes_holme_kim(self):
+        # n = 300 spans more than one block of sources
+        g = gen_holme_kim(300, 2, 0.5, seed=3)
+        assert g.n > sampling.BLOCK_CELLS // g.n
+        np.testing.assert_allclose(sampling._betweenness(g), brandes_betweenness(g), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_bruteforce_tiny(self, seed):
+        rng = np.random.default_rng(200 + seed)
+        if seed % 2:
+            g = random_graph_with_components(rng, [int(rng.integers(1, 5)), int(rng.integers(2, 5))])
+        else:
+            g = random_connected_graph(rng, int(rng.integers(2, 10)), extra_edge_frac=0.5)
+        assert g.n <= 9
+        np.testing.assert_allclose(sampling._betweenness(g), brute_betweenness(g), rtol=1e-12, atol=1e-12)
+
+    def test_block_size_does_not_change_result(self, monkeypatch):
+        g = random_graph_with_components(np.random.default_rng(7), [25, 12])
+        whole = sampling._betweenness(g)
+        monkeypatch.setattr(sampling, "BLOCK_CELLS", 1)  # one source per block
+        np.testing.assert_allclose(sampling._betweenness(g), whole, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("g", [Graph.from_edge_list(1, []), Graph.from_edge_list(4, [])])
+    def test_edgeless_graph_scores_zero(self, g):
+        assert sampling._betweenness(g).tolist() == [0.0] * g.n
 
 
 class TestVcObservations:
