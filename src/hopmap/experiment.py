@@ -5,6 +5,8 @@ import csv
 import dataclasses
 import inspect
 import json
+import os
+import platform
 import time
 import typing
 from concurrent.futures import ProcessPoolExecutor
@@ -13,6 +15,7 @@ from functools import partial
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from .graph import Graph, HopDistanceMatrix, VcMatrix, all_pairs_hops, anchor_hops
 from .lowrank import CompletionConfig, complete_nuclear_norm
@@ -378,6 +381,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     return result
 
 
+# environment variables that set the BLAS thread count, recorded in meta.json
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def _write_outputs(cfg, result, out, net_name, elapsed):
     with open(out / "runs.csv", "w", newline="") as fh:
         w = csv.writer(fh)
@@ -411,6 +418,13 @@ def _write_outputs(cfg, result, out, net_name, elapsed):
         "total_runs": result.total_runs,
         "failures": len(result.failures),
         "elapsed_seconds": elapsed,
+        "environment": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "cpu_count": os.cpu_count(),
+            **{var: os.environ.get(var) for var in BLAS_THREAD_VARS},
+        },
     }
     with open(out / "meta.json", "w") as fh:
         json.dump(meta, fh, indent=2)

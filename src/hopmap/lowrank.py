@@ -7,6 +7,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy.linalg import lu
 
 from .sampling import ObservedMatrix, validate_mask
 
@@ -16,11 +17,15 @@ RANK_TOLERANCE = 1e-10
 # when the smaller dimension is at most FULL_SVD_BELOW, else a randomized
 # range finder with OVERSAMPLE extra columns and POWER_ITERS power steps,
 # warm-started: its test block leads with the right singular vectors the
-# previous iteration kept, so one power step is enough
+# previous iteration kept, so one power step is enough. The range finder
+# takes the SVD of its projected block from the eigenvalues of the block's
+# Gram matrix, which squares the condition number: below a threshold of
+# GRAM_MIN_RATIO times the largest singular value it uses a plain SVD
 MU_SCALE = 1.0
 FULL_SVD_BELOW = 400
 OVERSAMPLE = 10
 POWER_ITERS = 1
+GRAM_MIN_RATIO = 1e-4
 
 
 @dataclass(frozen=True)
@@ -37,21 +42,6 @@ class SvdFactors:
     @property
     def rank(self) -> int:
         return singular_rank(self.s)
-
-    def validate(self, m: np.ndarray | None = None) -> None:
-        r = self.s.size
-        eye = np.eye(r)
-        if not np.allclose(self.u.T @ self.u, eye, atol=1e-8):
-            raise ValueError("left singular vectors not orthonormal")
-        if not np.allclose(self.v.T @ self.v, eye, atol=1e-8):
-            raise ValueError("right singular vectors not orthonormal")
-        if np.any(np.diff(self.s) > 0) or np.any(self.s < 0):
-            raise ValueError("singular values not descending and nonnegative")
-        if m is not None:
-            err = np.linalg.norm(self.reconstruct() - m)
-            denom = np.linalg.norm(m)
-            if denom > 0 and err > 1e-6 * denom:
-                raise ValueError(f"reconstruction error {err / denom:.3e} above 1e-6")
 
 
 def singular_rank(s: np.ndarray, rel_tol: float = RANK_TOLERANCE) -> int:
@@ -85,10 +75,6 @@ def svd(m: np.ndarray) -> SvdFactors:
     v = vt.T
     _fix_signs(u, v)
     return SvdFactors(u=u, s=s, v=v)
-
-
-def matrix_rank(m: np.ndarray) -> int:
-    return svd(m).rank
 
 
 def normalized_spectrum(m: np.ndarray, center: bool = False) -> np.ndarray:
@@ -153,7 +139,7 @@ class CompletionConfig:
     iterations. mu_growth: geometric growth of the penalty mu per
     iteration. The starting penalty and the SVD method of each
     thresholding step are fixed by the module constants MU_SCALE,
-    FULL_SVD_BELOW, OVERSAMPLE and POWER_ITERS.
+    FULL_SVD_BELOW, OVERSAMPLE, POWER_ITERS and GRAM_MIN_RATIO.
     """
 
     tolerance: float = 1e-6
@@ -200,25 +186,39 @@ def _spectral_norm(a: np.ndarray, iters: int = 100, tol: float = 1e-9) -> float:
     return float(sigma)
 
 
-def _randomized_svd(a, k, rng, start=None):
+def _randomized_svd(a, k, rng, thresh, start=None):
     """Halko-style range finder; top ~k singular triplets of a.
 
     The test block has p = min(k + OVERSAMPLE, min_dim) columns: the
     columns of start (orthonormal right vectors, at most p of them) first,
-    then Gaussian columns drawn from rng.
+    then Gaussian columns drawn from rng. The power steps normalise by LU
+    and only the last product is orthonormalised by QR. The projected
+    p x n block is factored through the eigenvalues of its Gram matrix,
+    unless thresh lies below GRAM_MIN_RATIO times its largest singular
+    value, where that loses the values near thresh to rounding.
     """
     min_dim = min(a.shape)
     p = min(k + OVERSAMPLE, min_dim)
     if start is None:
-        q = np.linalg.qr(a @ rng.standard_normal((a.shape[1], p)))[0]
+        q = rng.standard_normal((a.shape[1], p))
     else:
-        gauss = rng.standard_normal((a.shape[1], p - start.shape[1]))
-        q = np.linalg.qr(a @ np.hstack([start, gauss]))[0]
+        q = np.hstack([start, rng.standard_normal((a.shape[1], p - start.shape[1]))])
     for _ in range(POWER_ITERS):
-        q = np.linalg.qr(a.T @ q)[0]
-        q = np.linalg.qr(a @ q)[0]
-    ub, s, vt = np.linalg.svd(q.T @ a, full_matrices=False)
-    return q @ ub, s, vt
+        q = lu(a @ q, permute_l=True)[0]
+        q = lu(a.T @ q, permute_l=True)[0]
+    q = np.linalg.qr(a @ q)[0]
+    b = q.T @ a
+    w, z = np.linalg.eigh(b @ b.T)
+    w, z = w[::-1], z[:, ::-1]
+    s = np.sqrt(np.maximum(w, 0.0))
+    if thresh < GRAM_MIN_RATIO * s[0]:
+        ub, s, vt = np.linalg.svd(b, full_matrices=False)
+        return q @ ub, s, vt
+    vt = z.T @ b
+    # s is descending; rows with s == 0 are never kept, so stay unscaled
+    pos = int(np.count_nonzero(s > 0.0))
+    vt[:pos] /= s[:pos, None]
+    return q @ z, s, vt
 
 
 def _svt(g, thresh, rank_guess, rng, start=None):
@@ -238,7 +238,7 @@ def _svt(g, thresh, rank_guess, rng, start=None):
                 # partial SVD no longer pays off at this rank
                 u, s, vt = np.linalg.svd(g, full_matrices=False)
                 break
-            u, s, vt = _randomized_svd(g, k, rng, start)
+            u, s, vt = _randomized_svd(g, k, rng, thresh, start)
             if s.size >= min_dim or s[-1] <= thresh:
                 break
             k = 2 * k + 5
@@ -301,8 +301,15 @@ def complete_nuclear_norm(
 
         mu = MU_SCALE / _spectral_norm(d)
         rng = np.random.default_rng(np.random.SeedSequence(0x5EED))
+        # the multipliers are zero off the mask, so keep them and the
+        # observations as vectors over the observed entries
+        idx = np.flatnonzero(mask)
+        d_m = d.ravel()[idx]
+        y_m = np.zeros(idx.size)
         a = np.zeros_like(d)
-        y = np.zeros_like(d)
+        # zero off the mask; the residual is the norm of the whole buffer, so
+        # it sums in the same order as over a masked n x n difference
+        gap = np.zeros_like(d)
         residuals: list[float] = []
         nuclears: list[float] = []
         ranks: list[int] = []
@@ -312,14 +319,14 @@ def complete_nuclear_norm(
         iterations = 0
         for it in range(1, cfg.max_iters + 1):
             iterations = it
-            # the step's input is a temporary, freed before the residual
-            # step allocates: one fewer n x n array live keeps peak memory down
-            a, n_kept, nuclear, v = _svt(
-                np.where(mask, d + y / mu, a), 1.0 / mu, rank_guess, rng, v
-            )
+            # _svt returns a fresh C-contiguous array, so the previous
+            # iterate is free to take the step's input in place
+            a.ravel()[idx] = d_m + y_m / mu
+            a, n_kept, nuclear, v = _svt(a, 1.0 / mu, rank_guess, rng, v)
             rank_guess = n_kept + 5
             ranks.append(n_kept)
-            gap = np.where(mask, d - a, 0.0)
+            gap_m = d_m - a.ravel()[idx]
+            gap.ravel()[idx] = gap_m
             residual = float(np.linalg.norm(gap) / obs_norm)
             residuals.append(residual)
             nuclears.append(nuclear)
@@ -328,7 +335,7 @@ def complete_nuclear_norm(
             if residual <= cfg.tolerance:
                 converged = True
                 break
-            y += mu * gap
+            y_m += mu * gap_m
             mu *= cfg.mu_growth
 
         completed = a

@@ -10,6 +10,16 @@ from collections import deque
 import numpy as np
 
 from hopmap.graph import Graph
+from hopmap.lowrank import (
+    MU_SCALE,
+    CompletionConfig,
+    CompletionResult,
+    SvdFactors,
+    _spectral_norm,
+    _svt,
+    svd,
+)
+from hopmap.sampling import ObservedMatrix
 
 INF = np.iinfo(np.int64).max // 4
 
@@ -198,6 +208,71 @@ def brandes_betweenness(g: Graph) -> np.ndarray:
             if w != s:
                 cb[w] += delta[w]
     return cb / 2.0  # each undirected pair counted twice
+
+
+def validate_svd_factors(f: SvdFactors, m: np.ndarray | None = None) -> None:
+    """Raise ValueError unless f has orthonormal factors and descending,
+    nonnegative singular values, and reconstructs m to 1e-6 when given."""
+    eye = np.eye(f.s.size)
+    if not np.allclose(f.u.T @ f.u, eye, atol=1e-8):
+        raise ValueError("left singular vectors not orthonormal")
+    if not np.allclose(f.v.T @ f.v, eye, atol=1e-8):
+        raise ValueError("right singular vectors not orthonormal")
+    if np.any(np.diff(f.s) > 0) or np.any(f.s < 0):
+        raise ValueError("singular values not descending and nonnegative")
+    if m is not None:
+        err = np.linalg.norm(f.reconstruct() - m)
+        denom = np.linalg.norm(m)
+        if denom > 0 and err > 1e-6 * denom:
+            raise ValueError(f"reconstruction error {err / denom:.3e} above 1e-6")
+
+
+def matrix_rank(m: np.ndarray) -> int:
+    return svd(m).rank
+
+
+def naive_complete_nuclear_norm(
+    o: ObservedMatrix, cfg: CompletionConfig | None = None
+) -> CompletionResult:
+    """The IALM loop of lowrank.complete_nuclear_norm on dense n x n
+    arrays: multipliers, step input and residual all formed by np.where
+    over the whole matrix. Takes a valid observation whose mask is neither
+    empty nor full."""
+    cfg = cfg or CompletionConfig()
+    mask = o.mask
+    d = np.where(mask, o.values, 0.0)
+    obs_norm = np.linalg.norm(d)
+    mu = MU_SCALE / _spectral_norm(d)
+    rng = np.random.default_rng(np.random.SeedSequence(0x5EED))
+    a = np.zeros_like(d)
+    y = np.zeros_like(d)
+    residuals, nuclears, ranks = [], [], []
+    rank_guess = 10
+    v = None
+    converged = False
+    for it in range(1, cfg.max_iters + 1):
+        a, n_kept, nuclear, v = _svt(np.where(mask, d + y / mu, a), 1.0 / mu, rank_guess, rng, v)
+        rank_guess = n_kept + 5
+        ranks.append(n_kept)
+        gap = np.where(mask, d - a, 0.0)
+        residuals.append(float(np.linalg.norm(gap) / obs_norm))
+        nuclears.append(nuclear)
+        if residuals[-1] <= cfg.tolerance:
+            converged = True
+            break
+        y += mu * gap
+        mu *= cfg.mu_growth
+    if o.symmetric:
+        a = 0.5 * (a + a.T)
+    return CompletionResult(
+        completed=a,
+        iterations=it,
+        final_residual=residuals[-1],
+        converged=converged,
+        residual_trace=tuple(residuals),
+        nuclear_trace=tuple(nuclears),
+        rank_trace=tuple(ranks),
+    )
 
 
 def naive_partial_center(values: np.ndarray, mask: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Command-line interface: subcommand wiring, file formats, exit codes."""
 import csv
 import json
+import os
 
 import numpy as np
 import pytest
@@ -228,6 +229,12 @@ class TestExperimentCommand:
         out = tmp_path / "results"
         for fname in ("runs.csv", "summary.csv", "failures.csv", "meta.json"):
             assert (out / fname).exists()
+        env = json.loads((out / "meta.json").read_text())["environment"]
+        assert set(env) == {
+            "python", "numpy", "scipy", "cpu_count",
+            "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+        }
+        assert env["numpy"] == np.__version__ and env["cpu_count"] == os.cpu_count()
 
     def test_out_and_seed_overrides(self, tmp_path):
         cfg = self._config(tmp_path)

@@ -17,7 +17,7 @@ from hopmap.experiment import (
     summarize,
 )
 from hopmap.graph import anchor_hops
-from hopmap.lowrank import CompletionConfig
+from hopmap.lowrank import FULL_SVD_BELOW, CompletionConfig
 from hopmap.metrics import MetricReport
 from hopmap.netgen import write_edge_list
 from hopmap.sampling import AnchorSelection, select_anchors, vc_observations
@@ -263,6 +263,28 @@ class TestEntrySweep:
         assert all(r.m == 50 for r in res.reports)
         for r in res.reports:
             assert r.value >= 0.0
+
+    def test_parallel_matches_serial_on_randomized_svt_path(self, tmp_path):
+        # 450 nodes: above FULL_SVD_BELOW, so every completion runs the
+        # warm-started randomized range finder
+        def cfg(name, jobs):
+            return _tiny_vc_config(
+                tmp_path / name,
+                network=NetworkSpec("holme-kim", seed=0, params={"n": 450, "m": 3, "p_triad": 0.3}),
+                mode="random_entry",
+                fractions=(0.8,),
+                repeats=2,
+                jobs=jobs,
+                completion=CompletionConfig(tolerance=1e-4),
+            )
+
+        assert 450 > FULL_SVD_BELOW
+        serial = run_experiment(cfg("s", 1))
+        parallel = run_experiment(cfg("p", 2))
+        assert not serial.failures and not parallel.failures
+        assert (tmp_path / "s" / "runs.csv").read_bytes() == (
+            tmp_path / "p" / "runs.csv"
+        ).read_bytes()
 
     def test_hop_metric_identity_holds_in_reports(self, tmp_path):
         cfg = _tiny_vc_config(

@@ -4,24 +4,36 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from hopmap.graph import all_pairs_hops
-from hopmap.netgen import gen_holme_kim
+from hopmap.graph import all_pairs_hops, anchor_hops
+from hopmap.netgen import GeneratorConfig, gen_circular_voids_2d, gen_concave_2d, gen_holme_kim
 from hopmap.lowrank import (
     FULL_SVD_BELOW,
+    GRAM_MIN_RATIO,
     CompletionConfig,
-    SvdFactors,
     complete_nuclear_norm,
     double_center_full,
     double_center_partial,
-    matrix_rank,
     normalized_spectrum,
     singular_rank,
     svd,
     _svt,
 )
-from hopmap.sampling import ObservedMatrix, random_entry_observations, vc_observations
+from hopmap.sampling import (
+    AnchorSelection,
+    ObservedMatrix,
+    random_entry_observations,
+    select_anchors,
+    vc_observations,
+)
 from hopmap.graph import VcMatrix
-from oracles import cartesian_product, cycle_graph, naive_partial_center
+from oracles import (
+    cartesian_product,
+    cycle_graph,
+    matrix_rank,
+    naive_complete_nuclear_norm,
+    naive_partial_center,
+    validate_svd_factors,
+)
 
 
 def hdm_of_cycle(n):
@@ -32,7 +44,7 @@ class TestSvd:
     def test_identity_spectrum(self):
         f = svd(np.eye(3))
         assert np.allclose(f.s, [1.0, 1.0, 1.0])
-        f.validate(np.eye(3))
+        validate_svd_factors(f, np.eye(3))
 
     def test_rank_one_outer_product(self):
         u = np.array([1.0, 2.0, -1.0])
@@ -50,7 +62,7 @@ class TestSvd:
         for shape in [(6, 6), (9, 4), (3, 8)]:
             m = rng.standard_normal(shape)
             f = svd(m)
-            f.validate(m)
+            validate_svd_factors(f, m)
 
     def test_sign_convention_deterministic(self):
         m = np.random.default_rng(1).standard_normal((7, 5))
@@ -78,7 +90,7 @@ class TestSvd:
         f = svd(m)
         assert np.all(f.s >= 0)
         assert np.all(np.diff(f.s) <= 1e-12)
-        f.validate(m)
+        validate_svd_factors(f, m)
 
 
 class TestRank:
@@ -311,6 +323,46 @@ class TestCompletion:
             CompletionConfig(mu_growth=1.0)
 
 
+def _vc_observation(gen, f):
+    _, g = gen(GeneratorConfig(seed=0))
+    p = anchor_hops(g, select_anchors(g, AnchorSelection("random", 20, seed=1)))
+    return vc_observations(p, f, seed=2)
+
+
+def _entry_observation(n):
+    h = all_pairs_hops(gen_holme_kim(n, 3, 0.3, seed=0))
+    return random_entry_observations(h, 0.2, seed=3)
+
+
+class TestMaskedLoopMatchesDenseLoop:
+    """The loop keeps its multipliers on the observed entries only; the
+    dense np.where loop of the oracle must give the same bits."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: _vc_observation(gen_concave_2d, 0.1),
+            lambda: _vc_observation(gen_concave_2d, 0.8),
+            lambda: _vc_observation(gen_circular_voids_2d, 0.1),
+            lambda: _vc_observation(gen_circular_voids_2d, 0.8),
+            lambda: _entry_observation(300),
+            lambda: _entry_observation(450),
+        ],
+        ids=["concave-f10", "concave-f80", "circular-f10", "circular-f80", "entry-300", "entry-450"],
+    )
+    def test_bit_identical(self, make):
+        o = make()
+        cfg = CompletionConfig(tolerance=1e-4)
+        got = complete_nuclear_norm(o, cfg)
+        ref = naive_complete_nuclear_norm(o, cfg)
+        assert np.array_equal(got.completed, ref.completed)
+        assert got.iterations == ref.iterations
+        assert got.residual_trace == ref.residual_trace
+        assert got.nuclear_trace == ref.nuclear_trace
+        assert got.rank_trace == ref.rank_trace
+        assert got.converged == ref.converged
+
+
 def _symmetric_rank5_observation(n=450, seed=21):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, 5))
@@ -341,24 +393,46 @@ class TestRandomizedSvt:
         assert np.array_equal(a.completed, b.completed)
         assert a.iterations == b.iterations
 
-    def test_one_step_matches_full_svd_threshold(self):
-        # eight singular values 10..100 over a tail of 1e-3: a clear gap
-        rng = np.random.default_rng(23)
+    @staticmethod
+    def _assert_step_matches_full_svd(g, thresh, rank):
+        full_u, full_s, full_vt = np.linalg.svd(g)
+        shrunk = full_s[:rank] - thresh
+        assert full_s[rank] <= thresh < full_s[rank - 1]
+        expected = (full_u[:, :rank] * shrunk) @ full_vt[:rank]
+        a, got_rank, nuclear, kept_v = _svt(g, thresh, 10, np.random.default_rng(0))
+        # warm-started from its own kept subspace, the step agrees as well
+        warm, warm_rank, _, _ = _svt(g, thresh, rank + 5, np.random.default_rng(1), kept_v)
+        assert got_rank == warm_rank == rank
+        assert abs(nuclear - shrunk.sum()) <= 1e-8 * nuclear
+        for step in (a, warm):
+            assert np.linalg.norm(step - expected) <= 1e-8 * np.linalg.norm(expected)
+            # each kept value on its own, so the smallest are not hidden
+            # behind the largest in the norm above
+            along = np.einsum("ik,ij,jk->k", full_u[:, :rank], step, full_vt[:rank].T)
+            np.testing.assert_allclose(along, shrunk, rtol=1e-6, atol=0)
+
+    @staticmethod
+    def _with_spectrum(head, tail, seed):
+        rng = np.random.default_rng(seed)
         n = 450
         u = np.linalg.qr(rng.standard_normal((n, n)))[0]
         v = np.linalg.qr(rng.standard_normal((n, n)))[0]
-        s = np.full(n, 1e-3)
-        s[:8] = np.linspace(100.0, 10.0, 8)
-        g = (u * s) @ v.T
-        thresh = 5.0
-        full_u, full_s, full_vt = np.linalg.svd(g)
-        keep = full_s > thresh
-        expected = (full_u[:, keep] * (full_s[keep] - thresh)) @ full_vt[keep]
-        a, rank, nuclear, kept_v = _svt(g, thresh, 10, np.random.default_rng(0))
-        assert rank == 8
-        assert np.linalg.norm(a - expected) <= 1e-8 * np.linalg.norm(expected)
-        assert abs(nuclear - (full_s[keep] - thresh).sum()) <= 1e-8 * nuclear
-        # warm-started from its own kept subspace, the step agrees as well
-        warm, rank, _, _ = _svt(g, thresh, 13, np.random.default_rng(1), kept_v)
-        assert rank == 8
-        assert np.linalg.norm(warm - expected) <= 1e-8 * np.linalg.norm(expected)
+        s = np.full(n, tail)
+        s[: head.size] = head
+        return (u * s) @ v.T
+
+    def test_one_step_matches_full_svd_threshold(self):
+        # eight singular values 10..100 over a tail of 1e-3: a clear gap,
+        # thresholded on the Gram path
+        g = self._with_spectrum(np.linspace(100.0, 10.0, 8), 1e-3, seed=23)
+        self._assert_step_matches_full_svd(g, 5.0, 8)
+
+    def test_small_threshold_falls_back_to_plain_svd(self):
+        # kept values span 1e8 and the threshold lies far below
+        # GRAM_MIN_RATIO * sigma_max; through the Gram matrix of the
+        # warm-started block the smallest kept value is off by about 1e-3
+        head = np.geomspace(1e3, 1e-5, 8)
+        thresh = 5e-6
+        assert thresh < GRAM_MIN_RATIO * head[0]
+        g = self._with_spectrum(head, 1e-8, seed=24)
+        self._assert_step_matches_full_svd(g, thresh, 8)
