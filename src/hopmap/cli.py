@@ -20,7 +20,7 @@ from .experiment import (
     run_experiment,
     summarize,
 )
-from .graph import all_pairs_hops, anchor_hops
+from .graph import VcMatrix, all_pairs_hops, anchor_hops
 from .lowrank import CompletionConfig, complete_nuclear_norm, normalized_spectrum
 from .metrics import (
     ScanLineConfig,
@@ -29,13 +29,7 @@ from .metrics import (
     mean_distance_error,
     topology_preservation_error,
 )
-from .netgen import (
-    gen_holme_kim,
-    load_snap_edge_list,
-    read_layout,
-    write_edge_list,
-    write_layout,
-)
+from .netgen import load_snap_edge_list, read_layout, write_edge_list, write_layout
 from .sampling import (
     STRATEGIES,
     AnchorSelection,
@@ -46,11 +40,10 @@ from .sampling import (
     vc_observations,
 )
 from .tpm import (
+    MAP_EXTRACTORS,
     CompletionFailure,
+    complete_anchor_hops,
     read_tpm,
-    tpm_full_vc,
-    tpm_via_grammian,
-    tpm_via_p_completion,
     write_tpm,
 )
 
@@ -111,21 +104,22 @@ def _build_parser() -> _Parser:
     c = sub.add_parser("complete", help="nuclear-norm completion of an observation")
     c.add_argument("--input", required=True, help="observation base path")
     c.add_argument("--out", required=True, help="completed matrix CSV path")
-    c.add_argument("--tolerance", type=float, default=1e-6)
-    c.add_argument("--max-iters", type=int, default=500)
     c.add_argument("--trace", default=None, help="iteration trace CSV path")
 
     t = sub.add_parser("tpm", help="topology map from observations or full VCs")
-    t.add_argument("--input", default=None, help="observation base path")
-    t.add_argument("--edges", default=None, help="edge list for the full-VC map")
+    source = t.add_mutually_exclusive_group(required=True)
+    source.add_argument("--input", help="observation base path")
+    source.add_argument("--edges", help="edge list for the full-VC map")
     t.add_argument("--procedure", choices=PROCEDURES, default="p-completion")
     t.add_argument("--k", type=int, default=2, choices=[2, 3])
     t.add_argument("--anchors", type=int, default=20)
     t.add_argument("--strategy", choices=STRATEGIES, default="random")
     t.add_argument("--seed", type=int, default=0)
-    t.add_argument("--tolerance", type=float, default=1e-6)
-    t.add_argument("--max-iters", type=int, default=500)
     t.add_argument("--out", required=True, help="map CSV path")
+
+    for completing in (c, t):
+        completing.add_argument("--tolerance", type=float, default=1e-6)
+        completing.add_argument("--max-iters", type=int, default=500)
 
     e = sub.add_parser("eval", help="score a map or completed matrix")
     e.add_argument("--metric", required=True, choices=["E", "E_TP", "E_m", "E_a"])
@@ -149,17 +143,23 @@ def _build_parser() -> _Parser:
 def _cmd_generate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    if args.net == "holme-kim":
-        g = gen_holme_kim(args.n, args.m, args.p_triad, seed=args.seed)
-        write_edge_list(g, out / f"{args.net}_edges.txt")
-        print(f"wrote {out / f'{args.net}_edges.txt'} ({g.n} nodes)")
-        return EXIT_OK
-    spec = NetworkSpec(kind=args.net, seed=args.seed)
-    g, layout, name = build_network(spec)
-    write_edge_list(g, out / f"{args.net}_edges.txt")
-    write_layout(layout, out / f"{args.net}_layout.csv")
-    print(f"wrote {out / f'{args.net}_edges.txt'} and layout ({g.n} nodes)")
+    params = {"n": args.n, "m": args.m, "p_triad": args.p_triad} if args.net == "holme-kim" else {}
+    g, layout, _ = build_network(NetworkSpec(kind=args.net, seed=args.seed, params=params))
+    edges = out / f"{args.net}_edges.txt"
+    write_edge_list(g, edges)
+    if layout is None:
+        print(f"wrote {edges} ({g.n} nodes)")
+    else:
+        write_layout(layout, out / f"{args.net}_layout.csv")
+        print(f"wrote {edges} and layout ({g.n} nodes)")
     return EXIT_OK
+
+
+def _anchor_matrix(args, g) -> VcMatrix:
+    """Hops from every node to the anchors that --anchors, --strategy and
+    --seed select."""
+    sel = AnchorSelection(args.strategy, args.anchors, seed=args.seed)
+    return anchor_hops(g, select_anchors(g, sel))
 
 
 def _spectrum_matrix(args) -> np.ndarray:
@@ -169,12 +169,8 @@ def _spectrum_matrix(args) -> np.ndarray:
     if args.matrix_kind == "adjacency":
         return g.adjacency_matrix()
     if args.matrix_kind == "hdm":
-        h = all_pairs_hops(g)
-        h.require_finite()
-        return h.hops.astype(float)
-    sel = AnchorSelection(args.strategy, args.anchors, seed=args.seed)
-    p = anchor_hops(g, select_anchors(g, sel))
-    return p.hops.astype(float)
+        return all_pairs_hops(g).as_float()
+    return _anchor_matrix(args, g).as_float()
 
 
 def _cmd_spectrum(args) -> int:
@@ -194,27 +190,29 @@ def _cmd_spectrum(args) -> int:
 def _cmd_sample(args) -> int:
     g, _ = load_snap_edge_list(args.input)
     if args.mode == "vc":
-        sel = AnchorSelection(args.strategy, args.anchors, seed=args.seed)
-        anchors = select_anchors(g, sel)
-        p = anchor_hops(g, anchors)
+        p = _anchor_matrix(args, g)
         o = vc_observations(p, args.fraction, seed=args.seed)
     else:
-        h = all_pairs_hops(g)
-        o = random_entry_observations(h, 1.0 - args.fraction, seed=args.seed)
+        o = random_entry_observations(all_pairs_hops(g), 1.0 - args.fraction, seed=args.seed)
     csv_path, json_path = save_observed(o, args.out)
     if args.mode == "vc":
         # anchor node ids, needed later by `eval --metric E --anchor-ids`
         anchors_path = Path(args.out).with_suffix(".anchors.txt")
-        anchors_path.write_text(",".join(str(int(a)) for a in anchors) + "\n")
+        anchors_path.write_text(",".join(str(a) for a in p.anchor_ids) + "\n")
         print(f"anchors: {anchors_path}")
     print(f"wrote {csv_path} and {json_path} ({o.n_observed} entries)")
     return EXIT_OK
 
 
 def _cmd_complete(args) -> int:
-    o = load_observed(args.input)
     cfg = CompletionConfig(tolerance=args.tolerance, max_iters=args.max_iters)
-    res = complete_nuclear_norm(o, cfg, trace_path=args.trace)
+    res = complete_nuclear_norm(load_observed(args.input), cfg)
+    if args.trace is not None:
+        with open(args.trace, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["iter", "residual", "nuclear_norm"])
+            for it, (r, nu) in enumerate(zip(res.residual_trace, res.nuclear_trace), start=1):
+                w.writerow([it, repr(r), repr(nu)])
     np.savetxt(args.out, res.completed, delimiter=",")
     meta = {
         "iterations": res.iterations,
@@ -234,20 +232,13 @@ def _cmd_complete(args) -> int:
 
 
 def _cmd_tpm(args) -> int:
-    cfg = CompletionConfig(tolerance=args.tolerance, max_iters=args.max_iters)
-    if (args.input is None) == (args.edges is None):
-        raise SystemExit_(EXIT_USAGE, "tpm: pass exactly one of --input / --edges")
     if args.edges is not None:
         g, _ = load_snap_edge_list(args.edges)
-        sel = AnchorSelection(args.strategy, args.anchors, seed=args.seed)
-        p = anchor_hops(g, select_anchors(g, sel))
-        tm = tpm_full_vc(p, args.k)
+        hops = _anchor_matrix(args, g).as_float()
     else:
-        o = load_observed(args.input)
-        if args.procedure == "grammian":
-            tm = tpm_via_grammian(o, args.k, cfg)
-        else:
-            tm = tpm_via_p_completion(o, args.k, cfg)
+        cfg = CompletionConfig(tolerance=args.tolerance, max_iters=args.max_iters)
+        hops = complete_anchor_hops(load_observed(args.input), cfg)
+    tm = MAP_EXTRACTORS[args.procedure](hops, args.k)
     write_tpm(tm, args.out)
     print(f"wrote {args.out} ({tm.n} points, k={tm.k})")
     return EXIT_OK

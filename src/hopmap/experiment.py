@@ -106,6 +106,12 @@ def _check_types(block: dict, cls, where: str) -> None:
             raise ValueError(f"{where} key {key!r} must be {name}, got {value!r}")
 
 
+def _object(value, key: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"config key {key!r} must be an object")
+    return value
+
+
 def _accepted_params(kind: str) -> set[str]:
     if kind in GENERATORS:
         # placement fields of GeneratorConfig, then the generator's geometry
@@ -164,20 +170,24 @@ def load_config(path: str | Path) -> ExperimentConfig:
     of the wrong type, raise ValueError naming them."""
     with open(path) as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError("config must be a JSON object")
     _reject_unknown(raw, _field_names(ExperimentConfig) | {"procedure"}, "config")
-    net = dict(raw.pop("network"))
+    net = dict(_object(raw.pop("network"), "network"))
     kind = net.pop("kind")
     net_seed = net.pop("seed", 0)
     _check_types({"kind": kind, "seed": net_seed}, NetworkSpec, "network")
     # generator params may sit under an explicit "params" key or inline
     params = net.pop("params", None)
-    if params is not None and net:
+    if params is None:
+        params = net
+    elif net:
         raise ValueError(f"network has both 'params' and inline keys {sorted(net)}")
-    spec = NetworkSpec(kind=kind, seed=net_seed, params=params if params is not None else net)
-    anchors = raw.pop("anchors", None) or {}
+    spec = NetworkSpec(kind=kind, seed=net_seed, params=_object(params, "params"))
+    anchors = _object(raw.pop("anchors", {}), "anchors")
     _reject_unknown(anchors, _field_names(AnchorSelection), "anchors")
     _check_types(anchors, AnchorSelection, "anchors")
-    completion = raw.pop("completion", {})
+    completion = _object(raw.pop("completion", {}), "completion")
     _reject_unknown(completion, _field_names(CompletionConfig), "completion")
     _check_types(completion, CompletionConfig, "completion")
     procedures = raw.pop("procedures", raw.pop("procedure", "p-completion"))

@@ -1,10 +1,8 @@
 """SVD, spectra, double centering, and nuclear-norm matrix completion."""
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.linalg import lu
@@ -254,9 +252,7 @@ def _svt(g, thresh, rank_guess, rng, start=None):
 
 
 def complete_nuclear_norm(
-    o: ObservedMatrix,
-    cfg: CompletionConfig | None = None,
-    trace_path: str | Path | None = None,
+    o: ObservedMatrix, cfg: CompletionConfig | None = None
 ) -> CompletionResult:
     """Fill the unobserved entries of o with the minimum-nuclear-norm
     extension, via an inexact augmented Lagrangian / singular value
@@ -280,76 +276,55 @@ def complete_nuclear_norm(
             f"mask has empty rows {report.empty_rows} / columns {report.empty_cols}"
         )
 
-    trace_file = None
-    writer = None
-    if trace_path is not None:
-        trace_file = open(trace_path, "w", newline="")
-        writer = csv.writer(trace_file)
-        writer.writerow(["iter", "residual", "nuclear_norm"])
+    obs_norm = np.linalg.norm(d)
+    if mask.all() or obs_norm == 0.0:
+        # constraint pins every entry (or the zero matrix is optimal)
+        return CompletionResult(completed=d, iterations=0, final_residual=0.0, converged=True)
 
-    try:
-        obs_norm = np.linalg.norm(d)
-        if mask.all() or obs_norm == 0.0:
-            # constraint pins every entry (or the zero matrix is optimal)
-            completed = d.copy()
-            return CompletionResult(
-                completed=completed,
-                iterations=0,
-                final_residual=0.0,
-                converged=True,
-            )
+    mu = MU_SCALE / _spectral_norm(d)
+    rng = np.random.default_rng(np.random.SeedSequence(0x5EED))
+    # the multipliers are zero off the mask, so keep them and the
+    # observations as vectors over the observed entries
+    idx = np.flatnonzero(mask)
+    d_m = d.ravel()[idx]
+    y_m = np.zeros(idx.size)
+    a = np.zeros_like(d)
+    # zero off the mask; the residual is the norm of the whole buffer, so
+    # it sums in the same order as over a masked n x n difference
+    gap = np.zeros_like(d)
+    residuals: list[float] = []
+    nuclears: list[float] = []
+    ranks: list[int] = []
+    rank_guess = 10
+    v = None
+    converged = False
+    for _ in range(cfg.max_iters):
+        # _svt returns a fresh C-contiguous array, so the previous
+        # iterate is free to take the step's input in place
+        a.ravel()[idx] = d_m + y_m / mu
+        a, n_kept, nuclear, v = _svt(a, 1.0 / mu, rank_guess, rng, v)
+        rank_guess = n_kept + 5
+        ranks.append(n_kept)
+        gap_m = d_m - a.ravel()[idx]
+        gap.ravel()[idx] = gap_m
+        residual = float(np.linalg.norm(gap) / obs_norm)
+        residuals.append(residual)
+        nuclears.append(nuclear)
+        if residual <= cfg.tolerance:
+            converged = True
+            break
+        y_m += mu * gap_m
+        mu *= cfg.mu_growth
 
-        mu = MU_SCALE / _spectral_norm(d)
-        rng = np.random.default_rng(np.random.SeedSequence(0x5EED))
-        # the multipliers are zero off the mask, so keep them and the
-        # observations as vectors over the observed entries
-        idx = np.flatnonzero(mask)
-        d_m = d.ravel()[idx]
-        y_m = np.zeros(idx.size)
-        a = np.zeros_like(d)
-        # zero off the mask; the residual is the norm of the whole buffer, so
-        # it sums in the same order as over a masked n x n difference
-        gap = np.zeros_like(d)
-        residuals: list[float] = []
-        nuclears: list[float] = []
-        ranks: list[int] = []
-        rank_guess = 10
-        v = None
-        converged = False
-        iterations = 0
-        for it in range(1, cfg.max_iters + 1):
-            iterations = it
-            # _svt returns a fresh C-contiguous array, so the previous
-            # iterate is free to take the step's input in place
-            a.ravel()[idx] = d_m + y_m / mu
-            a, n_kept, nuclear, v = _svt(a, 1.0 / mu, rank_guess, rng, v)
-            rank_guess = n_kept + 5
-            ranks.append(n_kept)
-            gap_m = d_m - a.ravel()[idx]
-            gap.ravel()[idx] = gap_m
-            residual = float(np.linalg.norm(gap) / obs_norm)
-            residuals.append(residual)
-            nuclears.append(nuclear)
-            if writer is not None:
-                writer.writerow([it, repr(residual), repr(nuclear)])
-            if residual <= cfg.tolerance:
-                converged = True
-                break
-            y_m += mu * gap_m
-            mu *= cfg.mu_growth
-
-        completed = a
-        if o.symmetric:
-            completed = 0.5 * (completed + completed.T)
-        return CompletionResult(
-            completed=completed,
-            iterations=iterations,
-            final_residual=residuals[-1],
-            converged=converged,
-            residual_trace=tuple(residuals),
-            nuclear_trace=tuple(nuclears),
-            rank_trace=tuple(ranks),
-        )
-    finally:
-        if trace_file is not None:
-            trace_file.close()
+    completed = a
+    if o.symmetric:
+        completed = 0.5 * (completed + completed.T)
+    return CompletionResult(
+        completed=completed,
+        iterations=len(residuals),
+        final_residual=residuals[-1],
+        converged=converged,
+        residual_trace=tuple(residuals),
+        nuclear_trace=tuple(nuclears),
+        rank_trace=tuple(ranks),
+    )

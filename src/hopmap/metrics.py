@@ -9,8 +9,6 @@ from .graph import HopDistanceMatrix
 from .netgen import PointCloud
 from .tpm import TopologyMap
 
-DIRECTIONS = ("horizontal", "vertical")
-
 # the 8 axis-aligned orthogonal transforms of the plane: flips and swaps
 _AXIS_TRANSFORMS = [
     np.array([[sx, 0], [0, sy]]) if not swap else np.array([[0, sx], [sy, 0]])
@@ -22,17 +20,11 @@ _AXIS_TRANSFORMS = [
 
 @dataclass(frozen=True)
 class ScanLineConfig:
-    directions: tuple[str, ...] = DIRECTIONS
     bin_width: float = 1.0
 
     def __post_init__(self):
         if self.bin_width <= 0:
             raise ValueError("bin_width must be positive")
-        for d in self.directions:
-            if d not in DIRECTIONS:
-                raise ValueError(f"unknown scan direction {d!r}")
-        if not self.directions:
-            raise ValueError("need at least one scan direction")
 
 
 @dataclass(frozen=True)
@@ -115,9 +107,7 @@ def topology_preservation_error(
     # horizontal lines bin y, run along x and are read on map axis 0;
     # vertical lines bin x, run along y and are read on map axis 1
     groups = []
-    for direction, axis in (("horizontal", 0), ("vertical", 1)):
-        if direction not in cfg.directions:
-            continue
+    for axis in (0, 1):
         lines = _scan_lines(layout.coords[:, 1 - axis], cfg.bin_width)
         if lines:
             groups.append((axis, _line_pairs(lines, layout.coords[:, axis])))

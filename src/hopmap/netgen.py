@@ -259,14 +259,6 @@ def load_snap_edge_list(path: str | Path) -> tuple[Graph, np.ndarray]:
     return Graph.from_edge_list(len(original_ids), pairs), original_ids
 
 
-def write_node_map(original_ids: np.ndarray, path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["new_id", "original_id"])
-        for i, orig in enumerate(original_ids.tolist()):
-            w.writerow([i, orig])
-
-
 def write_edge_list(g: Graph, path: str | Path) -> None:
     with open(path, "w") as fh:
         fh.write(f"# undirected graph: {g.n} nodes, {len(g.edges)} edges\n")

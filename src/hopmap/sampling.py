@@ -293,28 +293,43 @@ def save_observed(o: ObservedMatrix, base: str | Path) -> tuple[Path, Path]:
 
 
 def load_observed(base: str | Path) -> ObservedMatrix:
+    """Read an observation written by save_observed. Raises ValueError
+    naming the CSV for a cell outside the header's shape, a cell listed
+    twice, and a symmetric-mode file whose matrix is not square, whose
+    mask or values do not mirror, or whose diagonal is not observed."""
     base = Path(base)
+    csv_path = base.with_suffix(".csv")
     with open(base.with_suffix(".json")) as fh:
         header = json.load(fh)
     shape = (header["rows"], header["cols"])
     values = np.zeros(shape)
     mask = np.zeros(shape, dtype=bool)
-    with open(base.with_suffix(".csv"), newline="") as fh:
+    with open(csv_path, newline="") as fh:
         reader = csv.reader(fh)
         head = next(reader, None)
         if head != ["row", "col", "value"]:
-            raise ValueError(f"bad observation CSV header: {head}")
+            raise ValueError(f"{csv_path}: bad observation CSV header: {head}")
         for line in reader:
             if len(line) != 3:
-                raise ValueError(f"malformed observation row: {line}")
+                raise ValueError(f"{csv_path}: malformed observation row: {line}")
             r, c, v = int(line[0]), int(line[1]), float(line[2])
+            if not (0 <= r < shape[0] and 0 <= c < shape[1]):
+                raise ValueError(f"{csv_path}: cell ({r}, {c}) outside the {shape} matrix")
+            if mask[r, c]:
+                raise ValueError(f"{csv_path}: cell ({r}, {c}) listed twice")
             values[r, c] = v
             mask[r, c] = True
     if not mask.any():
-        raise ValueError("observation file contains no entries")
-    return ObservedMatrix(
+        raise ValueError(f"{csv_path}: observation file contains no entries")
+    o = ObservedMatrix(
         values=values,
         mask=mask,
         symmetric=header.get("mode") == "symmetric",
         seed=header.get("seed"),
     )
+    if o.symmetric and (shape[0] != shape[1] or validate_mask(o).asymmetric_cells):
+        raise ValueError(
+            f"{csv_path}: symmetric mode needs a square matrix with a mirrored "
+            "mask and values and an observed diagonal"
+        )
+    return o

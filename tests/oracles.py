@@ -333,10 +333,7 @@ def naive_neighbour_fill(
 
 
 def naive_topology_preservation_error(
-    layout: np.ndarray,
-    coords: np.ndarray,
-    bin_width: float = 1.0,
-    directions: tuple[str, ...] = ("horizontal", "vertical"),
+    layout: np.ndarray, coords: np.ndarray, bin_width: float = 1.0
 ) -> float:
     """E_TP over every ordered pair and every axis transform, one at a time.
 
@@ -347,11 +344,9 @@ def naive_topology_preservation_error(
     out of order. Returns the smallest fraction over the 8 transforms.
     """
     n = layout.shape[0]
-    # (binned coordinate index, coordinate along the line = map axis)
-    reads = {"horizontal": (1, 0), "vertical": (0, 1)}
     lines = []
-    for d in directions:
-        cross, along = reads[d]
+    # horizontal lines bin y and run along x (map axis 0), vertical the reverse
+    for cross, along in ((1, 0), (0, 1)):
         bins: dict[float, list[int]] = {}
         for v in range(n):
             bins.setdefault(round(float(layout[v, cross]) / bin_width), []).append(v)

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from hopmap.cli import EXIT_CONVERGENCE, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from hopmap.lowrank import complete_nuclear_norm
+from hopmap.sampling import ObservedMatrix, save_observed
 
 
 @pytest.fixture
@@ -127,13 +129,50 @@ class TestPipeline:
         obs = tmp_path / "obs"
         main(["sample", "--input", str(hk_edges), "--mode", "vc", "--fraction", "0.0",
               "--anchors", "10", "--strategy", "degree", "--seed", "3", "--out", str(obs)])
-        mp = tmp_path / "map.csv"
-        main(["tpm", "--input", str(obs), "--procedure", "p-completion",
-              "--k", "2", "--out", str(mp)])
-        base = tmp_path / "base.csv"
-        main(["tpm", "--edges", str(hk_edges), "--k", "2", "--anchors", "10",
-              "--strategy", "degree", "--seed", "3", "--out", str(base)])
-        assert mp.read_bytes() == base.read_bytes()
+        maps = {}
+        for procedure in ("p-completion", "grammian"):
+            mp = tmp_path / f"map_{procedure}.csv"
+            main(["tpm", "--input", str(obs), "--procedure", procedure,
+                  "--k", "2", "--out", str(mp)])
+            base = tmp_path / f"base_{procedure}.csv"
+            main(["tpm", "--edges", str(hk_edges), "--procedure", procedure, "--k", "2",
+                  "--anchors", "10", "--strategy", "degree", "--seed", "3", "--out", str(base)])
+            assert mp.read_bytes() == base.read_bytes()
+            maps[procedure] = mp.read_bytes()
+        # --edges honours --procedure: the two maps differ
+        assert maps["p-completion"] != maps["grammian"]
+
+    def test_complete_trace_rows_are_the_result_traces(self, tmp_path):
+        rng = np.random.default_rng(12)
+        truth = rng.standard_normal((30, 2)) @ rng.standard_normal((2, 30))
+        mask = rng.random((30, 30)) < 0.7
+        mask[~mask.any(axis=1), 0] = True
+        mask[0, ~mask.any(axis=0)] = True
+        o = ObservedMatrix(values=np.where(mask, truth, 0.0), mask=mask)
+        save_observed(o, tmp_path / "obs")
+        done, trace = tmp_path / "done.csv", tmp_path / "trace.csv"
+        rc = main(["complete", "--input", str(tmp_path / "obs"), "--out", str(done),
+                   "--trace", str(trace)])
+        assert rc == EXIT_OK
+        res = complete_nuclear_norm(o)
+        assert res.iterations > 0
+        expected = ["iter,residual,nuclear_norm"] + [
+            f"{it},{r!r},{nu!r}"
+            for it, (r, nu) in enumerate(zip(res.residual_trace, res.nuclear_trace), start=1)
+        ]
+        assert trace.read_text().splitlines() == expected
+        meta = json.loads((tmp_path / "done.meta.json").read_text())
+        assert len(res.residual_trace) == res.iterations == meta["iterations"]
+        assert float(expected[-1].split(",")[1]) == meta["final_residual"]
+
+    def test_complete_trace_of_full_observation_is_header_only(self, tmp_path):
+        o = ObservedMatrix(values=np.ones((4, 3)), mask=np.ones((4, 3), dtype=bool))
+        save_observed(o, tmp_path / "obs")
+        trace = tmp_path / "trace.csv"
+        rc = main(["complete", "--input", str(tmp_path / "obs"),
+                   "--out", str(tmp_path / "done.csv"), "--trace", str(trace)])
+        assert rc == EXIT_OK
+        assert trace.read_text() == "iter,residual,nuclear_norm\n"
 
     def test_entry_mode_hop_metrics(self, hk_edges, tmp_path):
         ent = tmp_path / "ent"
@@ -187,6 +226,16 @@ class TestExitCodes:
         bad.write_text("0 1\n2 x\n")
         rc = main(["spectrum", "--input", str(bad), "--out", str(tmp_path / "s.csv")])
         assert rc == EXIT_DATA
+
+    def test_out_of_range_observation_is_data_error(self, tmp_path, capsys):
+        (tmp_path / "obs.json").write_text('{"rows": 3, "cols": 3, "mode": "general"}\n')
+        (tmp_path / "obs.csv").write_text("row,col,value\n0,0,1.0\n5,1,2.0\n")
+        rc = main(["complete", "--input", str(tmp_path / "obs"),
+                   "--out", str(tmp_path / "done.csv")])
+        assert rc == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "obs.csv" in err
+        assert not (tmp_path / "done.csv").exists()
 
     def test_non_convergence_exit(self, hk_edges, tmp_path):
         ent = tmp_path / "ent"
@@ -312,6 +361,22 @@ class TestConfigKeys:
         rc, err = self._run(tmp_path, capsys, raw)
         assert rc == EXIT_DATA
         assert err.startswith("error:") and repr(key) in err
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize(
+        "raw, key",
+        [
+            ({"network": 5}, "network"),
+            ({"network": {"kind": "holme-kim", "params": [1]}}, "params"),
+            ({"anchors": 5}, "anchors"),
+            ({"anchors": [1]}, "anchors"),
+            ({"completion": "fast"}, "completion"),
+        ],
+    )
+    def test_block_must_be_object(self, tmp_path, capsys, raw, key):
+        rc, err = self._run(tmp_path, capsys, raw)
+        assert rc == EXIT_DATA
+        assert err.strip() == f"error: config key '{key}' must be an object"
         assert not (tmp_path / "r").exists()
 
     def test_integer_accepted_for_float_field(self, tmp_path, capsys):

@@ -257,22 +257,6 @@ class TestCompletion:
         assert np.array_equal(a.completed, b.completed)
         assert a.iterations == b.iterations
 
-    def test_trace_csv_written(self, tmp_path):
-        rng = np.random.default_rng(12)
-        truth = rng.standard_normal((30, 2)) @ rng.standard_normal((2, 30))
-        mask = rng.random((30, 30)) < 0.7
-        mask[~mask.any(axis=1), 0] = True
-        mask[0, ~mask.any(axis=0)] = True
-        o = ObservedMatrix(values=np.where(mask, truth, 0.0), mask=mask)
-        path = tmp_path / "trace.csv"
-        res = complete_nuclear_norm(o, trace_path=path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "iter,residual,nuclear_norm"
-        assert len(lines) == res.iterations + 1
-        assert len(res.residual_trace) == res.iterations
-        # final residual in the trace matches the result
-        assert float(lines[-1].split(",")[1]) == res.final_residual
-
     def test_rank_trace_one_entry_per_iteration(self):
         rng = np.random.default_rng(14)
         truth = rng.standard_normal((40, 3)) @ rng.standard_normal((3, 40))

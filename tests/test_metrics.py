@@ -168,12 +168,6 @@ class TestTopologyPreservation:
             # at 0.05 every line is a singleton and nothing can be scored
             topology_preservation_error(layout, tm, ScanLineConfig(bin_width=0.05))
 
-    def test_direction_subset(self):
-        layout = _cloud([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-        tm = _map([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-        cfg = ScanLineConfig(directions=("horizontal",))
-        assert topology_preservation_error(layout, tm, cfg) == 0.0
-
     def test_requires_2d(self):
         layout3 = _cloud(np.zeros((4, 3)))
         tm2 = _map(np.arange(8.0).reshape(4, 2))
@@ -206,23 +200,13 @@ class TestTopologyPreservation:
         noise = rng.standard_normal((60, 2)) * (0.5 * seed)
         map_coords = np.round(layout_coords @ np.linalg.qr(rng.standard_normal((2, 2)))[0] + noise)
         layout, tm = _cloud(layout_coords), _map(map_coords)
-        for cfg in (
-            ScanLineConfig(),
-            ScanLineConfig(bin_width=0.5),
-            ScanLineConfig(directions=("vertical",)),
-        ):
-            expected = naive_topology_preservation_error(
-                layout_coords, map_coords, cfg.bin_width, cfg.directions
-            )
+        for cfg in (ScanLineConfig(), ScanLineConfig(bin_width=0.5)):
+            expected = naive_topology_preservation_error(layout_coords, map_coords, cfg.bin_width)
             assert topology_preservation_error(layout, tm, cfg) == expected
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ScanLineConfig(bin_width=0.0)
-        with pytest.raises(ValueError):
-            ScanLineConfig(directions=("diagonal",))
-        with pytest.raises(ValueError):
-            ScanLineConfig(directions=())
 
 
 class TestHopErrors:

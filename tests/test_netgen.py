@@ -17,7 +17,6 @@ from hopmap.netgen import (
     unit_disk_connect,
     write_edge_list,
     write_layout,
-    write_node_map,
 )
 from hopmap.tpm import TopologyMap, write_tpm
 from oracles import cycle_graph, random_connected_graph
@@ -198,12 +197,6 @@ class TestSnapEdgeList:
         back, ids = load_snap_edge_list(p)
         assert back.edges == g.edges
         assert ids.tolist() == list(range(60))
-
-    def test_node_map_written(self, tmp_path):
-        p = tmp_path / "map.csv"
-        write_node_map(np.array([4, 9, 11]), p)
-        lines = p.read_text().strip().splitlines()
-        assert lines == ["new_id,original_id", "0,4", "1,9", "2,11"]
 
 
 class TestSubgraphBfs:

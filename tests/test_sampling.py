@@ -1,3 +1,4 @@
+import json
 from functools import reduce
 
 import numpy as np
@@ -299,3 +300,40 @@ class TestSerialization:
         (tmp_path / "x.json").write_text('{"rows": 2, "cols": 2, "mode": "general"}\n')
         with pytest.raises(ValueError):
             load_observed(tmp_path / "x")
+
+    def _write(self, tmp_path, mode, rows, shape=(3, 3)):
+        header = {"rows": shape[0], "cols": shape[1], "mode": mode}
+        (tmp_path / "x.json").write_text(json.dumps(header) + "\n")
+        body = "".join(f"{r},{c},{v!r}\n" for r, c, v in rows)
+        (tmp_path / "x.csv").write_text("row,col,value\n" + body)
+        return tmp_path / "x"
+
+    def test_row_past_the_end_rejected(self, tmp_path):
+        base = self._write(tmp_path, "general", [(0, 0, 1.0), (5, 1, 2.0)])
+        with pytest.raises(ValueError, match=r"x\.csv.*\(5, 1\)"):
+            load_observed(base)
+
+    def test_negative_index_rejected(self, tmp_path):
+        base = self._write(tmp_path, "general", [(0, 0, 1.0), (-1, 2, 2.0)])
+        with pytest.raises(ValueError, match=r"x\.csv.*\(-1, 2\)"):
+            load_observed(base)
+
+    def test_duplicate_cell_rejected(self, tmp_path):
+        base = self._write(tmp_path, "general", [(0, 1, 1.0), (2, 2, 3.0), (0, 1, 2.0)])
+        with pytest.raises(ValueError, match=r"x\.csv.*twice"):
+            load_observed(base)
+
+    def test_symmetric_upper_triangle_only_rejected(self, tmp_path):
+        rows = [(i, i, 0.0) for i in range(3)] + [(0, 1, 1.0), (1, 2, 1.0)]
+        with pytest.raises(ValueError, match=r"x\.csv.*symmetric"):
+            load_observed(self._write(tmp_path, "symmetric", rows))
+
+    def test_symmetric_values_not_mirrored_rejected(self, tmp_path):
+        rows = [(i, i, 0.0) for i in range(3)] + [(0, 1, 1.0), (1, 0, 2.0)]
+        with pytest.raises(ValueError, match=r"x\.csv.*symmetric"):
+            load_observed(self._write(tmp_path, "symmetric", rows))
+
+    def test_symmetric_missing_diagonal_rejected(self, tmp_path):
+        rows = [(0, 0, 0.0), (1, 1, 0.0), (0, 1, 1.0), (1, 0, 1.0), (1, 2, 1.0), (2, 1, 1.0)]
+        with pytest.raises(ValueError, match=r"x\.csv.*symmetric"):
+            load_observed(self._write(tmp_path, "symmetric", rows))
