@@ -17,8 +17,8 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from .graph import Graph, HopDistanceMatrix, VcMatrix, all_pairs_hops, anchor_hops
-from .lowrank import CompletionConfig, complete_nuclear_norm
+from .graph import Graph, all_pairs_hops, anchor_hops
+from .lowrank import CompletionConfig
 from .metrics import (
     MetricReport,
     ScanLineConfig,
@@ -51,10 +51,14 @@ from .tpm import (
     TopologyMap,
     align_maps,
     complete_anchor_hops,
+    write_tpm,
+)
+# no caller here: bound only for perfbench's lowrank.complete and tpm.map spans
+from .tpm import (  # noqa: F401
+    complete_nuclear_norm,
     tpm_full_vc,
     tpm_via_grammian,
-    tpm_via_p_completion,  # noqa: F401  bound here for perfbench's tpm.map span
-    write_tpm,
+    tpm_via_p_completion,
 )
 
 PROCEDURES = tuple(MAP_EXTRACTORS)
@@ -106,6 +110,11 @@ def _check_types(block: dict, cls, where: str) -> None:
             raise ValueError(f"{where} key {key!r} must be {name}, got {value!r}")
 
 
+def _require_key(block: dict, key: str, where: str) -> None:
+    if key not in block:
+        raise ValueError(f"{where} needs the key {key!r}")
+
+
 def _object(value, key: str) -> dict:
     if not isinstance(value, dict):
         raise ValueError(f"config key {key!r} must be an object")
@@ -131,6 +140,8 @@ class NetworkSpec:
         if self.kind not in known:
             raise ValueError(f"unknown network kind {self.kind!r}; choose from {sorted(known)}")
         _reject_unknown(self.params, _accepted_params(self.kind), f"{self.kind} network")
+        if self.kind == "edges":
+            _require_key(self.params, "path", "edges network")
 
 
 @dataclass(frozen=True)
@@ -166,14 +177,20 @@ class ExperimentConfig:
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
-    """Read a JSON experiment config; unknown keys in any block, and values
-    of the wrong type, raise ValueError naming them."""
+    """Read a JSON experiment config; unknown keys in any block, missing
+    required keys and values of the wrong type raise ValueError naming
+    them, and a file that is not JSON one naming the file."""
     with open(path) as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     if not isinstance(raw, dict):
         raise ValueError("config must be a JSON object")
     _reject_unknown(raw, _field_names(ExperimentConfig) | {"procedure"}, "config")
+    _require_key(raw, "network", "config")
     net = dict(_object(raw.pop("network"), "network"))
+    _require_key(net, "kind", "network")
     kind = net.pop("kind")
     net_seed = net.pop("seed", 0)
     _check_types({"kind": kind, "seed": net_seed}, NetworkSpec, "network")
@@ -261,38 +278,27 @@ def _init_worker(payload: dict) -> None:
     _WORK.update(payload)
 
 
-def _vc_run(task: tuple) -> tuple:
-    """Complete one observation once and extract every procedure's map
-    from it, so a failed completion fails all procedures alike."""
+def _run(task: tuple) -> tuple:
+    """Observe the truth matrix once and complete it; every label of the
+    run is scored from this one completion, so a failed completion fails
+    them all alike."""
     fi, f, rep = task
-    p: VcMatrix = _WORK["p"]
     seed = run_seed(_WORK["seed"], "run", fi, rep)
-    o = vc_observations(p, f, seed=seed)
-    hops = complete_anchor_hops(o, _WORK["completion"])
-    coords = {
-        procedure: MAP_EXTRACTORS[procedure](hops, _WORK["k"]).coords
-        for procedure in _WORK["procedures"]
-    }
-    return seed, coords
-
-
-def _entry_run(task: tuple) -> tuple:
-    fi, f, rep = task
-    h: HopDistanceMatrix = _WORK["h"]
-    seed = run_seed(_WORK["seed"], "run", fi, rep)
-    o = random_entry_observations(h, 1.0 - f, seed=seed)
-    res = complete_nuclear_norm(o, _WORK["completion"])
-    if not res.converged:
-        raise CompletionFailure(res)
-    return seed, res.completed
+    if _WORK["mode"] == "vc":
+        o = vc_observations(_WORK["truth"], f, seed=seed)
+    else:
+        o = random_entry_observations(_WORK["truth"], 1.0 - f, seed=seed)
+    return seed, complete_anchor_hops(o, _WORK["completion"])
 
 
 def _map_tasks(fn, tasks, payload, jobs):
     if jobs <= 1:
         _init_worker(payload)
-        for task in tasks:
-            yield task, _call_guarded(fn, task)
-        _WORK.clear()
+        try:
+            for task in tasks:
+                yield task, _call_guarded(fn, task)
+        finally:
+            _WORK.clear()
         return
     with ProcessPoolExecutor(
         max_workers=jobs, initializer=_init_worker, initargs=(payload,)
@@ -314,8 +320,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     started = time.time()
 
     g, layout, net_name = build_network(cfg.network)
-    reports: list[MetricReport] = []
-    failures: list[RunFailure] = []
     tasks = [
         (fi, f, rep) for fi, f in enumerate(cfg.fractions) for rep in range(cfg.repeats)
     ]
@@ -323,69 +327,51 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     if cfg.mode == "vc":
         sel = replace(cfg.anchors, seed=run_seed(cfg.seed, "anchors"))
         anchors = select_anchors(g, sel)
-        p = anchor_hops(g, anchors)
+        truth = anchor_hops(g, anchors)
+        labels, m = cfg.procedures, sel.m
         baselines: dict[str, TopologyMap] = {}
-        for procedure in cfg.procedures:
-            if procedure == "p-completion":
-                baselines[procedure] = tpm_full_vc(p, cfg.k)
-            else:
-                full = vc_observations(p, 0.0, seed=run_seed(cfg.seed, "baseline"))
-                baselines[procedure] = tpm_via_grammian(full, cfg.k, cfg.completion)
+        for procedure in labels:
+            baselines[procedure] = MAP_EXTRACTORS[procedure](truth.as_float(), cfg.k)
             write_tpm(baselines[procedure], out / f"tpm_{procedure}_baseline.csv")
-
-        payload = {
-            "p": p,
-            "k": cfg.k,
-            "seed": cfg.seed,
-            "completion": cfg.completion,
-            "procedures": cfg.procedures,
-        }
         scan_cfg = ScanLineConfig(bin_width=cfg.bin_width)
-        # rows stay grouped by procedure, then fraction, then repeat
-        by_proc = {procedure: ([], []) for procedure in cfg.procedures}
-        for task, (ok, value) in _map_tasks(_vc_run, tasks, payload, cfg.jobs):
-            _, f, rep = task
-            for procedure, (proc_reports, proc_failures) in by_proc.items():
-                if not ok:
-                    proc_failures.append(RunFailure(net_name, procedure, f, rep, value))
-                    continue
-                seed, coords = value
-                tm = TopologyMap(coords=coords[procedure])
-                if rep == 0:
-                    write_tpm(tm, out / f"tpm_{procedure}_f{int(round(100 * f))}.csv")
-                e = mean_distance_error(tm, baselines[procedure], anchors)
-                proc_reports.append(
-                    MetricReport(net_name, procedure, sel.m, f, seed, "E", e)
-                )
-                if layout is not None and layout.dim == 2 and cfg.k == 2:
-                    # SVD maps are rotated arbitrarily; match axes before scanning
-                    oriented, _ = align_maps(tm, TopologyMap(coords=layout.coords.copy()))
-                    etp = topology_preservation_error(layout, oriented, scan_cfg)
-                    proc_reports.append(
-                        MetricReport(net_name, procedure, sel.m, f, seed, "E_TP", etp)
-                    )
-        for proc_reports, proc_failures in by_proc.values():
-            reports.extend(proc_reports)
-            failures.extend(proc_failures)
+
+        def score(procedure, f, rep, hops):
+            tm = MAP_EXTRACTORS[procedure](hops, cfg.k)
+            if rep == 0:
+                write_tpm(tm, out / f"tpm_{procedure}_f{int(round(100 * f))}.csv")
+            yield "E", mean_distance_error(tm, baselines[procedure], anchors)
+            if layout is not None and layout.dim == 2 and cfg.k == 2:
+                # SVD maps are rotated arbitrarily; match axes before scanning
+                oriented, _ = align_maps(tm, TopologyMap(coords=layout.coords.copy()))
+                yield "E_TP", topology_preservation_error(layout, oriented, scan_cfg)
     else:
-        h = all_pairs_hops(g)
-        h.require_finite()
-        payload = {"h": h, "seed": cfg.seed, "completion": cfg.completion}
-        for (_, f, rep), (ok, value) in _map_tasks(_entry_run, tasks, payload, cfg.jobs):
+        truth = all_pairs_hops(g)
+        truth.require_finite()
+        # every node acts as an anchor in entrywise observation mode
+        labels, m = ("completion",), truth.n
+
+        def score(label, f, rep, completed):
+            yield "E_m", hdm_mean_error(completed, truth)
+            yield "E_a", hdm_absolute_error(completed, truth)
+
+    payload = {"mode": cfg.mode, "truth": truth, "seed": cfg.seed, "completion": cfg.completion}
+    # rows stay grouped by label, then fraction, then repeat
+    by_label = {label: ([], []) for label in labels}
+    for (_, f, rep), (ok, value) in _map_tasks(_run, tasks, payload, cfg.jobs):
+        for label, (label_reports, label_failures) in by_label.items():
             if not ok:
-                failures.append(RunFailure(net_name, "completion", f, rep, value))
+                label_failures.append(RunFailure(net_name, label, f, rep, value))
                 continue
             seed, completed = value
-            em = hdm_mean_error(completed, h)
-            ea = hdm_absolute_error(completed, h)
-            # every node acts as an anchor in entrywise observation mode
-            reports.append(MetricReport(net_name, "completion", h.n, f, seed, "E_m", em))
-            reports.append(MetricReport(net_name, "completion", h.n, f, seed, "E_a", ea))
+            label_reports.extend(
+                MetricReport(net_name, label, m, f, seed, metric, v)
+                for metric, v in score(label, f, rep, completed)
+            )
 
     result = ExperimentResult(
-        reports=tuple(reports),
-        failures=tuple(failures),
-        total_runs=len(tasks) * (len(cfg.procedures) if cfg.mode == "vc" else 1),
+        reports=tuple(r for label_reports, _ in by_label.values() for r in label_reports),
+        failures=tuple(r for _, label_failures in by_label.values() for r in label_failures),
+        total_runs=len(tasks) * len(labels),
     )
     _write_outputs(cfg, result, out, net_name, time.time() - started)
     return result

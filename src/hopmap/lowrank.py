@@ -11,15 +11,17 @@ from .sampling import ObservedMatrix, validate_mask
 
 RANK_TOLERANCE = 1e-10
 
-# singular value thresholding: mu_0 = MU_SCALE / ||P_Omega(M)||_2; plain SVD
-# when the smaller dimension is at most FULL_SVD_BELOW, else a randomized
-# range finder with OVERSAMPLE extra columns and POWER_ITERS power steps,
-# warm-started: its test block leads with the right singular vectors the
-# previous iteration kept, so one power step is enough. The range finder
-# takes the SVD of its projected block from the eigenvalues of the block's
-# Gram matrix, which squares the condition number: below a threshold of
-# GRAM_MIN_RATIO times the largest singular value it uses a plain SVD
+# singular value thresholding: mu_0 = MU_SCALE / ||P_Omega(M)||_2, raised by
+# the factor MU_GROWTH each iteration; plain SVD when the smaller dimension
+# is at most FULL_SVD_BELOW, else a randomized range finder with OVERSAMPLE
+# extra columns and POWER_ITERS power steps, warm-started: its test block
+# leads with the right singular vectors the previous iteration kept, so one
+# power step is enough. The range finder takes the SVD of its projected
+# block from the eigenvalues of the block's Gram matrix, which squares the
+# condition number: below a threshold of GRAM_MIN_RATIO times the largest
+# singular value it uses a plain SVD
 MU_SCALE = 1.0
+MU_GROWTH = 1.05
 FULL_SVD_BELOW = 400
 OVERSAMPLE = 10
 POWER_ITERS = 1
@@ -134,23 +136,19 @@ class CompletionConfig:
 
     tolerance: stop once the relative Frobenius residual over the mask is
     at most this. max_iters: give up (converged=False) after this many
-    iterations. mu_growth: geometric growth of the penalty mu per
-    iteration. The starting penalty and the SVD method of each
+    iterations. The penalty schedule and the SVD method of each
     thresholding step are fixed by the module constants MU_SCALE,
-    FULL_SVD_BELOW, OVERSAMPLE, POWER_ITERS and GRAM_MIN_RATIO.
+    MU_GROWTH, FULL_SVD_BELOW, OVERSAMPLE, POWER_ITERS and GRAM_MIN_RATIO.
     """
 
     tolerance: float = 1e-6
     max_iters: int = 500
-    mu_growth: float = 1.05
 
     def __post_init__(self):
         if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.mu_growth <= 1.0:
-            raise ValueError("mu_growth must exceed 1")
 
 
 @dataclass(frozen=True)
@@ -314,7 +312,7 @@ def complete_nuclear_norm(
             converged = True
             break
         y_m += mu * gap_m
-        mu *= cfg.mu_growth
+        mu *= MU_GROWTH
 
     completed = a
     if o.symmetric:

@@ -9,15 +9,6 @@ from .graph import HopDistanceMatrix
 from .netgen import PointCloud
 from .tpm import TopologyMap
 
-# the 8 axis-aligned orthogonal transforms of the plane: flips and swaps
-_AXIS_TRANSFORMS = [
-    np.array([[sx, 0], [0, sy]]) if not swap else np.array([[0, sx], [sy, 0]])
-    for swap in (False, True)
-    for sx in (1, -1)
-    for sy in (1, -1)
-]
-
-
 @dataclass(frozen=True)
 class ScanLineConfig:
     bin_width: float = 1.0
@@ -116,27 +107,19 @@ def topology_preservation_error(
 
     # an out-of-order pair (i before j) has p_i >= p_j on a map axis a
     # transform keeps, p_i <= p_j on one it negates; ties count both ways.
-    # bad[(axis, src, sign)]: such pairs of the lines read on axis, when
-    # that axis of the transformed map is sign * source map axis src
-    bad = {}
+    # The sign of each axis is free, so bad[axis][src], the pairs of the
+    # lines read on axis when that axis comes from source map axis src, is
+    # the fewer of the two; the best transform keeps or swaps the axes
+    bad = [[0, 0], [0, 0]]
     pair_total = 0
     for axis, (i, j) in groups:
         pair_total += 2 * i.size
         for src in (0, 1):
             p_i, p_j = tpm.coords[i, src], tpm.coords[j, src]
-            bad[axis, src, 1] = int(np.count_nonzero(p_i >= p_j))
-            bad[axis, src, -1] = int(np.count_nonzero(p_i <= p_j))
-
-    best = None
-    for t in _AXIS_TRANSFORMS:
-        bad_total = 0
-        for axis, _ in groups:
-            src = int(np.flatnonzero(t[axis])[0])
-            bad_total += 2 * bad[axis, src, int(t[axis, src])]
-        score = bad_total / pair_total
-        if best is None or score < best:
-            best = score
-    return float(best)
+            bad[axis][src] = min(
+                int(np.count_nonzero(p_i >= p_j)), int(np.count_nonzero(p_i <= p_j))
+            )
+    return 2 * min(bad[0][0] + bad[1][1], bad[0][1] + bad[1][0]) / pair_total
 
 
 def _hop_error_sums(h_hat: np.ndarray, h: HopDistanceMatrix) -> tuple[float, float]:

@@ -294,13 +294,29 @@ def save_observed(o: ObservedMatrix, base: str | Path) -> tuple[Path, Path]:
 
 def load_observed(base: str | Path) -> ObservedMatrix:
     """Read an observation written by save_observed. Raises ValueError
-    naming the CSV for a cell outside the header's shape, a cell listed
-    twice, and a symmetric-mode file whose matrix is not square, whose
-    mask or values do not mirror, or whose diagonal is not observed."""
+    naming the file, and for the CSV the line, when the header is not a
+    JSON object with positive integer rows and cols and a general or
+    symmetric mode, a row does not hold an integer cell and a finite
+    number, a cell lies outside the header's shape or is listed twice,
+    and when a symmetric-mode matrix is not square, its mask or values do
+    not mirror, or its diagonal is not observed."""
     base = Path(base)
+    json_path = base.with_suffix(".json")
     csv_path = base.with_suffix(".csv")
-    with open(base.with_suffix(".json")) as fh:
-        header = json.load(fh)
+    with open(json_path) as fh:
+        try:
+            header = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{json_path}: {exc}") from None
+    if not isinstance(header, dict):
+        raise ValueError(f"{json_path}: header must be a JSON object")
+    for key in ("rows", "cols"):
+        size = header.get(key)
+        if not isinstance(size, int) or isinstance(size, bool) or size < 1:
+            raise ValueError(f"{json_path}: header key {key!r} must be a positive integer")
+    mode = header.get("mode", "general")
+    if mode not in ("general", "symmetric"):
+        raise ValueError(f"{json_path}: header mode must be general or symmetric, got {mode!r}")
     shape = (header["rows"], header["cols"])
     values = np.zeros(shape)
     mask = np.zeros(shape, dtype=bool)
@@ -310,13 +326,21 @@ def load_observed(base: str | Path) -> ObservedMatrix:
         if head != ["row", "col", "value"]:
             raise ValueError(f"{csv_path}: bad observation CSV header: {head}")
         for line in reader:
+            where = f"{csv_path} line {reader.line_num}"
             if len(line) != 3:
-                raise ValueError(f"{csv_path}: malformed observation row: {line}")
-            r, c, v = int(line[0]), int(line[1]), float(line[2])
+                raise ValueError(f"{where}: malformed observation row: {line}")
+            try:
+                r, c, v = int(line[0]), int(line[1]), float(line[2])
+            except ValueError:
+                raise ValueError(
+                    f"{where}: row and col must be integers and value a number, got {line}"
+                ) from None
+            if not np.isfinite(v):
+                raise ValueError(f"{where}: value {line[2]!r} is not finite")
             if not (0 <= r < shape[0] and 0 <= c < shape[1]):
-                raise ValueError(f"{csv_path}: cell ({r}, {c}) outside the {shape} matrix")
+                raise ValueError(f"{where}: cell ({r}, {c}) outside the {shape} matrix")
             if mask[r, c]:
-                raise ValueError(f"{csv_path}: cell ({r}, {c}) listed twice")
+                raise ValueError(f"{where}: cell ({r}, {c}) listed twice")
             values[r, c] = v
             mask[r, c] = True
     if not mask.any():
@@ -324,7 +348,7 @@ def load_observed(base: str | Path) -> ObservedMatrix:
     o = ObservedMatrix(
         values=values,
         mask=mask,
-        symmetric=header.get("mode") == "symmetric",
+        symmetric=mode == "symmetric",
         seed=header.get("seed"),
     )
     if o.symmetric and (shape[0] != shape[1] or validate_mask(o).asymmetric_cells):

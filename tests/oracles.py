@@ -11,6 +11,7 @@ import numpy as np
 
 from hopmap.graph import Graph
 from hopmap.lowrank import (
+    MU_GROWTH,
     MU_SCALE,
     CompletionConfig,
     CompletionResult,
@@ -261,7 +262,7 @@ def naive_complete_nuclear_norm(
             converged = True
             break
         y += mu * gap
-        mu *= cfg.mu_growth
+        mu *= MU_GROWTH
     if o.symmetric:
         a = 0.5 * (a + a.T)
     return CompletionResult(

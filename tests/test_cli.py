@@ -237,6 +237,27 @@ class TestExitCodes:
         assert err.startswith("error:") and "obs.csv" in err
         assert not (tmp_path / "done.csv").exists()
 
+    @pytest.mark.parametrize(
+        "header, body, named",
+        [
+            ("[1, 2]", "0,0,1.0\n", "obs.json"),
+            ('{"cols": 3, "mode": "general"}', "0,0,1.0\n", "obs.json"),
+            ('{"rows": 3, "cols": 3, "mode": "general"}', "0,0,1.0\n0.5,1,2.0\n", "obs.csv line 3"),
+            ('{"rows": 3, "cols": 3, "mode": "general"}', "0,0,1.0\n1,1,abc\n", "obs.csv line 3"),
+            ('{"rows": 3, "cols": 3, "mode": "general"}', "0,0,1.0\n1,1,nan\n", "obs.csv line 3"),
+            ('{"rows": 3, "cols": 3, "mode": "symetric"}', "0,0,1.0\n", "obs.json"),
+        ],
+        ids=["header-list", "no-rows", "index-0.5", "value-abc", "value-nan", "mode-typo"],
+    )
+    def test_malformed_observation_is_data_error(self, tmp_path, capsys, header, body, named):
+        (tmp_path / "obs.json").write_text(header + "\n")
+        (tmp_path / "obs.csv").write_text("row,col,value\n" + body)
+        rc = main(["complete", "--input", str(tmp_path / "obs"),
+                   "--out", str(tmp_path / "done.csv")])
+        assert rc == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err
+
     def test_non_convergence_exit(self, hk_edges, tmp_path):
         ent = tmp_path / "ent"
         main(["sample", "--input", str(hk_edges), "--mode", "random_entry",
@@ -306,10 +327,11 @@ class TestExperimentCommand:
         rc = main(["experiment", "--config", str(tmp_path / "nope.json")])
         assert rc == EXIT_DATA
 
-    def test_invalid_json_is_data_error(self, tmp_path):
+    def test_invalid_json_is_data_error(self, tmp_path, capsys):
         p = tmp_path / "cfg.json"
         p.write_text("{not json")
         assert main(["experiment", "--config", str(p)]) == EXIT_DATA
+        assert capsys.readouterr().err.startswith(f"error: {p}:")
 
 
 class TestConfigKeys:
@@ -329,9 +351,11 @@ class TestConfigKeys:
         assert err.startswith("error:") and "repetas" in err
 
     def test_unknown_completion_key(self, tmp_path, capsys):
-        rc, err = self._run(tmp_path, capsys, {"completion": {"oversampel": 3}})
-        assert rc == EXIT_DATA
-        assert err.startswith("error:") and "oversampel" in err
+        # the penalty growth is the constant lowrank.MU_GROWTH, not a key
+        for key in ("oversampel", "mu_growth"):
+            rc, err = self._run(tmp_path, capsys, {"completion": {key: 3}})
+            assert rc == EXIT_DATA
+            assert err.startswith("error:") and key in err
 
     def test_unknown_anchors_key(self, tmp_path, capsys):
         rc, err = self._run(tmp_path, capsys, {"anchors": {"mm": 5}})
@@ -343,6 +367,24 @@ class TestConfigKeys:
         rc, err = self._run(tmp_path, capsys, {"network": {"kind": "concave", "widht": 20}})
         assert rc == EXIT_DATA
         assert err.startswith("error:") and "widht" in err
+
+    @pytest.mark.parametrize(
+        "network, message",
+        [
+            (None, "config needs the key 'network'"),
+            ({"params": {"n": 40}}, "network needs the key 'kind'"),
+            ({"kind": "edges"}, "edges network needs the key 'path'"),
+        ],
+    )
+    def test_missing_required_key(self, tmp_path, capsys, network, message):
+        raw = {"repeats": 1, "out_dir": str(tmp_path / "r")}
+        if network is not None:
+            raw["network"] = network
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(raw))
+        assert main(["experiment", "--config", str(p)]) == EXIT_DATA
+        assert capsys.readouterr().err.strip() == f"error: {message}"
+        assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize(
         "raw, key",

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from hopmap import experiment
 from hopmap.experiment import (
     ExperimentConfig,
     ExperimentResult,
@@ -286,6 +287,28 @@ class TestEntrySweep:
             tmp_path / "p" / "runs.csv"
         ).read_bytes()
 
+    def test_failures_name_the_completion(self, tmp_path):
+        cfg = _tiny_vc_config(
+            tmp_path / "r",
+            mode="random_entry",
+            procedures=("grammian", "p-completion"),
+            fractions=(0.4, 0.6),
+            repeats=3,
+            completion=CompletionConfig(max_iters=1),
+        )
+        res = run_experiment(cfg)
+        # each run has the one label "completion"; procedures play no part
+        assert res.total_runs == len(cfg.fractions) * cfg.repeats
+        assert len(res.failures) == res.total_runs and not res.reports
+        with open(tmp_path / "r" / "failures.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["procedure"], float(r["f"]), int(r["repeat"])) for r in rows] == [
+            ("completion", f, rep) for f in cfg.fractions for rep in range(cfg.repeats)
+        ]
+        assert all("CompletionFailure" in r["error"] for r in rows)
+        meta = json.loads((tmp_path / "r" / "meta.json").read_text())
+        assert meta["total_runs"] == res.total_runs
+
     def test_hop_metric_identity_holds_in_reports(self, tmp_path):
         cfg = _tiny_vc_config(
             tmp_path / "r", mode="random_entry", fractions=(0.4,), repeats=1
@@ -352,6 +375,13 @@ class TestFailureAccounting:
         )
         res = run_experiment(cfg)
         assert not res.failures
+
+    def test_serial_map_clears_worker_state_when_closed_early(self):
+        gen = experiment._map_tasks(lambda task: task, [1, 2, 3], {"seed": 0}, jobs=1)
+        assert next(gen) == (1, (True, 1))
+        assert experiment._WORK == {"seed": 0}
+        gen.close()
+        assert experiment._WORK == {}
 
     def test_acceptable_threshold(self):
         reports = tuple()

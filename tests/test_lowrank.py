@@ -303,8 +303,6 @@ class TestCompletion:
             CompletionConfig(tolerance=0.0)
         with pytest.raises(ValueError):
             CompletionConfig(max_iters=0)
-        with pytest.raises(ValueError):
-            CompletionConfig(mu_growth=1.0)
 
 
 def _vc_observation(gen, f):

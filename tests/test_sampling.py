@@ -308,6 +308,40 @@ class TestSerialization:
         (tmp_path / "x.csv").write_text("row,col,value\n" + body)
         return tmp_path / "x"
 
+    def test_header_not_an_object_rejected(self, tmp_path):
+        base = self._write(tmp_path, "general", [(0, 0, 1.0)])
+        (tmp_path / "x.json").write_text("[1, 2]\n")
+        with pytest.raises(ValueError, match=r"x\.json.*object"):
+            load_observed(base)
+
+    def test_header_without_rows_rejected(self, tmp_path):
+        base = self._write(tmp_path, "general", [(0, 0, 1.0)])
+        (tmp_path / "x.json").write_text('{"cols": 3, "mode": "general"}\n')
+        with pytest.raises(ValueError, match=r"x\.json.*'rows'"):
+            load_observed(base)
+
+    def test_non_integer_index_rejected(self, tmp_path):
+        base = self._write(tmp_path, "general", [(0, 0, 1.0), (0.5, 1, 2.0)])
+        with pytest.raises(ValueError, match=r"x\.csv line 3: .*0\.5"):
+            load_observed(base)
+
+    def test_non_numeric_value_rejected(self, tmp_path):
+        base = self._write(tmp_path, "general", [(0, 0, 1.0)])
+        with open(tmp_path / "x.csv", "a") as fh:
+            fh.write("1,1,abc\n")
+        with pytest.raises(ValueError, match=r"x\.csv line 3: .*abc"):
+            load_observed(base)
+
+    def test_non_finite_value_rejected(self, tmp_path):
+        base = self._write(tmp_path, "general", [(0, 0, 1.0), (1, 1, float("nan"))])
+        with pytest.raises(ValueError, match=r"x\.csv line 3: .*not finite"):
+            load_observed(base)
+
+    def test_unknown_mode_rejected(self, tmp_path):
+        base = self._write(tmp_path, "symetric", [(0, 0, 1.0)])
+        with pytest.raises(ValueError, match=r"x\.json.*'symetric'"):
+            load_observed(base)
+
     def test_row_past_the_end_rejected(self, tmp_path):
         base = self._write(tmp_path, "general", [(0, 0, 1.0), (5, 1, 2.0)])
         with pytest.raises(ValueError, match=r"x\.csv.*\(5, 1\)"):
