@@ -8,6 +8,7 @@ import json
 import os
 import platform
 import time
+import types
 import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -69,64 +70,85 @@ GENERATORS = {
     "cube": gen_cube_void_3d,
     "t-cylinder": gen_t_cylinder_3d,
 }
-# network params of the kinds that are not layout generators
-NETWORK_PARAMS = {"holme-kim": ("n", "m", "p_triad"), "edges": ("path", "target_n", "root")}
 
 
-def _field_names(cls) -> set[str]:
-    return {f.name for f in dataclasses.fields(cls)}
+def _edge_network(path: str, target_n: int | None = None, root: int = 0) -> Graph:
+    """The graph of an edge-list file, cut to its first target_n nodes
+    breadth-first from root when target_n is given."""
+    g, _ = load_snap_edge_list(path)
+    return g if target_n is None else subgraph_bfs(g, root, target_n)
 
 
-def _reject_unknown(block: dict, accepted, where: str) -> None:
-    unknown = sorted(set(block) - set(accepted))
+def _declared(target, *skip: str) -> dict[str, tuple[object, bool]]:
+    """name -> (type hint, required) of each parameter that target, a
+    dataclass or a function, declares, less the names in skip."""
+    hints = typing.get_type_hints(target)
+    return {
+        name: (hints[name], p.default is inspect.Parameter.empty)
+        for name, p in inspect.signature(target).parameters.items()
+        if name not in skip
+    }
+
+
+def _type_name(hint) -> str:
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) in (typing.Union, types.UnionType):
+        return " or ".join(_type_name(a) for a in args)
+    if typing.get_origin(hint) is tuple:
+        if args[-1] is Ellipsis:
+            return f"a list of {_type_name(args[0])}"
+        return f"[{', '.join(_type_name(a) for a in args)}]"
+    return "null" if hint is type(None) else hint.__name__
+
+
+def _fits(value, hint) -> bool:
+    """Whether a JSON value fits a field typed hint (a tuple takes a list)."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) in (typing.Union, types.UnionType):
+        return any(_fits(value, a) for a in args)
+    if typing.get_origin(hint) is tuple:
+        if not isinstance(value, (list, tuple)):
+            return False
+        items = args[:1] * len(value) if args[-1] is Ellipsis else args
+        return len(items) == len(value) and all(map(_fits, value, items))
+    # JSON true/false are not numbers; an integer is a valid float
+    if hint in (int, float) and isinstance(value, bool):
+        return False
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
+def _read_block(block: dict, keys: dict[str, tuple[object, bool]], where: str) -> dict:
+    """Check the JSON object block against keys (see _declared): an unknown
+    key, a missing required key or a value of the wrong type raises
+    ValueError naming it. Returns the values as the fields hold them: a
+    list as a tuple, the object under a dataclass-typed key as an instance."""
+    unknown = sorted(set(block) - set(keys))
     if unknown:
-        raise ValueError(
-            f"unknown {where} key(s) {unknown}; accepted keys: {sorted(accepted)}"
-        )
-
-
-def _fits(value, want) -> bool:
-    if want in (int, float):
-        # JSON true/false are not numbers; an integer is a valid float
-        ok = (int,) if want is int else (int, float)
-        return isinstance(value, ok) and not isinstance(value, bool)
-    return isinstance(value, want)
-
-
-def _check_types(block: dict, cls, where: str) -> None:
-    """Raise ValueError naming the first key of block whose value does not
-    have the type of cls's field of that name (a tuple field takes a list)."""
-    hints = typing.get_type_hints(cls)
+        raise ValueError(f"unknown {where} key(s) {unknown}; accepted keys: {sorted(keys)}")
+    for key, (_, required) in keys.items():
+        if required and key not in block:
+            raise ValueError(f"{where} needs the key {key!r}")
+    out = dict(block)
     for key, value in block.items():
-        want = hints[key]
-        if typing.get_origin(want) is tuple:
-            item = typing.get_args(want)[0]
-            ok = isinstance(value, (list, tuple)) and all(_fits(v, item) for v in value)
-            name = f"a list of {item.__name__}"
-        else:
-            ok = _fits(value, want)
-            name = want.__name__
-        if not ok:
-            raise ValueError(f"{where} key {key!r} must be {name}, got {value!r}")
+        hint = keys[key][0]
+        if hint is dict or dataclasses.is_dataclass(hint):
+            if not isinstance(value, dict):
+                raise ValueError(f"config key {key!r} must be an object")
+            if hint is not dict:
+                out[key] = hint(**_read_block(value, _declared(hint), key))
+        elif not _fits(value, hint):
+            raise ValueError(f"{where} key {key!r} must be {_type_name(hint)}, got {value!r}")
+        elif isinstance(value, list):
+            out[key] = tuple(value)
+    return out
 
 
-def _require_key(block: dict, key: str, where: str) -> None:
-    if key not in block:
-        raise ValueError(f"{where} needs the key {key!r}")
-
-
-def _object(value, key: str) -> dict:
-    if not isinstance(value, dict):
-        raise ValueError(f"config key {key!r} must be an object")
-    return value
-
-
-def _accepted_params(kind: str) -> set[str]:
+def _network_params(kind: str) -> dict[str, tuple[object, bool]]:
+    """The params a network of this kind takes; its seed is NetworkSpec.seed."""
     if kind in GENERATORS:
         # placement fields of GeneratorConfig, then the generator's geometry
-        geometry = set(inspect.signature(GENERATORS[kind]).parameters) - {"cfg"}
-        return (_field_names(GeneratorConfig) - {"seed"}) | geometry
-    return set(NETWORK_PARAMS[kind])
+        return {**_declared(GeneratorConfig, "seed"), **_declared(GENERATORS[kind], "cfg")}
+    return _declared(gen_holme_kim if kind == "holme-kim" else _edge_network, "seed")
 
 
 @dataclass(frozen=True)
@@ -136,12 +158,10 @@ class NetworkSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        known = set(GENERATORS) | set(NETWORK_PARAMS)
+        known = sorted([*GENERATORS, "holme-kim", "edges"])
         if self.kind not in known:
-            raise ValueError(f"unknown network kind {self.kind!r}; choose from {sorted(known)}")
-        _reject_unknown(self.params, _accepted_params(self.kind), f"{self.kind} network")
-        if self.kind == "edges":
-            _require_key(self.params, "path", "edges network")
+            raise ValueError(f"unknown network kind {self.kind!r}; choose from {known}")
+        _read_block(self.params, _network_params(self.kind), f"{self.kind} network")
 
 
 @dataclass(frozen=True)
@@ -187,38 +207,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
             raise ValueError(f"{path}: {exc}") from None
     if not isinstance(raw, dict):
         raise ValueError("config must be a JSON object")
-    _reject_unknown(raw, _field_names(ExperimentConfig) | {"procedure"}, "config")
-    _require_key(raw, "network", "config")
-    net = dict(_object(raw.pop("network"), "network"))
-    _require_key(net, "kind", "network")
-    kind = net.pop("kind")
-    net_seed = net.pop("seed", 0)
-    _check_types({"kind": kind, "seed": net_seed}, NetworkSpec, "network")
-    # generator params may sit under an explicit "params" key or inline
-    params = net.pop("params", None)
-    if params is None:
-        params = net
-    elif net:
-        raise ValueError(f"network has both 'params' and inline keys {sorted(net)}")
-    spec = NetworkSpec(kind=kind, seed=net_seed, params=_object(params, "params"))
-    anchors = _object(raw.pop("anchors", {}), "anchors")
-    _reject_unknown(anchors, _field_names(AnchorSelection), "anchors")
-    _check_types(anchors, AnchorSelection, "anchors")
-    completion = _object(raw.pop("completion", {}), "completion")
-    _reject_unknown(completion, _field_names(CompletionConfig), "completion")
-    _check_types(completion, CompletionConfig, "completion")
-    procedures = raw.pop("procedures", raw.pop("procedure", "p-completion"))
-    if isinstance(procedures, str):
-        procedures = (procedures,)
-    _check_types({"procedures": procedures, **raw}, ExperimentConfig, "config")
-    return ExperimentConfig(
-        network=spec,
-        anchors=AnchorSelection(**anchors),
-        procedures=tuple(procedures),
-        fractions=tuple(raw.pop("fractions", (0.1, 0.2, 0.4, 0.6, 0.8))),
-        completion=CompletionConfig(**completion),
-        **raw,
-    )
+    return ExperimentConfig(**_read_block(raw, _declared(ExperimentConfig), "config"))
 
 
 def build_network(spec: NetworkSpec) -> tuple[Graph, PointCloud | None, str]:
@@ -228,22 +217,17 @@ def build_network(spec: NetworkSpec) -> tuple[Graph, PointCloud | None, str]:
     if spec.kind in GENERATORS:
         # placement params (pitch, jitter, ...) go to the generator config,
         # geometry params (extents, voids, ...) to the generator itself
-        cfg_fields = _field_names(GeneratorConfig)
+        cfg_fields = {f.name for f in dataclasses.fields(GeneratorConfig)}
         cfg_params = {k: v for k, v in params.items() if k in cfg_fields}
         geo_params = {k: v for k, v in params.items() if k not in cfg_fields}
         cfg = GeneratorConfig(seed=spec.seed, **cfg_params)
         pc, g = GENERATORS[spec.kind](cfg, **geo_params)
         return g, pc, f"{spec.kind}-{g.n}"
     if spec.kind == "holme-kim":
-        n = int(params.get("n", 500))
-        m = int(params.get("m", 3))
-        p_triad = float(params.get("p_triad", 0.5))
-        return gen_holme_kim(n, m, p_triad, seed=spec.seed), None, f"holme-kim-{n}"
-    path = params["path"]
-    g, _ = load_snap_edge_list(path)
-    if params.get("target_n") is not None:
-        g = subgraph_bfs(g, int(params.get("root", 0)), int(params["target_n"]))
-    return g, None, f"{Path(path).stem}-{g.n}"
+        g = gen_holme_kim(**params, seed=spec.seed)
+        return g, None, f"holme-kim-{g.n}"
+    g = _edge_network(**params)
+    return g, None, f"{Path(params['path']).stem}-{g.n}"
 
 
 @dataclass(frozen=True)
@@ -316,7 +300,6 @@ def _call_guarded(fn, task):
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     started = time.time()
 
     g, layout, net_name = build_network(cfg.network)
@@ -324,15 +307,14 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         (fi, f, rep) for fi, f in enumerate(cfg.fractions) for rep in range(cfg.repeats)
     ]
 
+    baselines: dict[str, TopologyMap] = {}
     if cfg.mode == "vc":
         sel = replace(cfg.anchors, seed=run_seed(cfg.seed, "anchors"))
         anchors = select_anchors(g, sel)
         truth = anchor_hops(g, anchors)
         labels, m = cfg.procedures, sel.m
-        baselines: dict[str, TopologyMap] = {}
         for procedure in labels:
             baselines[procedure] = MAP_EXTRACTORS[procedure](truth.as_float(), cfg.k)
-            write_tpm(baselines[procedure], out / f"tpm_{procedure}_baseline.csv")
         scan_cfg = ScanLineConfig(bin_width=cfg.bin_width)
 
         def score(procedure, f, rep, hops):
@@ -354,6 +336,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             yield "E_m", hdm_mean_error(completed, truth)
             yield "E_a", hdm_absolute_error(completed, truth)
 
+    # no results directory for inputs that fail to build
+    out.mkdir(parents=True, exist_ok=True)
+    for procedure, tm in baselines.items():
+        write_tpm(tm, out / f"tpm_{procedure}_baseline.csv")
     payload = {"mode": cfg.mode, "truth": truth, "seed": cfg.seed, "completion": cfg.completion}
     # rows stay grouped by label, then fraction, then repeat
     by_label = {label: ([], []) for label in labels}

@@ -54,11 +54,9 @@ def singular_rank(s: np.ndarray, rel_tol: float = RANK_TOLERANCE) -> int:
 
 def _fix_signs(u: np.ndarray, v: np.ndarray) -> None:
     # reproducible convention: largest-magnitude entry of each left vector >= 0
-    for i in range(u.shape[1]):
-        j = int(np.argmax(np.abs(u[:, i])))
-        if u[j, i] < 0:
-            u[:, i] = -u[:, i]
-            v[:, i] = -v[:, i]
+    flip = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])] < 0
+    u[:, flip] = -u[:, flip]
+    v[:, flip] = -v[:, flip]
 
 
 def _svd_input(m: np.ndarray) -> np.ndarray:

@@ -180,7 +180,7 @@ def gen_t_cylinder_3d(
     return pc, _connect_with_retries(pc, cfg)
 
 
-def gen_holme_kim(n: int, m: int, p_triad: float, seed: int = 0) -> Graph:
+def gen_holme_kim(n: int = 500, m: int = 3, p_triad: float = 0.5, seed: int = 0) -> Graph:
     """Growing power-law graph with tunable clustering: each new node
     attaches m edges preferentially, and with probability p_triad a step
     closes a triangle on the previous target's neighborhood instead."""

@@ -333,6 +333,13 @@ class TestExperimentCommand:
         assert main(["experiment", "--config", str(p)]) == EXIT_DATA
         assert capsys.readouterr().err.startswith(f"error: {p}:")
 
+    def test_missing_edge_list_leaves_no_results_dir(self, tmp_path, capsys):
+        missing = tmp_path / "nope.txt"
+        cfg = self._config(tmp_path, network={"kind": "edges", "params": {"path": str(missing)}})
+        assert main(["experiment", "--config", str(cfg)]) == EXIT_DATA
+        assert "No such file or directory" in capsys.readouterr().err
+        assert not (tmp_path / "results").exists()
+
 
 class TestConfigKeys:
     """Unknown keys in any config block are a data error naming the key."""
@@ -397,6 +404,14 @@ class TestConfigKeys:
             ({"completion": {"max_iters": True}}, "max_iters"),
             ({"anchors": {"m": "5"}}, "m"),
             ({"network": {"kind": "holme-kim", "seed": "1", "params": {"n": 40}}}, "seed"),
+            ({"network": {"kind": "concave", "params": {"width": "30"}}}, "width"),
+            ({"network": {"kind": "concave", "params": {"notch": 3}}}, "notch"),
+            ({"network": {"kind": "holme-kim", "params": {"n": 40.7}}}, "n"),
+            ({"network": {"kind": "holme-kim", "params": {"n": True}}}, "n"),
+            ({"network": {"kind": "holme-kim", "params": {"n": "abc"}}}, "n"),
+            ({"network": {"kind": "circular", "params": {"voids": [[1, 2]]}}}, "voids"),
+            ({"network": {"kind": "edges", "params": {"path": 5}}}, "path"),
+            ({"network": {"kind": "edges", "params": {"path": 0}}}, "path"),
         ],
     )
     def test_wrong_value_type(self, tmp_path, capsys, raw, key):

@@ -1,6 +1,7 @@
 """Experiment sweep driver: config loading, network building, run bookkeeping."""
 import csv
 import json
+import typing
 from dataclasses import replace
 
 import numpy as np
@@ -44,9 +45,11 @@ def _tiny_vc_config(out_dir, **over):
 
 class TestConfigLoading:
     def test_nested_params_and_procedure_string(self, tmp_path):
+        # one spelling per key: procedures is a list, a single "procedure"
+        # string is an unknown key
         raw = {
             "network": {"kind": "holme-kim", "seed": 4, "params": {"n": 60, "m": 2, "p_triad": 0.1}},
-            "procedure": "grammian",
+            "procedures": ["grammian"],
             "fractions": [0.2],
             "repeats": 3,
             "seed": 1,
@@ -60,10 +63,18 @@ class TestConfigLoading:
         assert cfg.procedures == ("grammian",)
         assert cfg.fractions == (0.2,)
         assert cfg.repeats == 3
+        del raw["procedures"]
+        p.write_text(json.dumps({**raw, "procedure": "grammian"}))
+        with pytest.raises(ValueError, match=r"unknown config key\(s\) \['procedure'\]"):
+            load_config(p)
+        p.write_text(json.dumps({**raw, "procedures": "grammian"}))
+        with pytest.raises(ValueError, match="'procedures' must be a list of str"):
+            load_config(p)
 
     def test_inline_params_and_procedures_list(self, tmp_path):
+        # network params go under "params" only; inline they are unknown keys
         raw = {
-            "network": {"kind": "concave", "seed": 2, "pitch": 2.0},
+            "network": {"kind": "concave", "seed": 2, "params": {"pitch": 2.0}},
             "anchors": {"strategy": "degree", "m": 10, "seed": 3},
             "procedures": ["grammian", "p-completion"],
             "completion": {"tolerance": 1e-4, "max_iters": 100},
@@ -78,6 +89,23 @@ class TestConfigLoading:
         assert cfg.completion.tolerance == 1e-4
         assert cfg.fractions == (0.1, 0.2, 0.4, 0.6, 0.8)
         assert cfg.repeats == 100
+        raw["network"] = {"kind": "concave", "seed": 2, "pitch": 2.0}
+        p.write_text(json.dumps(raw))
+        with pytest.raises(ValueError, match=r"unknown network key\(s\) \['pitch'\]"):
+            load_config(p)
+
+    def test_optional_params_take_null(self, tmp_path):
+        p = tmp_path / "cfg.json"
+        voids = [[-5, 4.5, 2.1], [5, -3, 2.1]]
+        p.write_text(json.dumps({
+            "network": {"kind": "circular", "params": {"comm_radius": None, "voids": voids}},
+        }))
+        assert load_config(p).network.params == {"comm_radius": None, "voids": voids}
+        with pytest.raises(ValueError, match="'target_n' must be int or null, got 1.5"):
+            NetworkSpec("edges", params={"path": "net.txt", "target_n": 1.5})
+        # typing.Optional and the X | None union read alike
+        assert experiment._fits(None, typing.Optional[int])
+        assert not experiment._fits(1.5, typing.Optional[int])
 
     def test_params_and_inline_conflict_rejected(self, tmp_path):
         raw = {
