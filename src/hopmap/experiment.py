@@ -26,6 +26,7 @@ from .metrics import (
     hdm_absolute_error,
     hdm_mean_error,
     mean_distance_error,
+    scan_lines,
     topology_preservation_error,
 )
 from .netgen import (
@@ -76,6 +77,8 @@ def _edge_network(path: str, target_n: int | None = None, root: int = 0) -> Grap
     """The graph of an edge-list file, cut to its first target_n nodes
     breadth-first from root when target_n is given."""
     g, _ = load_snap_edge_list(path)
+    if not 0 <= root < g.n:
+        raise ValueError(f"root {root} out of range for a {g.n}-node graph")
     return g if target_n is None else subgraph_bfs(g, root, target_n)
 
 
@@ -315,17 +318,20 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         labels, m = cfg.procedures, sel.m
         for procedure in labels:
             baselines[procedure] = MAP_EXTRACTORS[procedure](truth.as_float(), cfg.k)
-        scan_cfg = ScanLineConfig(bin_width=cfg.bin_width)
+        lines = None
+        if layout is not None and layout.dim == 2 and cfg.k == 2:
+            # one layout for every run: pair up its scan lines once
+            lines = scan_lines(layout, ScanLineConfig(bin_width=cfg.bin_width))
 
         def score(procedure, f, rep, hops):
             tm = MAP_EXTRACTORS[procedure](hops, cfg.k)
             if rep == 0:
                 write_tpm(tm, out / f"tpm_{procedure}_f{int(round(100 * f))}.csv")
             yield "E", mean_distance_error(tm, baselines[procedure], anchors)
-            if layout is not None and layout.dim == 2 and cfg.k == 2:
+            if lines is not None:
                 # SVD maps are rotated arbitrarily; match axes before scanning
                 oriented, _ = align_maps(tm, TopologyMap(coords=layout.coords.copy()))
-                yield "E_TP", topology_preservation_error(layout, oriented, scan_cfg)
+                yield "E_TP", topology_preservation_error(lines, oriented)
     else:
         truth = all_pairs_hops(g)
         truth.require_finite()

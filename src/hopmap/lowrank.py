@@ -12,16 +12,18 @@ from .sampling import ObservedMatrix, validate_mask
 RANK_TOLERANCE = 1e-10
 
 # singular value thresholding: mu_0 = MU_SCALE / ||P_Omega(M)||_2, raised by
-# the factor MU_GROWTH each iteration; plain SVD when the smaller dimension
-# is at most FULL_SVD_BELOW, else a randomized range finder with OVERSAMPLE
-# extra columns and POWER_ITERS power steps, warm-started: its test block
-# leads with the right singular vectors the previous iteration kept, so one
-# power step is enough. The range finder takes the SVD of its projected
-# block from the eigenvalues of the block's Gram matrix, which squares the
-# condition number: below a threshold of GRAM_MIN_RATIO times the largest
-# singular value it uses a plain SVD
+# the factor MU_GROWTH each iteration; a growth of 1.2 breaks down on masks
+# with 5% of entries observed. The whole matrix is factored when its smaller
+# dimension is at most FULL_SVD_BELOW, else a randomized range finder with
+# OVERSAMPLE extra columns and POWER_ITERS power steps, warm-started: its
+# test block leads with the right singular vectors the previous iteration
+# kept, so one power step is enough. Either block, the whole matrix or the
+# range finder's projection, is factored from the eigenvalues of its Gram
+# matrix over the shorter side, which squares the condition number: below a
+# threshold of GRAM_MIN_RATIO times the largest singular value it takes a
+# plain SVD
 MU_SCALE = 1.0
-MU_GROWTH = 1.05
+MU_GROWTH = 1.1
 FULL_SVD_BELOW = 400
 OVERSAMPLE = 10
 POWER_ITERS = 1
@@ -134,9 +136,11 @@ class CompletionConfig:
 
     tolerance: stop once the relative Frobenius residual over the mask is
     at most this. max_iters: give up (converged=False) after this many
-    iterations. The penalty schedule and the SVD method of each
-    thresholding step are fixed by the module constants MU_SCALE,
-    MU_GROWTH, FULL_SVD_BELOW, OVERSAMPLE, POWER_ITERS and GRAM_MIN_RATIO.
+    iterations. The penalty schedule (1/mu starts at the spectral norm of
+    the observations and shrinks by MU_GROWTH = 1.1 per iteration) and the
+    SVD method of each thresholding step are fixed by the module constants
+    MU_SCALE, MU_GROWTH, FULL_SVD_BELOW, OVERSAMPLE, POWER_ITERS and
+    GRAM_MIN_RATIO.
     """
 
     tolerance: float = 1e-6
@@ -187,9 +191,7 @@ def _randomized_svd(a, k, rng, thresh, start=None):
     columns of start (orthonormal right vectors, at most p of them) first,
     then Gaussian columns drawn from rng. The power steps normalise by LU
     and only the last product is orthonormalised by QR. The projected
-    p x n block is factored through the eigenvalues of its Gram matrix,
-    unless thresh lies below GRAM_MIN_RATIO times its largest singular
-    value, where that loses the values near thresh to rounding.
+    p x n block is factored by _gram_svd.
     """
     min_dim = min(a.shape)
     p = min(k + OVERSAMPLE, min_dim)
@@ -201,18 +203,30 @@ def _randomized_svd(a, k, rng, thresh, start=None):
         q = lu(a @ q, permute_l=True)[0]
         q = lu(a.T @ q, permute_l=True)[0]
     q = np.linalg.qr(a @ q)[0]
-    b = q.T @ a
-    w, z = np.linalg.eigh(b @ b.T)
+    ub, s, vt = _gram_svd(q.T @ a, thresh)
+    return q @ ub, s, vt
+
+
+def _gram_svd(b, thresh):
+    """Thin SVD u, s, vt of b from eigh of its Gram matrix over the shorter
+    side: b @ b.T when b has no more rows than columns, else through b.T.
+
+    Forming the Gram matrix squares the condition number, so values near
+    thresh are lost to rounding once thresh lies below GRAM_MIN_RATIO
+    times the largest singular value; then it takes a plain SVD of b.
+    """
+    tall = b.shape[0] > b.shape[1]
+    c = b.T if tall else b
+    w, z = np.linalg.eigh(c @ c.T)
     w, z = w[::-1], z[:, ::-1]
     s = np.sqrt(np.maximum(w, 0.0))
     if thresh < GRAM_MIN_RATIO * s[0]:
-        ub, s, vt = np.linalg.svd(b, full_matrices=False)
-        return q @ ub, s, vt
-    vt = z.T @ b
+        return np.linalg.svd(b, full_matrices=False)
+    vt = z.T @ c
     # s is descending; rows with s == 0 are never kept, so stay unscaled
     pos = int(np.count_nonzero(s > 0.0))
     vt[:pos] /= s[:pos, None]
-    return q @ z, s, vt
+    return (vt.T, s, z.T) if tall else (z, s, vt)
 
 
 def _svt(g, thresh, rank_guess, rng, start=None):
@@ -224,13 +238,13 @@ def _svt(g, thresh, rank_guess, rng, start=None):
     """
     min_dim = min(g.shape)
     if min_dim <= FULL_SVD_BELOW:
-        u, s, vt = np.linalg.svd(g, full_matrices=False)
+        u, s, vt = _gram_svd(g, thresh)
     else:
         k = max(rank_guess, 1)
         while True:
             if k >= min_dim // 2:
                 # partial SVD no longer pays off at this rank
-                u, s, vt = np.linalg.svd(g, full_matrices=False)
+                u, s, vt = _gram_svd(g, thresh)
                 break
             u, s, vt = _randomized_svd(g, k, rng, thresh, start)
             if s.size >= min_dim or s[-1] <= thresh:

@@ -58,7 +58,7 @@ def mean_distance_error(
     return float(np.abs(d_f - d_0).sum() / denom)
 
 
-def _scan_lines(values: np.ndarray, bin_width: float) -> list[np.ndarray]:
+def _binned_lines(values: np.ndarray, bin_width: float) -> list[np.ndarray]:
     """Group node indices into lines by binning one coordinate."""
     bins = np.rint(values / bin_width).astype(np.int64)
     lines = []
@@ -81,29 +81,48 @@ def _line_pairs(lines: list[np.ndarray], order_coord: np.ndarray) -> tuple[np.nd
     return np.concatenate(firsts), np.concatenate(seconds)
 
 
-def topology_preservation_error(
-    layout: PointCloud, tpm: TopologyMap, cfg: ScanLineConfig | None = None
-) -> float:
-    """Fraction of ordered node pairs, along horizontal and vertical scan
-    lines of the original layout, whose order the map fails to preserve.
-    The map is scored under all 8 axis-aligned orthogonal transforms and
-    the best score is returned."""
+@dataclass(frozen=True)
+class ScanLines:
+    """The ordered node pairs on the scan lines of one 2-d layout of n
+    nodes: per group, the map axis its lines are read on and the first
+    and second node of each pair."""
+
+    n: int
+    groups: tuple[tuple[int, np.ndarray, np.ndarray], ...]
+
+
+def scan_lines(layout: PointCloud, cfg: ScanLineConfig | None = None) -> ScanLines:
+    """The horizontal and vertical scan lines of a 2-d layout, built once
+    for scoring many maps of it with topology_preservation_error."""
     if cfg is None:
         cfg = ScanLineConfig()
-    if layout.dim != 2 or tpm.k != 2:
+    if layout.dim != 2:
         raise ValueError("neighborhood preservation is defined for 2-d maps")
-    if layout.n != tpm.n:
-        raise ValueError("layout and map must share node indexing")
-
     # horizontal lines bin y, run along x and are read on map axis 0;
     # vertical lines bin x, run along y and are read on map axis 1
     groups = []
     for axis in (0, 1):
-        lines = _scan_lines(layout.coords[:, 1 - axis], cfg.bin_width)
+        lines = _binned_lines(layout.coords[:, 1 - axis], cfg.bin_width)
         if lines:
-            groups.append((axis, _line_pairs(lines, layout.coords[:, axis])))
+            groups.append((axis, *_line_pairs(lines, layout.coords[:, axis])))
     if not groups:
         raise ValueError("no scan line holds two or more nodes")
+    return ScanLines(n=layout.n, groups=tuple(groups))
+
+
+def topology_preservation_error(
+    layout: PointCloud | ScanLines, tpm: TopologyMap, cfg: ScanLineConfig | None = None
+) -> float:
+    """Fraction of ordered node pairs, along horizontal and vertical scan
+    lines of the original layout, whose order the map fails to preserve.
+    The map is scored under all 8 axis-aligned orthogonal transforms and
+    the best score is returned. layout is the original layout, or its
+    scan_lines; cfg is read only for a layout."""
+    if tpm.k != 2:
+        raise ValueError("neighborhood preservation is defined for 2-d maps")
+    if layout.n != tpm.n:
+        raise ValueError("layout and map must share node indexing")
+    lines = layout if isinstance(layout, ScanLines) else scan_lines(layout, cfg)
 
     # an out-of-order pair (i before j) has p_i >= p_j on a map axis a
     # transform keeps, p_i <= p_j on one it negates; ties count both ways.
@@ -112,7 +131,7 @@ def topology_preservation_error(
     # the fewer of the two; the best transform keeps or swaps the axes
     bad = [[0, 0], [0, 0]]
     pair_total = 0
-    for axis, (i, j) in groups:
+    for axis, i, j in lines.groups:
         pair_total += 2 * i.size
         for src in (0, 1):
             p_i, p_j = tpm.coords[i, src], tpm.coords[j, src]

@@ -340,6 +340,16 @@ class TestExperimentCommand:
         assert "No such file or directory" in capsys.readouterr().err
         assert not (tmp_path / "results").exists()
 
+    @pytest.mark.parametrize("params", [{"root": 100000}, {"root": -1}, {"root": 70, "target_n": 40}])
+    def test_out_of_range_root_is_data_error(self, hk_edges, tmp_path, capsys, params):
+        # checked against the loaded 70-node graph, with or without target_n
+        cfg = self._config(
+            tmp_path, network={"kind": "edges", "params": {"path": str(hk_edges), **params}}
+        )
+        assert main(["experiment", "--config", str(cfg)]) == EXIT_DATA
+        assert f"root {params['root']} out of range" in capsys.readouterr().err
+        assert not (tmp_path / "results").exists()
+
 
 class TestConfigKeys:
     """Unknown keys in any config block are a data error naming the key."""

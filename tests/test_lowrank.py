@@ -354,6 +354,55 @@ def _symmetric_rank5_observation(n=450, seed=21):
     return truth, ObservedMatrix(values=np.where(mask, truth, 0.0), mask=mask, symmetric=True)
 
 
+def _assert_step_matches_full_svd(g, thresh, rank):
+    full_u, full_s, full_vt = np.linalg.svd(g)
+    shrunk = full_s[:rank] - thresh
+    assert full_s[rank] <= thresh < full_s[rank - 1]
+    expected = (full_u[:, :rank] * shrunk) @ full_vt[:rank]
+    a, got_rank, nuclear, kept_v = _svt(g, thresh, 10, np.random.default_rng(0))
+    # warm-started from its own kept subspace, the step agrees as well
+    warm, warm_rank, _, _ = _svt(g, thresh, rank + 5, np.random.default_rng(1), kept_v)
+    assert got_rank == warm_rank == rank
+    assert abs(nuclear - shrunk.sum()) <= 1e-8 * nuclear
+    for step in (a, warm):
+        assert np.linalg.norm(step - expected) <= 1e-8 * np.linalg.norm(expected)
+        # each kept value on its own, so the smallest are not hidden
+        # behind the largest in the norm above
+        along = np.einsum("ik,ij,jk->k", full_u[:, :rank], step, full_vt[:rank].T)
+        np.testing.assert_allclose(along, shrunk, rtol=1e-6, atol=0)
+
+
+def _with_spectrum(head, tail, seed, shape=(450, 450)):
+    """A random matrix of this shape with singular values head, then tail."""
+    rng = np.random.default_rng(seed)
+    r = min(shape)
+    u = np.linalg.qr(rng.standard_normal((shape[0], r)))[0]
+    v = np.linalg.qr(rng.standard_normal((shape[1], r)))[0]
+    s = np.full(r, tail)
+    s[: head.size] = head
+    return (u * s) @ v.T
+
+
+class TestFullSvt:
+    """Matrices with a side of at most FULL_SVD_BELOW, such as every N x M
+    anchor matrix, are factored whole through the same Gram step."""
+
+    @pytest.mark.parametrize("shape", [(555, 20), (20, 300)], ids=["tall", "wide"])
+    def test_step_matches_full_svd_threshold(self, shape):
+        assert min(shape) <= FULL_SVD_BELOW
+        g = _with_spectrum(np.linspace(100.0, 10.0, 8), 1e-3, seed=25, shape=shape)
+        _assert_step_matches_full_svd(g, 5.0, 8)
+
+    def test_small_threshold_falls_back_to_plain_svd(self):
+        # kept values span 1e8; through the Gram matrix the smallest would
+        # sink below the rounding of the largest squared value
+        head = np.geomspace(1e3, 1e-5, 8)
+        thresh = 5e-6
+        assert thresh < GRAM_MIN_RATIO * head[0]
+        g = _with_spectrum(head, 1e-8, seed=26, shape=(555, 20))
+        _assert_step_matches_full_svd(g, thresh, 8)
+
+
 class TestRandomizedSvt:
     """Matrices above FULL_SVD_BELOW on a side take the warm-started
     randomized range finder instead of a full SVD."""
@@ -375,39 +424,11 @@ class TestRandomizedSvt:
         assert np.array_equal(a.completed, b.completed)
         assert a.iterations == b.iterations
 
-    @staticmethod
-    def _assert_step_matches_full_svd(g, thresh, rank):
-        full_u, full_s, full_vt = np.linalg.svd(g)
-        shrunk = full_s[:rank] - thresh
-        assert full_s[rank] <= thresh < full_s[rank - 1]
-        expected = (full_u[:, :rank] * shrunk) @ full_vt[:rank]
-        a, got_rank, nuclear, kept_v = _svt(g, thresh, 10, np.random.default_rng(0))
-        # warm-started from its own kept subspace, the step agrees as well
-        warm, warm_rank, _, _ = _svt(g, thresh, rank + 5, np.random.default_rng(1), kept_v)
-        assert got_rank == warm_rank == rank
-        assert abs(nuclear - shrunk.sum()) <= 1e-8 * nuclear
-        for step in (a, warm):
-            assert np.linalg.norm(step - expected) <= 1e-8 * np.linalg.norm(expected)
-            # each kept value on its own, so the smallest are not hidden
-            # behind the largest in the norm above
-            along = np.einsum("ik,ij,jk->k", full_u[:, :rank], step, full_vt[:rank].T)
-            np.testing.assert_allclose(along, shrunk, rtol=1e-6, atol=0)
-
-    @staticmethod
-    def _with_spectrum(head, tail, seed):
-        rng = np.random.default_rng(seed)
-        n = 450
-        u = np.linalg.qr(rng.standard_normal((n, n)))[0]
-        v = np.linalg.qr(rng.standard_normal((n, n)))[0]
-        s = np.full(n, tail)
-        s[: head.size] = head
-        return (u * s) @ v.T
-
     def test_one_step_matches_full_svd_threshold(self):
         # eight singular values 10..100 over a tail of 1e-3: a clear gap,
         # thresholded on the Gram path
-        g = self._with_spectrum(np.linspace(100.0, 10.0, 8), 1e-3, seed=23)
-        self._assert_step_matches_full_svd(g, 5.0, 8)
+        g = _with_spectrum(np.linspace(100.0, 10.0, 8), 1e-3, seed=23)
+        _assert_step_matches_full_svd(g, 5.0, 8)
 
     def test_small_threshold_falls_back_to_plain_svd(self):
         # kept values span 1e8 and the threshold lies far below
@@ -416,5 +437,5 @@ class TestRandomizedSvt:
         head = np.geomspace(1e3, 1e-5, 8)
         thresh = 5e-6
         assert thresh < GRAM_MIN_RATIO * head[0]
-        g = self._with_spectrum(head, 1e-8, seed=24)
-        self._assert_step_matches_full_svd(g, thresh, 8)
+        g = _with_spectrum(head, 1e-8, seed=24)
+        _assert_step_matches_full_svd(g, thresh, 8)

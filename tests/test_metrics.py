@@ -10,6 +10,7 @@ from hopmap.metrics import (
     hdm_absolute_error,
     hdm_mean_error,
     mean_distance_error,
+    scan_lines,
     topology_preservation_error,
 )
 from hopmap.netgen import PointCloud
@@ -183,6 +184,9 @@ class TestTopologyPreservation:
         tm = _map(np.arange(10.0).reshape(5, 2))
         with pytest.raises(ValueError):
             topology_preservation_error(layout, tm)
+        lines = scan_lines(_cloud([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]))
+        with pytest.raises(ValueError, match="share node indexing"):
+            topology_preservation_error(lines, tm)
 
     def test_no_populated_line_rejected(self):
         # diagonal points: every horizontal and vertical bin is a singleton
@@ -203,6 +207,8 @@ class TestTopologyPreservation:
         for cfg in (ScanLineConfig(), ScanLineConfig(bin_width=0.5)):
             expected = naive_topology_preservation_error(layout_coords, map_coords, cfg.bin_width)
             assert topology_preservation_error(layout, tm, cfg) == expected
+            # scan lines built once score every map of the layout alike
+            assert topology_preservation_error(scan_lines(layout, cfg), tm) == expected
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
