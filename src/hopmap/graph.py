@@ -72,6 +72,18 @@ class Graph:
         a.sort_indices()
         return a
 
+    @cached_property
+    def hops(self) -> np.ndarray:
+        """All-pairs hop counts, UNREACHABLE where no path; read-only.
+
+        Kept for as long as the graph lives (n^2 int64), so every
+        traversal of an already studied graph reads its rows instead of
+        searching again (see _hops_from).
+        """
+        h = np.zeros((0, 0), dtype=np.int64) if self.n == 0 else _hops_from(self, None)
+        h.flags.writeable = False
+        return h
+
 
 @dataclass(frozen=True)
 class HopDistanceMatrix:
@@ -138,7 +150,10 @@ class VcMatrix:
 
 def _hops_from(g: Graph, sources) -> np.ndarray:
     """Hop counts from each source (rows) to every node; UNREACHABLE where
-    no path."""
+    no path. Rows of ``g.hops`` once that is cached, otherwise one search
+    from just these sources."""
+    if "hops" in vars(g):
+        return g.hops[sources]
     d = csgraph.shortest_path(
         g.csr, method="D", directed=False, unweighted=True, indices=sources
     )
@@ -153,10 +168,9 @@ def bfs_hops(g: Graph, source: int) -> np.ndarray:
 
 
 def all_pairs_hops(g: Graph) -> HopDistanceMatrix:
-    """Full hop-distance matrix (equivalent to stacking bfs_hops rows)."""
-    if g.n == 0:
-        return HopDistanceMatrix(np.zeros((0, 0), dtype=np.int64))
-    return HopDistanceMatrix(_hops_from(g, None))
+    """Full hop-distance matrix (equivalent to stacking bfs_hops rows),
+    sharing the graph's cached ``Graph.hops`` array."""
+    return HopDistanceMatrix(g.hops)
 
 
 def anchor_hops(g: Graph, anchors: Sequence[int]) -> VcMatrix:

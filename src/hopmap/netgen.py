@@ -285,11 +285,14 @@ def subgraph_bfs(g: Graph, root: int, target_n: int) -> Graph:
 def write_point_table(coords: np.ndarray, path: str | Path) -> None:
     """Write n x k coordinates (k in {2, 3}) as CSV rows node_id,x,y[,z],
     floats in repr form so that reading them back is exact."""
-    header = ["node_id", "x", "y", "z"][: 1 + coords.shape[1]]
+    n, k = coords.shape
+    # the bytes csv.writer gives: \r\n line ends, no cell needs quoting
+    row = "%d" + ",%s" * k + "\r\n"
+    cells = list(map(repr, coords.ravel().tolist()))
+    columns = (cells[j::k] for j in range(k))
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows([i, *map(repr, row)] for i, row in enumerate(coords.tolist()))
+        fh.write(",".join(["node_id", "x", "y", "z"][: 1 + k]) + "\r\n")
+        fh.write("".join(row % r for r in zip(range(n), *columns)))
 
 
 def read_point_table(path: str | Path) -> np.ndarray:

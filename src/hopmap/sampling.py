@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graph import Graph, HopDistanceMatrix, VcMatrix, _hops_from, all_pairs_hops
+from .graph import UNREACHABLE, Graph, HopDistanceMatrix, VcMatrix, all_pairs_hops
 from .seeding import spawn_rng
 
 STRATEGIES = ("random", "degree", "closeness", "betweenness")
@@ -97,7 +97,9 @@ def _betweenness(g: Graph) -> np.ndarray:
     matrix (the batched form of Buluc & Gilbert 2011).
 
     Path counts sigma grow forward from each source one hop level at a
-    time; dependencies delta flow back the same way, with
+    time, and the same products find the levels: a node not yet reached
+    with a positive count from level k-1 is at level k. Dependencies delta
+    flow back the same way, with
     delta(v) = sigma(v) * sum over successors w of (1 + delta(w)) / sigma(w).
     """
     n = g.n
@@ -105,19 +107,26 @@ def _betweenness(g: Graph) -> np.ndarray:
     a = g.csr.astype(float)
     step = max(1, BLOCK_CELLS // max(n, 1))
     for start in range(0, n, step):
+        sources = np.arange(start, min(n, start + step))
         # node x source hop levels, UNREACHABLE (-1) outside each component
-        level = np.ascontiguousarray(_hops_from(g, np.arange(start, min(n, start + step))).T)
-        depth = int(level.max())
+        level = np.full((n, sources.size), UNREACHABLE, dtype=np.int64)
+        level[sources, np.arange(sources.size)] = 0
         sigma = (level == 0).astype(float)
-        for k in range(1, depth + 1):
-            on = level == k
-            sigma[on] = (a @ np.where(level == k - 1, sigma, 0.0))[on]
+        front, depth = sigma, 0  # sigma on the deepest level, zero elsewhere
+        while True:
+            prod = a @ front
+            on = (prod > 0) & (level == UNREACHABLE)
+            if not on.any():
+                break
+            depth += 1
+            np.copyto(level, depth, where=on)
+            front = np.where(on, prod, 0.0)
+            sigma += front  # exact: sigma is zero where front is not
         # a source's own dependency is never counted, so stop at level 1
         delta = np.zeros_like(sigma)
         for k in range(depth, 1, -1):
             w = np.divide(1.0 + delta, sigma, out=np.zeros_like(sigma), where=level == k)
-            prev = level == k - 1
-            delta[prev] = (sigma * (a @ w))[prev]
+            np.copyto(delta, sigma * (a @ w), where=level == k - 1)
         cb += delta.sum(axis=1)
     return cb / 2.0  # each undirected pair counted twice
 

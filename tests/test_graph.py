@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hopmap import graph
 from hopmap.graph import (
     UNREACHABLE,
     Graph,
@@ -16,7 +17,8 @@ from hopmap.graph import (
     is_connected,
 )
 
-from hopmap.netgen import subgraph_bfs
+from hopmap.netgen import gen_holme_kim, subgraph_bfs
+from hopmap.sampling import AnchorSelection, select_anchors
 
 from oracles import (
     complete_graph,
@@ -263,6 +265,39 @@ def test_hdm_wrapper_is_read_only():
     assert isinstance(h, HopDistanceMatrix)
 
 
+class TestHopsCache:
+    def test_all_pairs_shares_the_read_only_cache(self):
+        g = cycle_graph(5)
+        assert all_pairs_hops(g).hops is g.hops
+        assert not g.hops.flags.writeable
+        with pytest.raises(ValueError):
+            g.hops[0, 1] = 3
+
+    def test_empty_graph(self):
+        g = Graph.from_edge_list(0, [])
+        assert g.hops.shape == (0, 0) and g.hops.dtype == np.int64
+        assert all_pairs_hops(g).n == 0
+
+    def test_cached_graph_is_not_searched_again(self, monkeypatch):
+        # anchor_hops and bfs_hops still go through _hops_from, which
+        # then reads rows of the cache: count the searches themselves
+        searches = []
+        search = graph.csgraph.shortest_path
+
+        def counting(*args, **kwargs):
+            searches.append(kwargs["indices"])
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(graph.csgraph, "shortest_path", counting)
+        g = gen_holme_kim(120, 2, 0.5, seed=1)
+        all_pairs_hops(g)
+        for strategy in ("closeness", "betweenness"):
+            anchors = select_anchors(g, AnchorSelection(strategy, 10))
+        anchor_hops(g, anchors)
+        bfs_hops(g, 3)
+        assert searches == [None]
+
+
 def _oracle_graphs(seed: int) -> list[Graph]:
     """Random connected graphs and disjoint unions of them."""
     rng = np.random.default_rng(seed)
@@ -273,14 +308,28 @@ def _oracle_graphs(seed: int) -> list[Graph]:
     return graphs
 
 
+def _fresh_and_cached(g: Graph) -> tuple[Graph, Graph]:
+    """Two copies of g: one searched on demand, one whose Graph.hops is
+    already cached."""
+    cached = Graph(n=g.n, edges=g.edges)
+    all_pairs_hops(cached)
+    return Graph(n=g.n, edges=g.edges), cached
+
+
+def _is_int64_c(a: np.ndarray) -> bool:
+    return a.dtype == np.int64 and a.flags.c_contiguous
+
+
 class TestTraversalOracles:
     """Every traversal against the brute-force references in oracles.py."""
 
     def test_bfs_hops_equal_floyd_warshall_rows(self):
         for g in _oracle_graphs(31):
             fw = floyd_warshall_hops(g)
-            for s in range(g.n):
-                assert bfs_hops(g, s).tolist() == fw[s].tolist()
+            for copy in _fresh_and_cached(g):
+                for s in range(g.n):
+                    row = bfs_hops(copy, s)
+                    assert _is_int64_c(row) and row.tolist() == fw[s].tolist()
 
     def test_bfs_hops_unreachable_across_components(self):
         g = random_graph_with_components(np.random.default_rng(32), [6, 4, 5])
@@ -293,11 +342,16 @@ class TestTraversalOracles:
         for g in _oracle_graphs(34):
             fw = floyd_warshall_hops(g)
             anchors = rng.permutation(g.n)[: min(g.n, 5)].tolist()
-            if (fw[anchors] == UNREACHABLE).any():
-                with pytest.raises(ValueError, match="cannot reach"):
-                    anchor_hops(g, anchors)
-            else:
-                assert (anchor_hops(g, anchors).hops == fw[:, anchors]).all()
+            errors = set()
+            for copy in _fresh_and_cached(g):
+                if (fw[anchors] == UNREACHABLE).any():
+                    with pytest.raises(ValueError, match="cannot reach") as err:
+                        anchor_hops(copy, anchors)
+                    errors.add(str(err.value))
+                else:
+                    hops = anchor_hops(copy, anchors).hops
+                    assert _is_int64_c(hops) and (hops == fw[:, anchors]).all()
+            assert len(errors) <= 1
 
     def test_components_are_floyd_warshall_reachability_classes(self):
         for g in _oracle_graphs(35):

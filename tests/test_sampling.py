@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from hopmap import sampling
+from hopmap import graph, sampling
 from hopmap.graph import Graph, VcMatrix, all_pairs_hops, anchor_hops
 from hopmap.netgen import gen_holme_kim
 from hopmap.sampling import (
@@ -148,6 +148,16 @@ class TestBetweenness:
         whole = sampling._betweenness(g)
         monkeypatch.setattr(sampling, "BLOCK_CELLS", 1)  # one source per block
         np.testing.assert_allclose(sampling._betweenness(g), whole, rtol=1e-12, atol=0)
+
+    def test_long_path_in_one_source_blocks_without_hop_search(self, monkeypatch):
+        # the sweep finds every level itself, 39 of them on this path
+        def no_search(*args, **kwargs):
+            raise AssertionError("_betweenness searched for hops")
+
+        monkeypatch.setattr(graph.csgraph, "shortest_path", no_search)
+        monkeypatch.setattr(sampling, "BLOCK_CELLS", 1)
+        g = path_graph(40)
+        np.testing.assert_allclose(sampling._betweenness(g), brute_betweenness(g), rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("g", [Graph.from_edge_list(1, []), Graph.from_edge_list(4, [])])
     def test_edgeless_graph_scores_zero(self, g):
