@@ -67,6 +67,13 @@ class SystemExit_(Exception):
         super().__init__(message)
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="hopmap", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -86,7 +93,7 @@ def _build_parser() -> _Parser:
         "--matrix-kind", choices=["hdm", "adjacency", "vc"], default="hdm"
     )
     s.add_argument("--centered", action="store_true")
-    s.add_argument("--top", type=int, default=None, help="keep first K values")
+    s.add_argument("--top", type=_positive_int, default=None, help="keep first K >= 1 values")
     s.add_argument("--anchors", type=int, default=20, help="anchor count for vc")
     s.add_argument("--strategy", choices=STRATEGIES, default="random")
     s.add_argument("--seed", type=int, default=0)

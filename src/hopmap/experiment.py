@@ -373,6 +373,18 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
+def _simd_extensions() -> list[str] | None:
+    """numpy's active SIMD extensions, None on numpy < 1.26, whose
+    show_config takes no mode. Ties in argsort and argpartition (the
+    neighbour order of tpm.fill_from_neighbours) follow numpy's SIMD
+    dispatch, so seeded vc outputs are byte-identical only between
+    machines that share this set."""
+    try:
+        return list(np.show_config(mode="dicts")["SIMD Extensions"]["found"])
+    except (TypeError, KeyError):
+        return None
+
+
 def _write_outputs(cfg, result, out, net_name, elapsed):
     with open(out / "runs.csv", "w", newline="") as fh:
         w = csv.writer(fh)
@@ -411,6 +423,7 @@ def _write_outputs(cfg, result, out, net_name, elapsed):
             "numpy": np.__version__,
             "scipy": scipy.__version__,
             "cpu_count": os.cpu_count(),
+            "simd": _simd_extensions(),
             **{var: os.environ.get(var) for var in BLAS_THREAD_VARS},
         },
     }

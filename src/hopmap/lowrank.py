@@ -78,14 +78,26 @@ def svd(m: np.ndarray) -> SvdFactors:
 
 
 def normalized_spectrum(m: np.ndarray, center: bool = False) -> np.ndarray:
-    """Singular values divided by the largest, optionally after double
-    centering the elementwise-squared matrix."""
+    """Singular values divided by the largest, descending, optionally after
+    double centering the elementwise-squared matrix.
+
+    A square input equal to its transpose (hop and adjacency matrices; the
+    centered matrix is symmetric too) takes the absolute eigenvalues from
+    ``eigvalsh``, which are its singular values at about half the cost of
+    an SVD. Any other input, a non-normal square one included, takes
+    ``np.linalg.svd``.
+    """
     m = np.asarray(m, dtype=float)
     if m.size == 0:
         raise ValueError("empty matrix")
+    symmetric = m.ndim == 2 and m.shape[0] == m.shape[1] and np.array_equal(m, m.T)
     if center:
         m = double_center_full(m * m)
-    s = np.linalg.svd(_svd_input(m), compute_uv=False)
+    m = _svd_input(m)
+    if symmetric:
+        s = np.sort(np.abs(np.linalg.eigvalsh(m)))[::-1]
+    else:
+        s = np.linalg.svd(m, compute_uv=False)
     if s[0] <= 0.0:
         raise ValueError("all-zero matrix has no normalized spectrum")
     return s / s[0]

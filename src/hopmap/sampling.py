@@ -8,14 +8,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .graph import UNREACHABLE, Graph, HopDistanceMatrix, VcMatrix, all_pairs_hops
+from .graph import Graph, HopDistanceMatrix, VcMatrix, all_pairs_hops, level_sweeps
 from .seeding import spawn_rng
 
 STRATEGIES = ("random", "degree", "closeness", "betweenness")
 
-# cells of one node x source block in the betweenness sweeps (float64, a
-# handful of arrays alive at once)
-BLOCK_CELLS = 1 << 16
 # decimals kept of each centrality score, divided by the largest, before
 # ranking (see select_anchors)
 TIE_DIGITS = 9
@@ -96,35 +93,16 @@ def _betweenness(g: Graph) -> np.ndarray:
     a block of sources at a time, as sparse products with the adjacency
     matrix (the batched form of Buluc & Gilbert 2011).
 
-    Path counts sigma grow forward from each source one hop level at a
-    time, and the same products find the levels: a node not yet reached
-    with a positive count from level k-1 is at level k. Dependencies delta
-    flow back the same way, with
+    ``graph.level_sweeps`` grows the path counts sigma forward from each
+    source. Dependencies delta flow back one level at a time, with
     delta(v) = sigma(v) * sum over successors w of (1 + delta(w)) / sigma(w).
     """
-    n = g.n
-    cb = np.zeros(n)
+    cb = np.zeros(g.n)
     a = g.csr.astype(float)
-    step = max(1, BLOCK_CELLS // max(n, 1))
-    for start in range(0, n, step):
-        sources = np.arange(start, min(n, start + step))
-        # node x source hop levels, UNREACHABLE (-1) outside each component
-        level = np.full((n, sources.size), UNREACHABLE, dtype=np.int64)
-        level[sources, np.arange(sources.size)] = 0
-        sigma = (level == 0).astype(float)
-        front, depth = sigma, 0  # sigma on the deepest level, zero elsewhere
-        while True:
-            prod = a @ front
-            on = (prod > 0) & (level == UNREACHABLE)
-            if not on.any():
-                break
-            depth += 1
-            np.copyto(level, depth, where=on)
-            front = np.where(on, prod, 0.0)
-            sigma += front  # exact: sigma is zero where front is not
+    for _, level, sigma in level_sweeps(g):
         # a source's own dependency is never counted, so stop at level 1
         delta = np.zeros_like(sigma)
-        for k in range(depth, 1, -1):
+        for k in range(int(level.max()), 1, -1):
             w = np.divide(1.0 + delta, sigma, out=np.zeros_like(sigma), where=level == k)
             np.copyto(delta, sigma * (a @ w), where=level == k - 1)
         cb += delta.sum(axis=1)

@@ -76,6 +76,13 @@ class TestSpectrum:
             assert values[0] == 1.0
             assert all(v1 >= v2 for v1, v2 in zip(values, values[1:]))
 
+    @pytest.mark.parametrize("top", ["-1", "0"])
+    def test_top_below_one_is_usage_error(self, hk_edges, tmp_path, top):
+        out = tmp_path / "s.csv"
+        rc = main(["spectrum", "--input", str(hk_edges), "--top", top, "--out", str(out)])
+        assert rc == EXIT_USAGE
+        assert not out.exists()
+
     def test_missing_input_is_data_error(self, tmp_path):
         rc = main(
             ["spectrum", "--input", str(tmp_path / "nope.txt"), "--out", str(tmp_path / "s.csv")]
@@ -301,10 +308,11 @@ class TestExperimentCommand:
             assert (out / fname).exists()
         env = json.loads((out / "meta.json").read_text())["environment"]
         assert set(env) == {
-            "python", "numpy", "scipy", "cpu_count",
+            "python", "numpy", "scipy", "cpu_count", "simd",
             "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
         }
         assert env["numpy"] == np.__version__ and env["cpu_count"] == os.cpu_count()
+        assert env["simd"] == np.show_config(mode="dicts")["SIMD Extensions"]["found"]
 
     def test_out_and_seed_overrides(self, tmp_path):
         cfg = self._config(tmp_path)

@@ -280,15 +280,17 @@ class TestHopsCache:
 
     def test_cached_graph_is_not_searched_again(self, monkeypatch):
         # anchor_hops and bfs_hops still go through _hops_from, which
-        # then reads rows of the cache: count the searches themselves
+        # then reads rows of the cache: count the level sweeps it starts.
+        # _betweenness runs its own sweep through sampling's binding of
+        # level_sweeps, which this does not count
         searches = []
-        search = graph.csgraph.shortest_path
+        search = graph.level_sweeps
 
-        def counting(*args, **kwargs):
-            searches.append(kwargs["indices"])
-            return search(*args, **kwargs)
+        def counting(g, sources=None):
+            searches.append(sources)
+            return search(g, sources)
 
-        monkeypatch.setattr(graph.csgraph, "shortest_path", counting)
+        monkeypatch.setattr(graph, "level_sweeps", counting)
         g = gen_holme_kim(120, 2, 0.5, seed=1)
         all_pairs_hops(g)
         for strategy in ("closeness", "betweenness"):
@@ -330,6 +332,20 @@ class TestTraversalOracles:
                 for s in range(g.n):
                     row = bfs_hops(copy, s)
                     assert _is_int64_c(row) and row.tolist() == fw[s].tolist()
+
+    @pytest.mark.parametrize("one_source_per_block", [False, True])
+    def test_level_sweep_hops_equal_floyd_warshall(self, monkeypatch, one_source_per_block):
+        # the oracle graphs include disjoint unions; the path has 39 levels
+        if one_source_per_block:
+            monkeypatch.setattr(graph, "BLOCK_CELLS", 1)
+        rng = np.random.default_rng(39)
+        for g in _oracle_graphs(38) + [path_graph(40)]:
+            fw = floyd_warshall_hops(g)
+            hops = all_pairs_hops(g).hops
+            assert _is_int64_c(hops) and (hops == fw).all()
+            sources = rng.permutation(g.n)[: max(1, g.n // 2)]
+            fresh = Graph(n=g.n, edges=g.edges)
+            assert (graph._hops_from(fresh, sources) == fw[sources]).all()
 
     def test_bfs_hops_unreachable_across_components(self):
         g = random_graph_with_components(np.random.default_rng(32), [6, 4, 5])

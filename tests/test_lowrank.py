@@ -136,8 +136,12 @@ class TestNormalizedSpectrum:
             (np.random.default_rng(3).standard_normal((40, 25)), False),
             (np.random.default_rng(4).standard_normal((25, 40)), False),
             (all_pairs_hops(gen_holme_kim(200, 2, 0.5, seed=1)).hops.astype(float), True),
+            # symmetric and indefinite: eigenvalues 2cos(2 pi k / 8) of both signs
+            (cycle_graph(8).adjacency_matrix(), False),
+            # square but not normal: |eig| = 1, 1, singular values about 100.01, 0.0099
+            (np.array([[1.0, 100.0], [0.0, 1.0]]), False),
         ],
-        ids=["tall", "wide", "centered-hops"],
+        ids=["tall", "wide", "centered-hops", "even-cycle-adjacency", "non-normal"],
     )
     def test_values_match_full_svd(self, m, center):
         # values relative to the largest, so tiny trailing values compare absolutely

@@ -130,7 +130,7 @@ class TestBetweenness:
     def test_matches_brandes_holme_kim(self):
         # n = 300 spans more than one block of sources
         g = gen_holme_kim(300, 2, 0.5, seed=3)
-        assert g.n > sampling.BLOCK_CELLS // g.n
+        assert g.n > graph.BLOCK_CELLS // g.n
         np.testing.assert_allclose(sampling._betweenness(g), brandes_betweenness(g), rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("seed", range(8))
@@ -146,16 +146,18 @@ class TestBetweenness:
     def test_block_size_does_not_change_result(self, monkeypatch):
         g = random_graph_with_components(np.random.default_rng(7), [25, 12])
         whole = sampling._betweenness(g)
-        monkeypatch.setattr(sampling, "BLOCK_CELLS", 1)  # one source per block
+        monkeypatch.setattr(graph, "BLOCK_CELLS", 1)  # one source per block
         np.testing.assert_allclose(sampling._betweenness(g), whole, rtol=1e-12, atol=0)
 
     def test_long_path_in_one_source_blocks_without_hop_search(self, monkeypatch):
-        # the sweep finds every level itself, 39 of them on this path
+        # the sweep finds every level itself, 39 of them on this path; hop
+        # searches (_hops_from, so Graph.hops and anchor_hops too) look up
+        # graph.level_sweeps, _betweenness its own import of it
         def no_search(*args, **kwargs):
             raise AssertionError("_betweenness searched for hops")
 
-        monkeypatch.setattr(graph.csgraph, "shortest_path", no_search)
-        monkeypatch.setattr(sampling, "BLOCK_CELLS", 1)
+        monkeypatch.setattr(graph, "level_sweeps", no_search)
+        monkeypatch.setattr(graph, "BLOCK_CELLS", 1)
         g = path_graph(40)
         np.testing.assert_allclose(sampling._betweenness(g), brute_betweenness(g), rtol=1e-12, atol=1e-12)
 
