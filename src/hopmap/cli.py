@@ -67,11 +67,23 @@ class SystemExit_(Exception):
         super().__init__(message)
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _checked(convert, ok, rule: str):
+    """An argparse type: convert the text, then refuse a value that is not
+    ok as a usage error saying it must be rule."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {value}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse: "invalid int value: 'x'"
+    return parse
+
+
+_positive_int = _checked(int, lambda v: v >= 1, "at least 1")
+_positive_float = _checked(float, lambda v: v > 0.0, "positive")
+_fraction = _checked(float, lambda v: 0.0 <= v < 1.0, "in [0, 1)")
 
 
 def _build_parser() -> _Parser:
@@ -94,7 +106,7 @@ def _build_parser() -> _Parser:
     )
     s.add_argument("--centered", action="store_true")
     s.add_argument("--top", type=_positive_int, default=None, help="keep first K >= 1 values")
-    s.add_argument("--anchors", type=int, default=20, help="anchor count for vc")
+    s.add_argument("--anchors", type=_positive_int, default=20, help="anchor count for vc")
     s.add_argument("--strategy", choices=STRATEGIES, default="random")
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out", required=True, help="output CSV path")
@@ -102,8 +114,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("sample", help="draw a partial observation of P or H")
     p.add_argument("--input", required=True, help="edge list path")
     p.add_argument("--mode", choices=MODES, default="vc")
-    p.add_argument("--fraction", type=float, required=True, help="missing fraction")
-    p.add_argument("--anchors", type=int, default=20)
+    p.add_argument("--fraction", type=_fraction, required=True, help="missing fraction in [0, 1)")
+    p.add_argument("--anchors", type=_positive_int, default=20)
     p.add_argument("--strategy", choices=STRATEGIES, default="random")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="observation base path (no suffix)")
@@ -119,14 +131,14 @@ def _build_parser() -> _Parser:
     source.add_argument("--edges", help="edge list for the full-VC map")
     t.add_argument("--procedure", choices=PROCEDURES, default="p-completion")
     t.add_argument("--k", type=int, default=2, choices=[2, 3])
-    t.add_argument("--anchors", type=int, default=20)
+    t.add_argument("--anchors", type=_positive_int, default=20)
     t.add_argument("--strategy", choices=STRATEGIES, default="random")
     t.add_argument("--seed", type=int, default=0)
     t.add_argument("--out", required=True, help="map CSV path")
 
     for completing in (c, t):
-        completing.add_argument("--tolerance", type=float, default=1e-6)
-        completing.add_argument("--max-iters", type=int, default=500)
+        completing.add_argument("--tolerance", type=_positive_float, default=1e-6)
+        completing.add_argument("--max-iters", type=_positive_int, default=500)
 
     e = sub.add_parser("eval", help="score a map or completed matrix")
     e.add_argument("--metric", required=True, choices=["E", "E_TP", "E_m", "E_a"])
@@ -134,7 +146,7 @@ def _build_parser() -> _Parser:
     e.add_argument("--baseline", default=None, help="reference map CSV (metric E)")
     e.add_argument("--anchor-ids", default=None, help="comma-separated ids or a file of them (metric E)")
     e.add_argument("--layout", default=None, help="layout CSV (metric E_TP)")
-    e.add_argument("--bin-width", type=float, default=1.0)
+    e.add_argument("--bin-width", type=_positive_float, default=1.0)
     e.add_argument("--est", default=None, help="completed matrix CSV (E_m, E_a)")
     e.add_argument("--edges", default=None, help="edge list of the true graph")
     e.add_argument("--out", default=None, help="optional single-row CSV")

@@ -185,11 +185,15 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
+        if not self.fractions:
+            raise ValueError("fractions must list at least one fraction")
         for f in self.fractions:
             if not 0.0 <= f < 1.0:
                 raise ValueError("fractions must lie in [0, 1)")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
+        if self.mode == "vc" and not self.procedures:
+            raise ValueError("procedures must list at least one procedure in vc mode")
         for p in self.procedures:
             if p not in PROCEDURES:
                 raise ValueError(f"procedure must be one of {PROCEDURES}")

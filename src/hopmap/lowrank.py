@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lu
 
-from .sampling import ObservedMatrix, validate_mask
+from .sampling import ObservedMatrix
 
 RANK_TOLERANCE = 1e-10
 
@@ -120,7 +120,9 @@ def double_center_partial(o: ObservedMatrix) -> ObservedMatrix:
     """Double centering of raw distances observed on a mask.
 
     Input values are squared internally; row, column, and grand means run
-    over observed entries only. The mask is unchanged.
+    over observed entries only. The mask is unchanged. A symmetric-mode
+    input takes its row means as its column means, so the result mirrors
+    exactly and stays a symmetric-mode observation.
     """
     mask = o.mask
     row_counts = mask.sum(axis=1)
@@ -129,17 +131,12 @@ def double_center_partial(o: ObservedMatrix) -> ObservedMatrix:
         raise ValueError(f"empty row {int(np.argmin(row_counts))} in observation mask")
     if np.any(col_counts == 0):
         raise ValueError(f"empty column {int(np.argmin(col_counts))} in observation mask")
-    sq = np.where(mask, o.values * o.values, 0.0)
+    sq = o.values * o.values
     row_means = sq.sum(axis=1) / row_counts
-    col_means = sq.sum(axis=0) / col_counts
+    col_means = row_means if o.symmetric else sq.sum(axis=0) / col_counts
     grand = sq.sum() / mask.sum()
-    centered = -0.5 * (sq - row_means[:, None] - col_means[None, :] + grand)
-    return ObservedMatrix(
-        values=np.where(mask, centered, 0.0),
-        mask=mask.copy(),
-        symmetric=o.symmetric,
-        seed=o.seed,
-    )
+    centered = -0.5 * (sq - (row_means[:, None] + col_means[None, :]) + grand)
+    return ObservedMatrix(values=centered, mask=mask, symmetric=o.symmetric, seed=o.seed)
 
 
 @dataclass(frozen=True)
@@ -286,22 +283,16 @@ def complete_nuclear_norm(
     """
     if cfg is None:
         cfg = CompletionConfig()
-    mask = o.mask
-    if not mask.any():
-        raise ValueError("observation mask is empty")
-    d = np.where(mask, o.values, 0.0)
-    if not np.all(np.isfinite(d)):
-        raise ValueError("observations contain non-finite values")
-    report = validate_mask(o)
-    if report.empty_rows or report.empty_cols:
-        raise ValueError(
-            f"mask has empty rows {report.empty_rows} / columns {report.empty_cols}"
-        )
+    mask, d = o.mask, o.values
+    empty_rows = tuple(np.flatnonzero(~mask.any(axis=1)).tolist())
+    empty_cols = tuple(np.flatnonzero(~mask.any(axis=0)).tolist())
+    if empty_rows or empty_cols:
+        raise ValueError(f"mask has empty rows {empty_rows} / columns {empty_cols}")
 
     obs_norm = np.linalg.norm(d)
     if mask.all() or obs_norm == 0.0:
         # constraint pins every entry (or the zero matrix is optimal)
-        return CompletionResult(completed=d, iterations=0, final_residual=0.0, converged=True)
+        return CompletionResult(completed=d.copy(), iterations=0, final_residual=0.0, converged=True)
 
     mu = MU_SCALE / _spectral_norm(d)
     rng = np.random.default_rng(np.random.SeedSequence(0x5EED))

@@ -35,10 +35,14 @@ class AnchorSelection:
 class ObservedMatrix:
     """Real matrix known only on an observation mask.
 
-    ``values`` outside the mask are meaningless (kept zero by the
-    constructors here).  ``symmetric`` marks symmetric-mode observations
-    of a square matrix: the mask and values mirror across the diagonal
-    and the diagonal itself is observed.
+    The constructor keeps read-only copies of its inputs: the mask as bool
+    and the values as float64, zero off the mask. It raises ValueError when
+    values and mask are not 2-d arrays of one shape or an observed value is
+    not finite. ``symmetric`` marks symmetric-mode observations of a square
+    matrix, in which the mask and values mirror across the diagonal and the
+    diagonal itself is observed; anything else raises ValueError too. Empty
+    rows and columns are valid here: the stages that cannot use them
+    refuse them.
     """
 
     values: np.ndarray
@@ -47,10 +51,28 @@ class ObservedMatrix:
     seed: int | None = None
 
     def __post_init__(self):
-        if self.values.shape != self.mask.shape:
-            raise ValueError("values and mask shapes differ")
-        self.values.flags.writeable = False
-        self.mask.flags.writeable = False
+        mask = np.array(self.mask, dtype=bool)
+        values = np.asarray(self.values)
+        if values.shape != mask.shape or mask.ndim != 2:
+            raise ValueError(
+                f"values {values.shape} and mask {mask.shape} must be 2-d and of one shape"
+            )
+        values = np.where(mask, values, 0.0).astype(float, copy=False)
+        if not np.isfinite(values).all():
+            raise ValueError("observed values must be finite")
+        if self.symmetric:
+            if mask.shape[0] != mask.shape[1]:
+                raise ValueError(f"symmetric mode needs a square matrix, got {mask.shape}")
+            if not np.array_equal(mask, mask.T):
+                raise ValueError("symmetric mode needs a mirrored mask")
+            if not np.array_equal(values, values.T):
+                raise ValueError("symmetric mode needs mirrored values")
+            if not mask.diagonal().all():
+                raise ValueError("symmetric mode needs an observed diagonal")
+        values.flags.writeable = False
+        mask.flags.writeable = False
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "mask", mask)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -63,18 +85,6 @@ class ObservedMatrix:
     @property
     def coverage(self) -> float:
         return self.n_observed / self.mask.size
-
-
-@dataclass(frozen=True)
-class MaskReport:
-    empty_rows: tuple[int, ...]
-    empty_cols: tuple[int, ...]
-    asymmetric_cells: int
-    coverage: float
-
-    @property
-    def ok(self) -> bool:
-        return not self.empty_rows and not self.empty_cols and self.asymmetric_cells == 0
 
 
 def _closeness(g: Graph) -> np.ndarray:
@@ -154,8 +164,7 @@ def vc_observations(p: VcMatrix, delete_fraction: float, seed: int = 0) -> Obser
         flat = rng.choice(total, size=n_delete, replace=False)
         mask.flat[flat] = False
         _repair_empty_rows(mask, rng, max_moves=100 * n)
-    values = np.where(mask, p.hops.astype(float), 0.0)
-    return ObservedMatrix(values=values, mask=mask, symmetric=False, seed=seed)
+    return ObservedMatrix(values=p.hops, mask=mask, symmetric=False, seed=seed)
 
 
 def _repair_empty_rows(mask: np.ndarray, rng: np.random.Generator, max_moves: int) -> None:
@@ -233,27 +242,7 @@ def random_entry_observations(
     else:
         raise ValueError("could not enforce row coverage")
     np.fill_diagonal(mask, True)
-    values = np.where(mask, h.hops.astype(float), 0.0)
-    return ObservedMatrix(values=values, mask=mask, symmetric=True, seed=seed)
-
-
-def validate_mask(o: ObservedMatrix) -> MaskReport:
-    """Diagnostic only: empty rows/columns, symmetry violations, coverage."""
-    empty_rows = tuple(np.flatnonzero(~o.mask.any(axis=1)).tolist())
-    empty_cols = tuple(np.flatnonzero(~o.mask.any(axis=0)).tolist())
-    asym = 0
-    if o.symmetric:
-        mism = o.mask != o.mask.T
-        vals = np.where(o.mask, o.values, 0.0)
-        mism |= o.mask & o.mask.T & (vals != vals.T)
-        asym = int(np.count_nonzero(mism))
-        asym += int(np.count_nonzero(~np.diag(o.mask)))
-    return MaskReport(
-        empty_rows=empty_rows,
-        empty_cols=empty_cols,
-        asymmetric_cells=asym,
-        coverage=o.coverage,
-    )
+    return ObservedMatrix(values=h.hops, mask=mask, symmetric=True, seed=seed)
 
 
 def save_observed(o: ObservedMatrix, base: str | Path) -> tuple[Path, Path]:
@@ -285,8 +274,9 @@ def load_observed(base: str | Path) -> ObservedMatrix:
     JSON object with positive integer rows and cols and a general or
     symmetric mode, a row does not hold an integer cell and a finite
     number, a cell lies outside the header's shape or is listed twice,
-    and when a symmetric-mode matrix is not square, its mask or values do
-    not mirror, or its diagonal is not observed."""
+    the file lists no cell, or the cells are not a valid ObservedMatrix
+    (a symmetric-mode matrix that is not square, whose mask or values do
+    not mirror, or whose diagonal is not observed)."""
     base = Path(base)
     json_path = base.with_suffix(".json")
     csv_path = base.with_suffix(".csv")
@@ -332,15 +322,12 @@ def load_observed(base: str | Path) -> ObservedMatrix:
             mask[r, c] = True
     if not mask.any():
         raise ValueError(f"{csv_path}: observation file contains no entries")
-    o = ObservedMatrix(
-        values=values,
-        mask=mask,
-        symmetric=mode == "symmetric",
-        seed=header.get("seed"),
-    )
-    if o.symmetric and (shape[0] != shape[1] or validate_mask(o).asymmetric_cells):
-        raise ValueError(
-            f"{csv_path}: symmetric mode needs a square matrix with a mirrored "
-            "mask and values and an observed diagonal"
+    try:
+        return ObservedMatrix(
+            values=values,
+            mask=mask,
+            symmetric=mode == "symmetric",
+            seed=header.get("seed"),
         )
-    return o
+    except ValueError as exc:
+        raise ValueError(f"{csv_path}: {exc}") from None

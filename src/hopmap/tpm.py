@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import graph
 from .graph import VcMatrix
 from .lowrank import (
     CompletionConfig,
@@ -54,10 +55,9 @@ class CompletionFailure(RuntimeError):
 # geodesic recovery: each missing hop becomes the mean over this many
 # best-matching nodes that observed it, re-estimated this many times; the
 # per-node intermediates are built a block of rows at a time, with at most
-# this many cells per block
+# graph.BLOCK_CELLS cells per block
 NEIGHBOURS = 5
 NEIGHBOUR_ROUNDS = 3
-BLOCK_CELLS = 1 << 16
 
 
 def geodesic_bounds(o: ObservedMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -78,7 +78,7 @@ def geodesic_bounds(o: ObservedMatrix) -> tuple[np.ndarray, np.ndarray]:
     # missing entries drop out of every maximum (below) and minimum (above)
     below = np.where(mask, o.values, -np.inf)[:, :, None]
     above = np.where(mask, o.values, np.inf)[:, :, None]
-    step = max(1, BLOCK_CELLS // (m * m))
+    step = max(1, graph.BLOCK_CELLS // (m * m))
     lo = np.zeros((m, m))
     hi = np.full((m, m), np.inf)
     for start in range(0, n, step):
@@ -118,8 +118,7 @@ def fill_from_neighbours(
     again. Observed entries are never changed; a fully observed input
     comes back as its observations.
     """
-    mask = o.mask
-    v = np.where(mask, o.values, 0.0)
+    mask, v = o.mask, o.values
     h = np.where(mask, v, np.clip(estimate, lower, upper))
     if mask.all():
         return h
@@ -130,7 +129,7 @@ def fill_from_neighbours(
     # NEIGHBOURS observers of the sparsest column; an entry short of them
     # then ranks all observers of its column
     k = min(n, math.ceil(2 * NEIGHBOURS / mask.mean(axis=0).min()))
-    step = max(1, BLOCK_CELLS // max(n, k * m))
+    step = max(1, graph.BLOCK_CELLS // max(n, k * m))
     rows_missing = np.flatnonzero(~mask.all(axis=1))
     for _ in range(NEIGHBOUR_ROUNDS):
         sq_t, h_t = (h * h).T, h.T

@@ -228,6 +228,39 @@ class TestExitCodes:
         assert main(["eval", "--metric", "E_TP"]) == EXIT_USAGE
         assert main(["eval", "--metric", "E_m"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["spectrum", "--matrix-kind", "vc", "--anchors", "0"], "--anchors"),
+            (["sample", "--fraction", "0.3", "--anchors", "-2"], "--anchors"),
+            (["tpm", "--edges", "{edges}", "--anchors", "0"], "--anchors"),
+            (["sample", "--fraction", "1.5"], "--fraction"),
+            (["sample", "--fraction", "-0.1"], "--fraction"),
+            (["sample", "--fraction", "1"], "--fraction"),
+            (["complete", "--input", "{obs}", "--tolerance", "-1"], "--tolerance"),
+            (["tpm", "--input", "{obs}", "--tolerance", "0"], "--tolerance"),
+            (["complete", "--input", "{obs}", "--max-iters", "0"], "--max-iters"),
+            (["eval", "--metric", "E_TP", "--map", "{obs}.csv", "--layout", "{obs}.csv",
+              "--bin-width", "0"], "--bin-width"),
+        ],
+        ids=["spectrum-anchors", "sample-anchors", "tpm-anchors", "fraction-above",
+             "fraction-below", "fraction-one", "complete-tolerance", "tpm-tolerance",
+             "max-iters", "bin-width"],
+    )
+    def test_out_of_range_number_is_usage_error(self, hk_edges, tmp_path, capsys, argv, flag):
+        # refused by the parser, before any input is read or output written
+        obs = tmp_path / "obs"
+        main(["sample", "--input", str(hk_edges), "--fraction", "0.3", "--anchors", "8",
+              "--out", str(obs)])
+        capsys.readouterr()
+        out = tmp_path / "out.csv"
+        argv = [a.format(edges=hk_edges, obs=obs) for a in argv] + ["--out", str(out)]
+        if argv[0] in ("spectrum", "sample"):
+            argv += ["--input", str(hk_edges)]
+        assert main(argv) == EXIT_USAGE
+        assert f"argument {flag}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_malformed_edge_list_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("0 1\n2 x\n")
@@ -312,7 +345,11 @@ class TestExperimentCommand:
             "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
         }
         assert env["numpy"] == np.__version__ and env["cpu_count"] == os.cpu_count()
-        assert env["simd"] == np.show_config(mode="dicts")["SIMD Extensions"]["found"]
+        try:
+            simd = np.show_config(mode="dicts")["SIMD Extensions"]["found"]
+        except TypeError:  # numpy < 1.26: show_config takes no mode
+            simd = None
+        assert env["simd"] == simd
 
     def test_out_and_seed_overrides(self, tmp_path):
         cfg = self._config(tmp_path)
@@ -452,6 +489,20 @@ class TestConfigKeys:
         rc, err = self._run(tmp_path, capsys, raw)
         assert rc == EXIT_DATA
         assert err.strip() == f"error: config key '{key}' must be an object"
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            ({"fractions": []}, "fractions must list at least one fraction"),
+            ({"procedures": []}, "procedures must list at least one procedure in vc mode"),
+        ],
+        ids=["no-fractions", "no-procedures"],
+    )
+    def test_empty_list_is_data_error(self, tmp_path, capsys, raw, message):
+        rc, err = self._run(tmp_path, capsys, raw)
+        assert rc == EXIT_DATA
+        assert err.strip() == f"error: {message}"
         assert not (tmp_path / "r").exists()
 
     def test_integer_accepted_for_float_field(self, tmp_path, capsys):

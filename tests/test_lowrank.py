@@ -208,6 +208,16 @@ class TestCentering:
         with pytest.raises(ValueError):
             double_center_partial(o)
 
+    def test_symmetric_partial_mirrors_exactly(self):
+        # row sums and column sums of a mirrored matrix add in different
+        # orders, so column means taken on their own break the mirror
+        h = all_pairs_hops(gen_holme_kim(300, 3, 0.3, seed=0))
+        o = random_entry_observations(h, 0.3, seed=1)
+        got = double_center_partial(o)
+        assert got.symmetric
+        assert np.array_equal(got.values, got.values.T)
+        assert np.allclose(got.values, naive_partial_center(o.values, o.mask))
+
 
 class TestCompletion:
     def test_full_mask_returns_input_exactly(self):
@@ -295,12 +305,27 @@ class TestCompletion:
         with pytest.raises(ValueError):
             complete_nuclear_norm(o)
 
+    def test_empty_row_reported(self):
+        # a valid observation, but not a completable one
+        mask = np.ones((5, 3), dtype=bool)
+        mask[3] = False
+        o = ObservedMatrix(values=np.zeros((5, 3)), mask=mask)
+        with pytest.raises(ValueError, match=r"mask has empty rows \(3,\) / columns \(\)"):
+            complete_nuclear_norm(o)
+
+    def test_empty_column_reported(self):
+        mask = np.ones((3, 5), dtype=bool)
+        mask[:, 2] = False
+        o = ObservedMatrix(values=np.zeros((3, 5)), mask=mask)
+        with pytest.raises(ValueError, match=r"mask has empty rows \(\) / columns \(2,\)"):
+            complete_nuclear_norm(o)
+
     def test_non_finite_observation_rejected(self):
+        # the observation refuses it, so it never reaches the completion
         values = np.ones((3, 3))
         values[0, 0] = np.inf
-        o = ObservedMatrix(values=values, mask=np.ones((3, 3), dtype=bool))
         with pytest.raises(ValueError):
-            complete_nuclear_norm(o)
+            complete_nuclear_norm(ObservedMatrix(values=values, mask=np.ones((3, 3), dtype=bool)))
 
     def test_bad_config_rejected(self):
         with pytest.raises(ValueError):

@@ -16,7 +16,6 @@ from hopmap.sampling import (
     random_entry_observations,
     save_observed,
     select_anchors,
-    validate_mask,
     vc_observations,
 )
 from oracles import (
@@ -262,34 +261,80 @@ class TestRandomEntryObservations:
             random_entry_observations(all_pairs_hops(g), 0.9, seed=0)
 
 
-class TestValidateMask:
+class TestObservedMatrix:
+    """The constructor owns every rule of an observation: its own read-only
+    copies, values zero off the mask, finite observations and, in
+    symmetric mode, a square matrix mirrored across an observed diagonal."""
+
     def test_full_mask_clean(self):
         o = ObservedMatrix(values=np.ones((4, 4)), mask=np.ones((4, 4), dtype=bool))
-        report = validate_mask(o)
-        assert report.ok
-        assert report.coverage == 1.0
+        assert o.n_observed == 16
+        assert o.coverage == 1.0
 
-    def test_empty_row_reported(self):
-        mask = np.ones((5, 3), dtype=bool)
-        mask[3] = False
-        o = ObservedMatrix(values=np.zeros((5, 3)), mask=mask)
-        report = validate_mask(o)
-        assert report.empty_rows == (3,)
-        assert not report.ok
+    def test_copies_zeroed_off_the_mask(self):
+        values = np.arange(12).reshape(4, 3)
+        mask = np.zeros((4, 3), dtype=int)
+        mask[::2] = 1
+        o = ObservedMatrix(values=values, mask=mask)
+        assert o.values.dtype == np.float64 and o.mask.dtype == bool
+        assert np.array_equal(o.values, np.where(mask, values, 0))
+        assert not o.values.flags.writeable and not o.mask.flags.writeable
+        # the caller's arrays stay writable and unchanged
+        assert values.flags.writeable and mask.flags.writeable
+        values[0, 0] = mask[1, 1] = 7
+        assert o.values[0, 0] == 0.0 and not o.mask[1, 1]
 
-    def test_empty_column_reported(self):
-        mask = np.ones((3, 5), dtype=bool)
-        mask[:, 2] = False
-        report = validate_mask(ObservedMatrix(values=np.zeros((3, 5)), mask=mask))
-        assert report.empty_cols == (2,)
+    def test_values_off_the_mask_dropped(self):
+        # they need be neither finite nor mirrored
+        values = np.array([[1.0, np.nan], [np.inf, 2.0]])
+        o = ObservedMatrix(values=values, mask=np.eye(2, dtype=bool), symmetric=True)
+        assert np.array_equal(o.values, np.diag([1.0, 2.0]))
 
-    def test_asymmetric_mask_flagged_in_symmetric_mode(self):
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_observation_rejected(self, bad):
+        values = np.ones((3, 2))
+        values[1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            ObservedMatrix(values=values, mask=np.ones((3, 2), dtype=bool))
+
+    @pytest.mark.parametrize(
+        "values, mask",
+        [
+            (np.zeros((3, 4)), np.ones((4, 3), dtype=bool)),
+            (np.zeros(5), np.ones(5, dtype=bool)),
+            (np.zeros((2, 2, 2)), np.ones((2, 2, 2), dtype=bool)),
+        ],
+        ids=["shapes-differ", "1-d", "3-d"],
+    )
+    def test_bad_shape_rejected(self, values, mask):
+        with pytest.raises(ValueError, match="2-d and of one shape"):
+            ObservedMatrix(values=values, mask=mask)
+
+    def test_empty_row_and_column_are_valid(self):
+        # vc_observations can leave a column empty on small inputs; the
+        # completion, not the observation, refuses it
+        mask = np.ones((3, 3), dtype=bool)
+        mask[1] = mask[:, 2] = False
+        assert ObservedMatrix(values=np.ones((3, 3)), mask=mask).n_observed == 4
+
+    def test_asymmetric_mask_rejected_in_symmetric_mode(self):
         mask = np.eye(4, dtype=bool)
         mask[0, 1] = True
-        o = ObservedMatrix(values=np.zeros((4, 4)), mask=mask, symmetric=True)
-        report = validate_mask(o)
-        assert report.asymmetric_cells > 0
-        assert not report.ok
+        with pytest.raises(ValueError, match="symmetric mode needs a mirrored mask"):
+            ObservedMatrix(values=np.zeros((4, 4)), mask=mask, symmetric=True)
+
+    @pytest.mark.parametrize(
+        "values, mask, message",
+        [
+            (np.zeros((3, 4)), np.ones((3, 4), dtype=bool), "square"),
+            (np.array([[0.0, 1.0], [2.0, 0.0]]), np.ones((2, 2), dtype=bool), "mirrored values"),
+            (np.ones((2, 2)), ~np.eye(2, dtype=bool), "observed diagonal"),
+        ],
+        ids=["not-square", "values-not-mirrored", "diagonal-unobserved"],
+    )
+    def test_symmetric_mode_faults_rejected(self, values, mask, message):
+        with pytest.raises(ValueError, match=f"symmetric mode needs .*{message}"):
+            ObservedMatrix(values=values, mask=mask, symmetric=True)
 
 
 class TestSerialization:
@@ -382,6 +427,11 @@ class TestSerialization:
         rows = [(i, i, 0.0) for i in range(3)] + [(0, 1, 1.0), (1, 0, 2.0)]
         with pytest.raises(ValueError, match=r"x\.csv.*symmetric"):
             load_observed(self._write(tmp_path, "symmetric", rows))
+
+    def test_symmetric_not_square_rejected(self, tmp_path):
+        rows = [(0, 0, 0.0), (1, 1, 0.0), (0, 1, 1.0), (1, 0, 1.0)]
+        with pytest.raises(ValueError, match=r"x\.csv.*symmetric.*square"):
+            load_observed(self._write(tmp_path, "symmetric", rows, shape=(2, 3)))
 
     def test_symmetric_missing_diagonal_rejected(self, tmp_path):
         rows = [(0, 0, 0.0), (1, 1, 0.0), (0, 1, 1.0), (1, 0, 1.0), (1, 2, 1.0), (2, 1, 1.0)]

@@ -12,7 +12,7 @@ from hopmap.sampling import (
     select_anchors,
     vc_observations,
 )
-from hopmap import tpm
+from hopmap import graph, tpm
 from hopmap.tpm import (
     NEIGHBOURS,
     CompletionFailure,
@@ -213,6 +213,15 @@ class TestGeodesicBounds:
                 assert np.array_equal(lower[o.mask], truth[o.mask])
                 assert np.array_equal(upper[o.mask], truth[o.mask])
 
+    def test_one_row_blocks_give_the_same_bounds(self, monkeypatch):
+        # the row blocks take their size from graph.BLOCK_CELLS
+        rng = np.random.default_rng(50)
+        o = vc_observations(_vc(random_connected_graph(rng, 60, 0.5), 8, seed=51), 0.5, seed=52)
+        want = geodesic_bounds(o)
+        monkeypatch.setattr(graph, "BLOCK_CELLS", 1)
+        for got, expected in zip(geodesic_bounds(o), want):
+            assert np.array_equal(got, expected)
+
     def test_hand_worked_path(self):
         # path 0-1-2-3-4 with anchors at both ends; node 0 observes both,
         # so h(a0, a4) = 4 exactly, and each missing hop h(i, j) lies
@@ -260,6 +269,11 @@ class TestNeighbourFill:
         got = fill_from_neighbours(o, estimate, lower, upper)
         want = naive_neighbour_fill(o.values, mask, estimate, lower, upper, NEIGHBOURS, 1)
         assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+
+    def test_one_row_blocks_match_entrywise_reference(self, monkeypatch):
+        # the row blocks take their size from graph.BLOCK_CELLS
+        monkeypatch.setattr(graph, "BLOCK_CELLS", 1)
+        self.test_matches_entrywise_reference(monkeypatch)
 
     def test_symmetric_observation_keeps_nuclear_norm_completion(self):
         rng = np.random.default_rng(48)
