@@ -18,16 +18,9 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from hopmap.graph import all_pairs_hops, anchor_hops
-from hopmap.lowrank import normalized_spectrum
+from hopmap.lowrank import normalized_spectrum, write_spectrum
 from hopmap.netgen import gen_holme_kim
 from hopmap.sampling import STRATEGIES, AnchorSelection, select_anchors
-
-
-def save_curve(path, values):
-    with open(path, "w") as fh:
-        fh.write("index,value\n")
-        for i, v in enumerate(values, start=1):
-            fh.write(f"{i},{float(v)!r}\n")
 
 
 def run(args):
@@ -39,8 +32,8 @@ def run(args):
 
     spec_h = normalized_spectrum(h.hops.astype(float), center=True)
     spec_a = normalized_spectrum(g.adjacency_matrix(), center=True)
-    save_curve(out / "hdm_centered.csv", spec_h)
-    save_curve(out / "adjacency_centered.csv", spec_a)
+    write_spectrum(spec_h, out / "hdm_centered.csv")
+    write_spectrum(spec_a, out / "adjacency_centered.csv")
 
     idx = args.probe_index - 1
     print(f"holme-kim n={args.n}: normalized singular value #{args.probe_index}")
@@ -54,7 +47,7 @@ def run(args):
         p = anchor_hops(g, select_anchors(g, sel))
         spec = normalized_spectrum(p.hops.astype(float), center=True)
         curves[strategy] = spec
-        save_curve(out / f"vc_{strategy}.csv", spec)
+        write_spectrum(spec, out / f"vc_{strategy}.csv")
         print(f"  {strategy:<12} top 5: " + " ".join(f"{v:.3f}" for v in spec[:5]))
 
     base = curves["random"]
@@ -74,7 +67,12 @@ if __name__ == "__main__":
     ap.add_argument("--m", type=int, default=3)
     ap.add_argument("--p-triad", type=float, default=0.5)
     ap.add_argument("--anchors", type=int, default=100)
-    ap.add_argument("--probe-index", type=int, default=100)
+    ap.add_argument("--probe-index", type=int, default=100,
+                    help="1-based singular value to print, at most --n")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--out", default="results/spectra")
-    run(ap.parse_args())
+    args = ap.parse_args()
+    # the hop and adjacency spectra hold n values each
+    if not 1 <= args.probe_index <= args.n:
+        ap.error(f"--probe-index must be in [1, --n={args.n}], got {args.probe_index}")
+    run(args)

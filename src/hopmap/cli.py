@@ -21,15 +21,20 @@ from .experiment import (
     summarize,
 )
 from .graph import VcMatrix, all_pairs_hops, anchor_hops
-from .lowrank import CompletionConfig, complete_nuclear_norm, normalized_spectrum
+from .lowrank import (
+    CompletionConfig,
+    complete_nuclear_norm,
+    normalized_spectrum,
+    write_spectrum,
+)
 from .metrics import (
-    ScanLineConfig,
     hdm_absolute_error,
     hdm_mean_error,
     mean_distance_error,
+    scan_lines,
     topology_preservation_error,
 )
-from .netgen import load_snap_edge_list, read_layout, write_edge_list, write_layout
+from .netgen import load_snap_edge_list, read_points, write_edge_list, write_points
 from .sampling import (
     STRATEGIES,
     AnchorSelection,
@@ -39,13 +44,7 @@ from .sampling import (
     select_anchors,
     vc_observations,
 )
-from .tpm import (
-    MAP_EXTRACTORS,
-    CompletionFailure,
-    complete_anchor_hops,
-    read_tpm,
-    write_tpm,
-)
+from .tpm import MAP_EXTRACTORS, CompletionFailure, complete_anchor_hops
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -84,6 +83,7 @@ def _checked(convert, ok, rule: str):
 _positive_int = _checked(int, lambda v: v >= 1, "at least 1")
 _positive_float = _checked(float, lambda v: v > 0.0, "positive")
 _fraction = _checked(float, lambda v: 0.0 <= v < 1.0, "in [0, 1)")
+_probability = _checked(float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
 
 
 def _build_parser() -> _Parser:
@@ -94,9 +94,9 @@ def _build_parser() -> _Parser:
     g.add_argument("--net", required=True, choices=sorted(GENERATORS) + ["holme-kim"])
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", default=".", help="output directory")
-    g.add_argument("--n", type=int, default=500, help="holme-kim node count")
-    g.add_argument("--m", type=int, default=3, help="holme-kim edges per node")
-    g.add_argument("--p-triad", type=float, default=0.5)
+    g.add_argument("--n", type=int, default=500, help="holme-kim node count, above --m")
+    g.add_argument("--m", type=_positive_int, default=3, help="holme-kim edges per node")
+    g.add_argument("--p-triad", type=_probability, default=0.5)
 
     s = sub.add_parser("spectrum", help="normalized singular values as CSV")
     s.add_argument("--input", required=True, help="edge list or dense matrix CSV")
@@ -160,16 +160,23 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_generate(args) -> int:
+    params = {}
+    if args.net == "holme-kim":
+        if args.n <= args.m:
+            raise SystemExit_(
+                EXIT_USAGE,
+                f"hopmap generate: error: argument --n: must exceed --m ({args.m}), got {args.n}",
+            )
+        params = {"n": args.n, "m": args.m, "p_triad": args.p_triad}
+    g, layout, _ = build_network(NetworkSpec(kind=args.net, seed=args.seed, params=params))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    params = {"n": args.n, "m": args.m, "p_triad": args.p_triad} if args.net == "holme-kim" else {}
-    g, layout, _ = build_network(NetworkSpec(kind=args.net, seed=args.seed, params=params))
     edges = out / f"{args.net}_edges.txt"
     write_edge_list(g, edges)
     if layout is None:
         print(f"wrote {edges} ({g.n} nodes)")
     else:
-        write_layout(layout, out / f"{args.net}_layout.csv")
+        write_points(layout, out / f"{args.net}_layout.csv")
         print(f"wrote {edges} and layout ({g.n} nodes)")
     return EXIT_OK
 
@@ -197,11 +204,7 @@ def _cmd_spectrum(args) -> int:
     values = normalized_spectrum(m, center=args.centered)
     if args.top is not None:
         values = values[: args.top]
-    with open(args.out, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["index", "value"])
-        for i, v in enumerate(values, start=1):
-            w.writerow([i, repr(float(v))])
+    write_spectrum(values, args.out)
     print(f"wrote {args.out} ({values.size} values)")
     return EXIT_OK
 
@@ -258,8 +261,8 @@ def _cmd_tpm(args) -> int:
         cfg = CompletionConfig(tolerance=args.tolerance, max_iters=args.max_iters)
         hops = complete_anchor_hops(load_observed(args.input), cfg)
     tm = MAP_EXTRACTORS[args.procedure](hops, args.k)
-    write_tpm(tm, args.out)
-    print(f"wrote {args.out} ({tm.n} points, k={tm.k})")
+    write_points(tm, args.out)
+    print(f"wrote {args.out} ({tm.n} points, k={tm.dim})")
     return EXIT_OK
 
 
@@ -278,8 +281,8 @@ def _cmd_eval(args) -> int:
             [("map_path", "--map"), ("baseline", "--baseline"), ("anchor_ids", "--anchor-ids")],
             "E",
         )
-        tm = read_tpm(args.map_path)
-        base = read_tpm(args.baseline)
+        tm = read_points(args.map_path)
+        base = read_points(args.baseline)
         spec = args.anchor_ids
         if Path(spec).is_file():
             # the .anchors.txt sidecar written by `sample --mode vc`
@@ -288,11 +291,9 @@ def _cmd_eval(args) -> int:
         value = mean_distance_error(tm, base, ids)
     elif args.metric == "E_TP":
         _require(args, [("map_path", "--map"), ("layout", "--layout")], "E_TP")
-        tm = read_tpm(args.map_path)
-        layout = read_layout(args.layout)
-        value = topology_preservation_error(
-            layout, tm, ScanLineConfig(bin_width=args.bin_width)
-        )
+        tm = read_points(args.map_path)
+        lines = scan_lines(read_points(args.layout), args.bin_width)
+        value = topology_preservation_error(lines, tm)
     else:
         _require(args, [("est", "--est"), ("edges", "--edges")], args.metric)
         est = np.loadtxt(args.est, delimiter=",", ndmin=2)

@@ -22,7 +22,6 @@ from .graph import Graph, all_pairs_hops, anchor_hops
 from .lowrank import CompletionConfig
 from .metrics import (
     MetricReport,
-    ScanLineConfig,
     hdm_absolute_error,
     hdm_mean_error,
     mean_distance_error,
@@ -50,10 +49,8 @@ from .seeding import run_seed
 from .tpm import (
     MAP_EXTRACTORS,
     CompletionFailure,
-    TopologyMap,
     align_maps,
     complete_anchor_hops,
-    write_tpm,
 )
 # no caller here: bound only for perfbench's lowrank.complete and tpm.map spans
 from .tpm import (  # noqa: F401
@@ -62,6 +59,8 @@ from .tpm import (  # noqa: F401
     tpm_via_grammian,
     tpm_via_p_completion,
 )
+# the map writer, under the name perfbench's tpm.write span patches
+from .netgen import write_points as write_tpm
 
 PROCEDURES = tuple(MAP_EXTRACTORS)
 MODES = ("vc", "random_entry")
@@ -201,6 +200,8 @@ class ExperimentConfig:
             raise ValueError("map dimension k must be 2 or 3")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
+        if not self.bin_width > 0:
+            raise ValueError("bin_width must be positive")
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -314,7 +315,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         (fi, f, rep) for fi, f in enumerate(cfg.fractions) for rep in range(cfg.repeats)
     ]
 
-    baselines: dict[str, TopologyMap] = {}
+    baselines: dict[str, PointCloud] = {}
     if cfg.mode == "vc":
         sel = replace(cfg.anchors, seed=run_seed(cfg.seed, "anchors"))
         anchors = select_anchors(g, sel)
@@ -325,7 +326,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         lines = None
         if layout is not None and layout.dim == 2 and cfg.k == 2:
             # one layout for every run: pair up its scan lines once
-            lines = scan_lines(layout, ScanLineConfig(bin_width=cfg.bin_width))
+            lines = scan_lines(layout, cfg.bin_width)
 
         def score(procedure, f, rep, hops):
             tm = MAP_EXTRACTORS[procedure](hops, cfg.k)
@@ -334,7 +335,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             yield "E", mean_distance_error(tm, baselines[procedure], anchors)
             if lines is not None:
                 # SVD maps are rotated arbitrarily; match axes before scanning
-                oriented, _ = align_maps(tm, TopologyMap(coords=layout.coords.copy()))
+                oriented, _ = align_maps(tm, layout)
                 yield "E_TP", topology_preservation_error(lines, oriented)
     else:
         truth = all_pairs_hops(g)

@@ -1,8 +1,10 @@
 """SVD, spectra, double centering, and nuclear-norm matrix completion."""
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 from scipy.linalg import lu
@@ -101,6 +103,15 @@ def normalized_spectrum(m: np.ndarray, center: bool = False) -> np.ndarray:
     if s[0] <= 0.0:
         raise ValueError("all-zero matrix has no normalized spectrum")
     return s / s[0]
+
+
+def write_spectrum(values: np.ndarray, path: str | Path) -> None:
+    """Write a spectrum as CSV rows index,value: 1-based indices, floats
+    in repr form."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["index", "value"])
+        w.writerows([i, repr(float(v))] for i, v in enumerate(values, start=1))
 
 
 def double_center_full(sq: np.ndarray) -> np.ndarray:

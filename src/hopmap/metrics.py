@@ -7,15 +7,6 @@ import numpy as np
 
 from .graph import HopDistanceMatrix
 from .netgen import PointCloud
-from .tpm import TopologyMap
-
-@dataclass(frozen=True)
-class ScanLineConfig:
-    bin_width: float = 1.0
-
-    def __post_init__(self):
-        if self.bin_width <= 0:
-            raise ValueError("bin_width must be positive")
 
 
 @dataclass(frozen=True)
@@ -34,7 +25,7 @@ class MetricReport:
 
 
 def mean_distance_error(
-    tpm_f: TopologyMap, tpm_0: TopologyMap, anchor_ids: np.ndarray
+    tpm_f: PointCloud, tpm_0: PointCloud, anchor_ids: np.ndarray
 ) -> float:
     """Relative change in node-to-anchor map distances.
 
@@ -91,18 +82,20 @@ class ScanLines:
     groups: tuple[tuple[int, np.ndarray, np.ndarray], ...]
 
 
-def scan_lines(layout: PointCloud, cfg: ScanLineConfig | None = None) -> ScanLines:
-    """The horizontal and vertical scan lines of a 2-d layout, built once
-    for scoring many maps of it with topology_preservation_error."""
-    if cfg is None:
-        cfg = ScanLineConfig()
+def scan_lines(layout: PointCloud, bin_width: float = 1.0) -> ScanLines:
+    """The horizontal and vertical scan lines of a 2-d layout, each the
+    nodes whose cross coordinate rounds to one multiple of bin_width,
+    built once for scoring many maps of it with
+    topology_preservation_error."""
+    if not bin_width > 0:
+        raise ValueError("bin_width must be positive")
     if layout.dim != 2:
         raise ValueError("neighborhood preservation is defined for 2-d maps")
     # horizontal lines bin y, run along x and are read on map axis 0;
     # vertical lines bin x, run along y and are read on map axis 1
     groups = []
     for axis in (0, 1):
-        lines = _binned_lines(layout.coords[:, 1 - axis], cfg.bin_width)
+        lines = _binned_lines(layout.coords[:, 1 - axis], bin_width)
         if lines:
             groups.append((axis, *_line_pairs(lines, layout.coords[:, axis])))
     if not groups:
@@ -110,19 +103,15 @@ def scan_lines(layout: PointCloud, cfg: ScanLineConfig | None = None) -> ScanLin
     return ScanLines(n=layout.n, groups=tuple(groups))
 
 
-def topology_preservation_error(
-    layout: PointCloud | ScanLines, tpm: TopologyMap, cfg: ScanLineConfig | None = None
-) -> float:
-    """Fraction of ordered node pairs, along horizontal and vertical scan
-    lines of the original layout, whose order the map fails to preserve.
-    The map is scored under all 8 axis-aligned orthogonal transforms and
-    the best score is returned. layout is the original layout, or its
-    scan_lines; cfg is read only for a layout."""
-    if tpm.k != 2:
+def topology_preservation_error(lines: ScanLines, tpm: PointCloud) -> float:
+    """Fraction of ordered node pairs, along the scan lines of the original
+    layout (see scan_lines), whose order the map fails to preserve. The
+    map is scored under all 8 axis-aligned orthogonal transforms and the
+    best score is returned."""
+    if tpm.dim != 2:
         raise ValueError("neighborhood preservation is defined for 2-d maps")
-    if layout.n != tpm.n:
+    if lines.n != tpm.n:
         raise ValueError("layout and map must share node indexing")
-    lines = layout if isinstance(layout, ScanLines) else scan_lines(layout, cfg)
 
     # an out-of-order pair (i before j) has p_i >= p_j on a map axis a
     # transform keeps, p_i <= p_j on one it negates; ties count both ways.

@@ -17,6 +17,8 @@ from .seeding import spawn_rng
 
 @dataclass(frozen=True)
 class PointCloud:
+    """n points in 2-D or 3-D: a network's layout, or a map of it."""
+
     coords: np.ndarray  # n x d, d in {2, 3}
 
     def __post_init__(self):
@@ -282,22 +284,22 @@ def subgraph_bfs(g: Graph, root: int, target_n: int) -> Graph:
     return Graph.from_edge_list(target_n, zip(rows.tolist(), cols.tolist()))
 
 
-def write_point_table(coords: np.ndarray, path: str | Path) -> None:
-    """Write n x k coordinates (k in {2, 3}) as CSV rows node_id,x,y[,z],
-    floats in repr form so that reading them back is exact."""
-    n, k = coords.shape
+def write_points(pc: PointCloud, path: str | Path) -> None:
+    """Write a layout or map as CSV rows node_id,x,y[,z], floats in repr
+    form so that reading them back is exact."""
+    n, k = pc.coords.shape
     # the bytes csv.writer gives: \r\n line ends, no cell needs quoting
     row = "%d" + ",%s" * k + "\r\n"
-    cells = list(map(repr, coords.ravel().tolist()))
+    cells = list(map(repr, pc.coords.ravel().tolist()))
     columns = (cells[j::k] for j in range(k))
     with open(path, "w", newline="") as fh:
         fh.write(",".join(["node_id", "x", "y", "z"][: 1 + k]) + "\r\n")
         fh.write("".join(row % r for r in zip(range(n), *columns)))
 
 
-def read_point_table(path: str | Path) -> np.ndarray:
-    """Coordinates from a write_point_table file, as an n x k array in
-    node order; rows may come in any order but ids must cover 0..n-1."""
+def read_points(path: str | Path) -> PointCloud:
+    """The points of a write_points file, in node order; rows may come in
+    any order but ids must cover 0..n-1. Every error names the file."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -316,12 +318,7 @@ def read_point_table(path: str | Path) -> np.ndarray:
     rows.sort()
     if [r[0] for r in rows] != list(range(len(rows))):
         raise ValueError(f"{path}: node ids are not a dense 0..n-1 range")
-    return np.array([r[1] for r in rows])
-
-
-def write_layout(pc: PointCloud, path: str | Path) -> None:
-    write_point_table(pc.coords, path)
-
-
-def read_layout(path: str | Path) -> PointCloud:
-    return PointCloud(coords=read_point_table(path))
+    try:
+        return PointCloud(coords=np.array([r[1] for r in rows]))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

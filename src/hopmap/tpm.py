@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -17,28 +16,8 @@ from .lowrank import (
     double_center_partial,  # noqa: F401  bound here for perfbench's lowrank.center span
     svd,
 )
-from .netgen import read_point_table, write_point_table
+from .netgen import PointCloud
 from .sampling import ObservedMatrix
-
-
-@dataclass(frozen=True)
-class TopologyMap:
-    coords: np.ndarray  # n x k, k in {2, 3}
-
-    def __post_init__(self):
-        if self.coords.ndim != 2 or self.coords.shape[1] not in (2, 3):
-            raise ValueError("coords must be n x 2 or n x 3")
-        if not np.all(np.isfinite(self.coords)):
-            raise ValueError("coords must be finite")
-        self.coords.flags.writeable = False
-
-    @property
-    def n(self) -> int:
-        return self.coords.shape[0]
-
-    @property
-    def k(self) -> int:
-        return self.coords.shape[1]
 
 
 class CompletionFailure(RuntimeError):
@@ -184,38 +163,38 @@ def _check_k(m: int, k: int) -> None:
         raise ValueError(f"need more than {k} anchor columns, got {m}")
 
 
-def p_completion_map(hops: np.ndarray, k: int = 2) -> TopologyMap:
+def p_completion_map(hops: np.ndarray, k: int = 2) -> PointCloud:
     """Map coordinates from a complete anchor-distance matrix: columns
     2..k+1 of U Sigma (the leading column carries no shape information
     and is dropped)."""
     _check_k(hops.shape[1], k)
     f = svd(hops)
     coords = (f.u * f.s)[:, 1 : k + 1]
-    return TopologyMap(coords=coords.copy())
+    return PointCloud(coords=coords.copy())
 
 
-def grammian_map(hops: np.ndarray, k: int = 2) -> TopologyMap:
+def grammian_map(hops: np.ndarray, k: int = 2) -> PointCloud:
     """Map coordinates from a complete anchor-distance matrix by classical
     scaling: double-center the squared distances over all entries and take
     the first k columns of U Sigma."""
     _check_k(hops.shape[1], k)
     f = svd(double_center_full(hops * hops))
     coords = (f.u * f.s)[:, :k]
-    return TopologyMap(coords=coords.copy())
+    return PointCloud(coords=coords.copy())
 
 
 # procedure name -> map extraction from a completed anchor-distance matrix
 MAP_EXTRACTORS = {"grammian": grammian_map, "p-completion": p_completion_map}
 
 
-def tpm_full_vc(p: VcMatrix, k: int = 2) -> TopologyMap:
+def tpm_full_vc(p: VcMatrix, k: int = 2) -> PointCloud:
     """The p-completion map of the full anchor-distance matrix."""
     return p_completion_map(p.hops.astype(float), k)
 
 
 def tpm_via_p_completion(
     o: ObservedMatrix, k: int = 2, cfg: CompletionConfig | None = None
-) -> TopologyMap:
+) -> PointCloud:
     """Complete the partial anchor-distance matrix (complete_anchor_hops),
     then take columns 2..k+1 of U Sigma. With nothing deleted this is
     exactly tpm_full_vc."""
@@ -225,7 +204,7 @@ def tpm_via_p_completion(
 
 def tpm_via_grammian(
     o: ObservedMatrix, k: int = 2, cfg: CompletionConfig | None = None
-) -> TopologyMap:
+) -> PointCloud:
     """Complete the partial anchor-distance matrix (complete_anchor_hops),
     then double-center its square over all entries and take the first k
     columns of U Sigma. Centering after completion keeps the row and column
@@ -241,9 +220,9 @@ class AlignmentTransform:
     residual: float
 
 
-def align_maps(a: TopologyMap, b: TopologyMap) -> tuple[TopologyMap, AlignmentTransform]:
-    """Orthogonal-plus-uniform-scale registration of map a onto map b
-    minimizing the sum of squared point distances."""
+def align_maps(a: PointCloud, b: PointCloud) -> tuple[PointCloud, AlignmentTransform]:
+    """Orthogonal-plus-uniform-scale registration of map a onto map b (or
+    onto a layout) minimizing the sum of squared point distances."""
     if a.coords.shape != b.coords.shape:
         raise ValueError("maps must share n and k")
     if np.allclose(a.coords, a.coords[0]) or np.allclose(b.coords, b.coords[0]):
@@ -254,14 +233,7 @@ def align_maps(a: TopologyMap, b: TopologyMap) -> tuple[TopologyMap, AlignmentTr
     scale = float(s.sum() / (a.coords ** 2).sum())
     moved = scale * a.coords @ rot
     residual = float(np.linalg.norm(moved - b.coords))
-    return TopologyMap(coords=moved), AlignmentTransform(
+    return PointCloud(coords=moved), AlignmentTransform(
         rotation=rot, scale=scale, residual=residual
     )
 
-
-def write_tpm(tm: TopologyMap, path: str | Path) -> None:
-    write_point_table(tm.coords, path)
-
-
-def read_tpm(path: str | Path) -> TopologyMap:
-    return TopologyMap(coords=read_point_table(path))

@@ -20,10 +20,10 @@ from hopmap.lowrank import (
     singular_rank,
 )
 from hopmap.metrics import (
-    ScanLineConfig,
     hdm_absolute_error,
     hdm_mean_error,
     mean_distance_error,
+    scan_lines,
     topology_preservation_error,
 )
 from hopmap.netgen import (
@@ -43,7 +43,6 @@ from hopmap.sampling import (
 from hopmap.seeding import run_seed
 from hopmap.tpm import (
     CompletionFailure,
-    TopologyMap,
     align_maps,
     tpm_full_vc,
     tpm_via_grammian,
@@ -166,8 +165,7 @@ def test_criterion_5_deletion_grid():
     grid: dict[tuple[str, str], list[float]] = {}
     for name, gen in (("circular", gen_circular_voids_2d), ("concave", gen_concave_2d)):
         pts, g = gen(GeneratorConfig(seed=0))
-        layout_map = TopologyMap(coords=pts.coords.copy())
-        scan = ScanLineConfig(bin_width=1.0)
+        scan = scan_lines(pts, bin_width=1.0)
         vcs = []
         for rep in range(repeats):
             anchors = select_anchors(
@@ -184,8 +182,8 @@ def test_criterion_5_deletion_grid():
                         tm = fn(o, 2)
                     except CompletionFailure:
                         continue
-                    oriented, _ = align_maps(tm, layout_map)
-                    vals.append(topology_preservation_error(pts, oriented, scan))
+                    oriented, _ = align_maps(tm, pts)
+                    vals.append(topology_preservation_error(scan, oriented))
                 means.append(float(np.mean(vals)) if vals else float("nan"))
             grid[(name, proc)] = means
     elapsed = time.perf_counter() - t0
@@ -290,21 +288,21 @@ def test_criterion_10_metric_identities():
     rng = np.random.default_rng(10)
     coords = rng.uniform(0, 20, size=(60, 2))
     layout = PointCloud(coords=coords.copy())
-    tm = TopologyMap(coords=coords.copy())
+    tm = PointCloud(coords=coords.copy())
     anchors = np.arange(6)
     zero_e = mean_distance_error(tm, tm, anchors)
-    zero_etp = topology_preservation_error(layout, tm)
+    zero_etp = topology_preservation_error(scan_lines(layout), tm)
     h = all_pairs_hops(random_connected_graph(rng, 40))
     zero_em = hdm_mean_error(h.as_float(), h)
     zero_ea = hdm_absolute_error(h.as_float(), h)
     zeros_ok = zero_e == 0.0 and zero_etp == 0.0 and zero_em == 0.0 and zero_ea == 0.0
 
-    other = TopologyMap(coords=rng.uniform(0, 20, size=(60, 2)))
+    other = PointCloud(coords=rng.uniform(0, 20, size=(60, 2)))
     theta = 0.7
     q = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
     base = mean_distance_error(other, tm, anchors)
-    rot_a = mean_distance_error(TopologyMap(coords=other.coords @ q), tm, anchors)
-    rot_b = mean_distance_error(other, TopologyMap(coords=tm.coords @ q.T), anchors)
+    rot_a = mean_distance_error(PointCloud(coords=other.coords @ q), tm, anchors)
+    rot_b = mean_distance_error(other, PointCloud(coords=tm.coords @ q.T), anchors)
     invariance = max(abs(rot_a - base), abs(rot_b - base))
 
     est = h.as_float() + rng.uniform(0, 1, size=(h.n, h.n))

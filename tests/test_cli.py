@@ -48,6 +48,23 @@ class TestGenerate:
     def test_unknown_generator_is_usage_error(self, tmp_path):
         assert main(["generate", "--net", "dodecahedron", "--out", str(tmp_path)]) == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "flags, flag",
+        [
+            (["--n", "-5"], "--n"),
+            (["--n", "2"], "--n"),
+            (["--m", "0"], "--m"),
+            (["--p-triad", "2"], "--p-triad"),
+        ],
+        ids=["n-negative", "n-not-above-m", "m-zero", "p-triad-above-one"],
+    )
+    def test_out_of_range_holme_kim_flag_is_usage_error(self, tmp_path, capsys, flags, flag):
+        out = tmp_path / "net"
+        rc = main(["generate", "--net", "holme-kim", *flags, "--out", str(out)])
+        assert rc == EXIT_USAGE
+        assert f"argument {flag}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSpectrum:
     def test_identity_matrix_all_ones(self, tmp_path):
@@ -260,6 +277,19 @@ class TestExitCodes:
         assert main(argv) == EXIT_USAGE
         assert f"argument {flag}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("bad", ["map", "layout"])
+    def test_non_finite_point_names_its_file(self, tmp_path, capsys, bad):
+        for name in ("map", "layout"):
+            x = "nan" if name == bad else "1.0"
+            (tmp_path / f"{name}.csv").write_text(
+                f"node_id,x,y\n0,0.0,0.0\n1,{x},0.0\n2,2.0,0.0\n"
+            )
+        rc = main(["eval", "--metric", "E_TP", "--map", str(tmp_path / "map.csv"),
+                   "--layout", str(tmp_path / "layout.csv")])
+        assert rc == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{bad}.csv" in err and "finite" in err
 
     def test_malformed_edge_list_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.txt"
@@ -503,6 +533,13 @@ class TestConfigKeys:
         rc, err = self._run(tmp_path, capsys, raw)
         assert rc == EXIT_DATA
         assert err.strip() == f"error: {message}"
+        assert not (tmp_path / "r").exists()
+
+    def test_non_positive_bin_width_is_data_error(self, tmp_path, capsys):
+        # checked when the config loads, for a network without a layout too
+        rc, err = self._run(tmp_path, capsys, {"bin_width": -1})
+        assert rc == EXIT_DATA
+        assert err.strip() == "error: bin_width must be positive"
         assert not (tmp_path / "r").exists()
 
     def test_integer_accepted_for_float_field(self, tmp_path, capsys):

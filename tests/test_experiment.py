@@ -21,10 +21,10 @@ from hopmap.experiment import (
 from hopmap.graph import anchor_hops
 from hopmap.lowrank import FULL_SVD_BELOW, CompletionConfig
 from hopmap.metrics import MetricReport
-from hopmap.netgen import write_edge_list
+from hopmap.netgen import read_points, write_edge_list
 from hopmap.sampling import AnchorSelection, select_anchors, vc_observations
 from hopmap.seeding import run_seed
-from hopmap.tpm import read_tpm, tpm_via_grammian, tpm_via_p_completion
+from hopmap.tpm import tpm_via_grammian, tpm_via_p_completion
 
 
 def _tiny_vc_config(out_dir, **over):
@@ -130,6 +130,8 @@ class TestConfigLoading:
             _tiny_vc_config("x", jobs=0)
         with pytest.raises(ValueError):
             _tiny_vc_config("x", k=4)
+        with pytest.raises(ValueError, match="bin_width must be positive"):
+            _tiny_vc_config("x", bin_width=0.0)
 
 
 class TestBuildNetwork:
@@ -268,7 +270,7 @@ class TestVcSweep:
                 ("grammian", tpm_via_grammian),
                 ("p-completion", tpm_via_p_completion),
             ):
-                written = read_tpm(tmp_path / "r" / f"tpm_{procedure}_f{int(round(100 * f))}.csv")
+                written = read_points(tmp_path / "r" / f"tpm_{procedure}_f{int(round(100 * f))}.csv")
                 assert np.array_equal(written.coords, fn(o, cfg.k, cfg.completion).coords)
 
         # rows stay grouped by procedure, then fraction, then repeat

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from hopmap.graph import Graph, all_pairs_hops
 from hopmap.metrics import (
     MetricReport,
-    ScanLineConfig,
     hdm_absolute_error,
     hdm_mean_error,
     mean_distance_error,
@@ -14,23 +13,18 @@ from hopmap.metrics import (
     topology_preservation_error,
 )
 from hopmap.netgen import PointCloud
-from hopmap.tpm import TopologyMap
 
 from oracles import cycle_graph, naive_topology_preservation_error, random_connected_graph
 
 
-def _map(coords):
-    return TopologyMap(coords=np.asarray(coords, dtype=float))
-
-
-def _cloud(coords):
+def _points(coords):
     return PointCloud(coords=np.asarray(coords, dtype=float))
 
 
 class TestMeanDistanceError:
     def test_identical_maps_zero(self):
         rng = np.random.default_rng(0)
-        tm = _map(rng.normal(size=(12, 2)))
+        tm = _points(rng.normal(size=(12, 2)))
         ids = np.array([0, 3, 7])
         assert mean_distance_error(tm, tm, ids) == 0.0
 
@@ -40,14 +34,14 @@ class TestMeanDistanceError:
         coords_f = rng.normal(size=(15, 2))
         coords_0 = rng.normal(size=(15, 2))
         ids = np.array([1, 4, 9, 14])
-        base = mean_distance_error(_map(coords_f), _map(coords_0), ids)
+        base = mean_distance_error(_points(coords_f), _points(coords_0), ids)
         theta = 1.234
         rot = np.array(
             [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]
         )
         flip = np.array([[1.0, 0.0], [0.0, -1.0]])
         for q in (rot, rot @ flip):
-            rotated = mean_distance_error(_map(coords_f @ q), _map(coords_0), ids)
+            rotated = mean_distance_error(_points(coords_f @ q), _points(coords_0), ids)
             assert abs(rotated - base) < 1e-9
 
     def test_uniform_scale_doubles_to_one(self):
@@ -55,19 +49,19 @@ class TestMeanDistanceError:
         coords = rng.normal(size=(10, 2))
         ids = np.array([0, 5])
         # d(f) = 2 d(0) everywhere, so the relative deviation is exactly 1
-        value = mean_distance_error(_map(2.0 * coords), _map(coords), ids)
+        value = mean_distance_error(_points(2.0 * coords), _points(coords), ids)
         assert abs(value - 1.0) < 1e-12
 
     def test_hand_computed_single_anchor(self):
-        base = _map([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
-        moved = _map([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]])
+        base = _points([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+        moved = _points([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]])
         ids = np.array([0])
         # distances to anchor 0: base (0, 1, 2); moved (0, sqrt(2), 2)
         expect = (np.sqrt(2.0) - 1.0) / 3.0
         assert abs(mean_distance_error(moved, base, ids) - expect) < 1e-12
 
     def test_anchor_ids_validated(self):
-        tm = _map(np.arange(8.0).reshape(4, 2))
+        tm = _points(np.arange(8.0).reshape(4, 2))
         with pytest.raises(ValueError):
             mean_distance_error(tm, tm, np.array([4]))
         with pytest.raises(ValueError):
@@ -76,14 +70,14 @@ class TestMeanDistanceError:
             mean_distance_error(tm, tm, np.array([], dtype=int))
 
     def test_shape_mismatch_rejected(self):
-        a = _map(np.zeros((4, 2)))
-        b = _map(np.zeros((5, 2)))
+        a = _points(np.zeros((4, 2)))
+        b = _points(np.zeros((5, 2)))
         with pytest.raises(ValueError):
             mean_distance_error(a, b, np.array([0]))
 
     def test_degenerate_baseline_rejected(self):
-        a = _map(np.arange(8.0).reshape(4, 2))
-        b = _map(np.ones((4, 2)))
+        a = _points(np.arange(8.0).reshape(4, 2))
+        b = _points(np.ones((4, 2)))
         with pytest.raises(ValueError):
             mean_distance_error(a, b, np.array([0, 1]))
 
@@ -92,43 +86,43 @@ class TestTopologyPreservation:
     def test_layout_vs_itself_zero(self):
         rng = np.random.default_rng(3)
         coords = rng.uniform(0, 10, size=(30, 2))
-        layout = _cloud(coords)
-        assert topology_preservation_error(layout, _map(coords)) == 0.0
+        layout = _points(coords)
+        assert topology_preservation_error(scan_lines(layout), _points(coords)) == 0.0
 
     def test_axis_aligned_transforms_score_zero(self):
         # flips and axis swaps of a faithful map are degenerate labels of
         # the same topology and must not be penalized
         rng = np.random.default_rng(4)
         coords = rng.uniform(0, 10, size=(25, 2))
-        layout = _cloud(coords)
+        layout = _points(coords)
         for t in (
             np.array([[-1.0, 0.0], [0.0, 1.0]]),
             np.array([[1.0, 0.0], [0.0, -1.0]]),
             np.array([[0.0, 1.0], [1.0, 0.0]]),
             np.array([[0.0, -1.0], [-1.0, 0.0]]),
         ):
-            tm = _map(coords @ t.T)
-            assert topology_preservation_error(layout, tm) == 0.0
+            tm = _points(coords @ t.T)
+            assert topology_preservation_error(scan_lines(layout), tm) == 0.0
 
     def test_single_swap_hand_count(self):
         # four nodes on one horizontal line; the map swaps the middle two.
         # one unordered pair is out of order: 2 of the 12 ordered pairs
-        layout = _cloud([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
-        tm = _map([[0.0, 7.0], [2.0, 7.0], [1.0, 7.0], [3.0, 7.0]])
-        value = topology_preservation_error(layout, tm)
+        layout = _points([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
+        tm = _points([[0.0, 7.0], [2.0, 7.0], [1.0, 7.0], [3.0, 7.0]])
+        value = topology_preservation_error(scan_lines(layout), tm)
         assert abs(value - 2.0 / 12.0) < 1e-12
 
     def test_full_reversal_not_penalized(self):
         # reversal equals an axis flip, which the transform search tries
-        layout = _cloud([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
-        tm = _map([[3.0, 0.0], [2.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
-        assert topology_preservation_error(layout, tm) == 0.0
+        layout = _points([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
+        tm = _points([[3.0, 0.0], [2.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
+        assert topology_preservation_error(scan_lines(layout), tm) == 0.0
 
     def test_two_line_aggregation(self):
         # two horizontal lines of three nodes; map breaks one pair on one
         # line only: 2 bad ordered pairs out of 6+6 line pairs, plus the
         # three vertical lines of two nodes each (6 more ordered pairs)
-        layout = _cloud(
+        layout = _points(
             [
                 [0.0, 0.0], [1.0, 0.0], [2.0, 0.0],
                 [0.0, 5.0], [1.0, 5.0], [2.0, 5.0],
@@ -142,58 +136,52 @@ class TestTopologyPreservation:
         )
         swapped = good.copy()
         swapped[[0, 1]] = swapped[[1, 0]]
-        value = topology_preservation_error(layout, _map(swapped))
+        value = topology_preservation_error(scan_lines(layout), _points(swapped))
         assert abs(value - 2.0 / 18.0) < 1e-12
 
     def test_ties_count_as_violations(self):
         # a map that collapses a line to one point preserves no order on it
-        layout = _cloud([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
-        tm = _map([[5.0, 1.0], [5.0, 2.0], [5.0, 3.0], [5.0, 4.0]])
+        layout = _points([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
+        tm = _points([[5.0, 1.0], [5.0, 2.0], [5.0, 3.0], [5.0, 4.0]])
         # horizontal scan: all x equal in the map -> fully violated either
         # direction; vertical scan lines are singletons.  the transform
         # search can still rescue it by swapping axes
-        assert topology_preservation_error(layout, tm) == 0.0
-        collapsed = _map([[5.0, 5.0], [5.0, 5.0], [5.0, 5.0], [5.0, 5.0]])
-        assert topology_preservation_error(layout, collapsed) == 1.0
+        assert topology_preservation_error(scan_lines(layout), tm) == 0.0
+        collapsed = _points([[5.0, 5.0], [5.0, 5.0], [5.0, 5.0], [5.0, 5.0]])
+        assert topology_preservation_error(scan_lines(layout), collapsed) == 1.0
 
     def test_bin_width_groups_lines(self):
         # y jitter of 0.3 splits lines at bin width 0.25 but not at 1.0
         layout_coords = np.array(
             [[0.0, 0.0], [1.0, 0.3], [2.0, -0.3], [3.0, 0.2]]
         )
-        layout = _cloud(layout_coords)
-        tm = _map([[0.0, 0.0], [2.0, 0.0], [1.0, 0.0], [3.0, 0.0]])
-        coarse = topology_preservation_error(layout, tm, ScanLineConfig(bin_width=1.0))
+        layout = _points(layout_coords)
+        tm = _points([[0.0, 0.0], [2.0, 0.0], [1.0, 0.0], [3.0, 0.0]])
+        coarse = topology_preservation_error(scan_lines(layout, bin_width=1.0), tm)
         assert abs(coarse - 2.0 / 12.0) < 1e-12
         with pytest.raises(ValueError):
             # at 0.05 every line is a singleton and nothing can be scored
-            topology_preservation_error(layout, tm, ScanLineConfig(bin_width=0.05))
+            scan_lines(layout, bin_width=0.05)
 
     def test_requires_2d(self):
-        layout3 = _cloud(np.zeros((4, 3)))
-        tm2 = _map(np.arange(8.0).reshape(4, 2))
-        with pytest.raises(ValueError):
-            topology_preservation_error(layout3, tm2)
-        layout2 = _cloud(np.arange(8.0).reshape(4, 2))
-        tm3 = _map(np.arange(12.0).reshape(4, 3))
-        with pytest.raises(ValueError):
-            topology_preservation_error(layout2, tm3)
+        with pytest.raises(ValueError, match="2-d"):
+            scan_lines(_points(np.zeros((4, 3))))
+        lines = scan_lines(_points([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]))
+        tm3 = _points(np.arange(12.0).reshape(4, 3))
+        with pytest.raises(ValueError, match="2-d"):
+            topology_preservation_error(lines, tm3)
 
     def test_node_count_mismatch(self):
-        layout = _cloud(np.arange(8.0).reshape(4, 2))
-        tm = _map(np.arange(10.0).reshape(5, 2))
-        with pytest.raises(ValueError):
-            topology_preservation_error(layout, tm)
-        lines = scan_lines(_cloud([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]))
+        tm = _points(np.arange(10.0).reshape(5, 2))
+        lines = scan_lines(_points([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]))
         with pytest.raises(ValueError, match="share node indexing"):
             topology_preservation_error(lines, tm)
 
     def test_no_populated_line_rejected(self):
         # diagonal points: every horizontal and vertical bin is a singleton
-        layout = _cloud([[0.0, 0.0], [5.0, 5.0], [10.0, 10.0]])
-        tm = _map([[0.0, 0.0], [5.0, 5.0], [10.0, 10.0]])
-        with pytest.raises(ValueError):
-            topology_preservation_error(layout, tm)
+        layout = _points([[0.0, 0.0], [5.0, 5.0], [10.0, 10.0]])
+        with pytest.raises(ValueError, match="no scan line"):
+            scan_lines(layout)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_brute_force_oracle(self, seed):
@@ -203,16 +191,16 @@ class TestTopologyPreservation:
         layout_coords = np.round(rng.uniform(0, 6, size=(60, 2)) * 2) / 2
         noise = rng.standard_normal((60, 2)) * (0.5 * seed)
         map_coords = np.round(layout_coords @ np.linalg.qr(rng.standard_normal((2, 2)))[0] + noise)
-        layout, tm = _cloud(layout_coords), _map(map_coords)
-        for cfg in (ScanLineConfig(), ScanLineConfig(bin_width=0.5)):
-            expected = naive_topology_preservation_error(layout_coords, map_coords, cfg.bin_width)
-            assert topology_preservation_error(layout, tm, cfg) == expected
-            # scan lines built once score every map of the layout alike
-            assert topology_preservation_error(scan_lines(layout, cfg), tm) == expected
+        layout, tm = _points(layout_coords), _points(map_coords)
+        for bin_width in (1.0, 0.5):
+            expected = naive_topology_preservation_error(layout_coords, map_coords, bin_width)
+            assert topology_preservation_error(scan_lines(layout, bin_width), tm) == expected
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            ScanLineConfig(bin_width=0.0)
+        layout = _points([[0.0, 0.0], [1.0, 0.0]])
+        for bin_width in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="bin_width must be positive"):
+                scan_lines(layout, bin_width)
 
 
 class TestHopErrors:

@@ -11,14 +11,12 @@ from hopmap.netgen import (
     gen_holme_kim,
     gen_t_cylinder_3d,
     load_snap_edge_list,
-    read_layout,
-    read_point_table,
+    read_points,
     subgraph_bfs,
     unit_disk_connect,
     write_edge_list,
-    write_layout,
+    write_points,
 )
-from hopmap.tpm import TopologyMap, write_tpm
 from oracles import cycle_graph, random_connected_graph
 
 
@@ -30,6 +28,31 @@ def brute_unit_disk_edges(coords, radius):
         for j in range(i + 1, n)
         if np.linalg.norm(coords[i] - coords[j]) <= radius
     }
+
+
+class TestPointCloud:
+    def test_shape_and_properties(self):
+        pc = PointCloud(coords=np.zeros((5, 2)))
+        assert pc.n == 5 and pc.dim == 2
+        pc3 = PointCloud(coords=np.zeros((4, 3)))
+        assert pc3.dim == 3
+
+    def test_rejects_bad_dimension(self):
+        with pytest.raises(ValueError):
+            PointCloud(coords=np.zeros((5, 4)))
+        with pytest.raises(ValueError):
+            PointCloud(coords=np.zeros(5))
+
+    def test_rejects_non_finite(self):
+        c = np.zeros((3, 2))
+        c[1, 1] = np.nan
+        with pytest.raises(ValueError):
+            PointCloud(coords=c)
+
+    def test_coords_read_only(self):
+        pc = PointCloud(coords=np.zeros((3, 2)))
+        with pytest.raises(ValueError):
+            pc.coords[0, 0] = 1.0
 
 
 class TestUnitDisk:
@@ -237,22 +260,22 @@ class TestLayoutIo:
     def test_round_trip_2d(self, tmp_path):
         pc, _ = gen_concave_2d(GeneratorConfig(seed=2))
         path = tmp_path / "layout.csv"
-        write_layout(pc, path)
-        back = read_layout(path)
+        write_points(pc, path)
+        back = read_points(path)
         assert np.array_equal(back.coords, pc.coords)
 
     def test_round_trip_3d(self, tmp_path):
         pc = PointCloud(coords=np.random.default_rng(7).random((9, 3)))
         path = tmp_path / "layout3.csv"
-        write_layout(pc, path)
-        back = read_layout(path)
+        write_points(pc, path)
+        back = read_points(path)
         assert np.array_equal(back.coords, pc.coords)
 
     def test_bad_header_rejected(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("id,a,b\n0,1,2\n")
         with pytest.raises(ValueError):
-            read_layout(p)
+            read_points(p)
 
 
 class TestPointTable:
@@ -272,11 +295,9 @@ class TestPointTable:
         ],
     )
     def test_layout_and_map_bytes(self, tmp_path, coords, expected):
-        write_layout(PointCloud(coords=coords.copy()), tmp_path / "layout.csv")
-        write_tpm(TopologyMap(coords=coords.copy()), tmp_path / "map.csv")
-        assert (tmp_path / "layout.csv").read_bytes() == expected
-        assert (tmp_path / "map.csv").read_bytes() == expected
-        assert np.array_equal(read_point_table(tmp_path / "map.csv"), coords)
+        write_points(PointCloud(coords=coords.copy()), tmp_path / "points.csv")
+        assert (tmp_path / "points.csv").read_bytes() == expected
+        assert np.array_equal(read_points(tmp_path / "points.csv").coords, coords)
 
     @pytest.mark.parametrize(
         "text",
@@ -286,10 +307,12 @@ class TestPointTable:
             "node_id,x,y\n0,one,2.0\n",
             "node_id,x,y\n",
             "node_id,x,y\n0,1.0,2.0\n2,3.0,4.0\n",
+            "node_id,x,y\n0,1.0,2.0\n1,nan,4.0\n",
+            "node_id,x,y,z\n0,1.0,-inf,2.0\n",
         ],
     )
     def test_malformed_file_error_names_path(self, tmp_path, text):
         path = tmp_path / "points.csv"
         path.write_text(text)
         with pytest.raises(ValueError, match="points.csv"):
-            read_point_table(path)
+            read_points(path)

@@ -4,7 +4,7 @@ import pytest
 
 from hopmap.graph import Graph, all_pairs_hops, anchor_hops
 from hopmap.lowrank import CompletionConfig, complete_nuclear_norm
-from hopmap.netgen import gen_holme_kim
+from hopmap.netgen import PointCloud, gen_holme_kim, read_points, write_points
 from hopmap.sampling import (
     AnchorSelection,
     ObservedMatrix,
@@ -16,16 +16,13 @@ from hopmap import graph, tpm
 from hopmap.tpm import (
     NEIGHBOURS,
     CompletionFailure,
-    TopologyMap,
     align_maps,
     complete_anchor_hops,
     fill_from_neighbours,
     geodesic_bounds,
-    read_tpm,
     tpm_full_vc,
     tpm_via_grammian,
     tpm_via_p_completion,
-    write_tpm,
 )
 
 from oracles import (
@@ -40,31 +37,6 @@ from oracles import (
 def _vc(g: Graph, m: int, seed: int = 0):
     anchors = select_anchors(g, AnchorSelection("random", m, seed=seed))
     return anchor_hops(g, anchors)
-
-
-class TestTopologyMap:
-    def test_shape_and_properties(self):
-        tm = TopologyMap(coords=np.zeros((5, 2)))
-        assert tm.n == 5 and tm.k == 2
-        tm3 = TopologyMap(coords=np.zeros((4, 3)))
-        assert tm3.k == 3
-
-    def test_rejects_bad_dimension(self):
-        with pytest.raises(ValueError):
-            TopologyMap(coords=np.zeros((5, 4)))
-        with pytest.raises(ValueError):
-            TopologyMap(coords=np.zeros(5))
-
-    def test_rejects_non_finite(self):
-        c = np.zeros((3, 2))
-        c[1, 1] = np.nan
-        with pytest.raises(ValueError):
-            TopologyMap(coords=c)
-
-    def test_coords_read_only(self):
-        tm = TopologyMap(coords=np.zeros((3, 2)))
-        with pytest.raises(ValueError):
-            tm.coords[0, 0] = 1.0
 
 
 class TestFullVc:
@@ -300,8 +272,8 @@ class TestAlignMaps:
     def test_recovers_rotation_and_scale(self):
         rng = np.random.default_rng(24)
         coords = rng.normal(size=(20, 2))
-        a = TopologyMap(coords=coords)
-        b = TopologyMap(coords=3.0 * coords @ self._rot(0.7))
+        a = PointCloud(coords=coords)
+        b = PointCloud(coords=3.0 * coords @ self._rot(0.7))
         moved, t = align_maps(a, b)
         assert t.residual < 1e-9
         assert abs(t.scale - 3.0) < 1e-9
@@ -311,8 +283,8 @@ class TestAlignMaps:
         rng = np.random.default_rng(25)
         coords = rng.normal(size=(15, 2))
         flip = np.array([[1.0, 0.0], [0.0, -1.0]])
-        a = TopologyMap(coords=coords)
-        b = TopologyMap(coords=coords @ flip)
+        a = PointCloud(coords=coords)
+        b = PointCloud(coords=coords @ flip)
         _, t = align_maps(a, b)
         assert t.residual < 1e-9
         assert abs(np.linalg.det(t.rotation) + 1.0) < 1e-9
@@ -323,8 +295,8 @@ class TestAlignMaps:
         rng = np.random.default_rng(26)
         a_c = rng.normal(size=(3, 2))
         b_c = rng.normal(size=(3, 2))
-        a = TopologyMap(coords=a_c)
-        b = TopologyMap(coords=b_c)
+        a = PointCloud(coords=a_c)
+        b = PointCloud(coords=b_c)
         _, t = align_maps(a, b)
 
         best = np.inf
@@ -340,20 +312,20 @@ class TestAlignMaps:
 
     def test_orthogonality_of_transform(self):
         rng = np.random.default_rng(27)
-        a = TopologyMap(coords=rng.normal(size=(10, 2)))
-        b = TopologyMap(coords=rng.normal(size=(10, 2)))
+        a = PointCloud(coords=rng.normal(size=(10, 2)))
+        b = PointCloud(coords=rng.normal(size=(10, 2)))
         _, t = align_maps(a, b)
         assert np.allclose(t.rotation @ t.rotation.T, np.eye(2), atol=1e-12)
 
     def test_shape_mismatch_rejected(self):
-        a = TopologyMap(coords=np.arange(10.0).reshape(5, 2))
-        b = TopologyMap(coords=np.arange(8.0).reshape(4, 2))
+        a = PointCloud(coords=np.arange(10.0).reshape(5, 2))
+        b = PointCloud(coords=np.arange(8.0).reshape(4, 2))
         with pytest.raises(ValueError):
             align_maps(a, b)
 
     def test_degenerate_map_rejected(self):
-        a = TopologyMap(coords=np.ones((5, 2)))
-        b = TopologyMap(coords=np.arange(10.0).reshape(5, 2))
+        a = PointCloud(coords=np.ones((5, 2)))
+        b = PointCloud(coords=np.arange(10.0).reshape(5, 2))
         with pytest.raises(ValueError):
             align_maps(a, b)
         with pytest.raises(ValueError):
@@ -363,8 +335,8 @@ class TestAlignMaps:
         rng = np.random.default_rng(28)
         coords = rng.normal(size=(12, 3))
         q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-        a = TopologyMap(coords=coords)
-        b = TopologyMap(coords=0.5 * coords @ q)
+        a = PointCloud(coords=coords)
+        b = PointCloud(coords=0.5 * coords @ q)
         _, t = align_maps(a, b)
         assert t.residual < 1e-9
 
@@ -372,28 +344,28 @@ class TestAlignMaps:
 class TestSerialization:
     def test_round_trip_2d(self, tmp_path):
         rng = np.random.default_rng(29)
-        tm = TopologyMap(coords=rng.normal(size=(7, 2)))
+        tm = PointCloud(coords=rng.normal(size=(7, 2)))
         path = tmp_path / "map.csv"
-        write_tpm(tm, path)
-        back = read_tpm(path)
+        write_points(tm, path)
+        back = read_points(path)
         assert np.array_equal(back.coords, tm.coords)
 
     def test_round_trip_3d(self, tmp_path):
         rng = np.random.default_rng(30)
-        tm = TopologyMap(coords=rng.normal(size=(5, 3)))
+        tm = PointCloud(coords=rng.normal(size=(5, 3)))
         path = tmp_path / "map.csv"
-        write_tpm(tm, path)
-        back = read_tpm(path)
+        write_points(tm, path)
+        back = read_points(path)
         assert np.array_equal(back.coords, tm.coords)
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "map.csv"
         path.write_text("a,b,c\n0,1.0,2.0\n")
         with pytest.raises(ValueError):
-            read_tpm(path)
+            read_points(path)
 
     def test_sparse_ids_rejected(self, tmp_path):
         path = tmp_path / "map.csv"
         path.write_text("node_id,x,y\n0,1.0,2.0\n2,3.0,4.0\n")
         with pytest.raises(ValueError):
-            read_tpm(path)
+            read_points(path)
