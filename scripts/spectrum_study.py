@@ -66,13 +66,18 @@ if __name__ == "__main__":
     ap.add_argument("--n", type=int, default=500)
     ap.add_argument("--m", type=int, default=3)
     ap.add_argument("--p-triad", type=float, default=0.5)
-    ap.add_argument("--anchors", type=int, default=100)
+    ap.add_argument("--anchors", type=int, default=100,
+                    help="anchors per strategy, at most --n")
     ap.add_argument("--probe-index", type=int, default=100,
                     help="1-based singular value to print, at most --n")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--out", default="results/spectra")
     args = ap.parse_args()
-    # the hop and adjacency spectra hold n values each
+    # the hop and adjacency spectra hold n values each, and every strategy
+    # picks its anchors from the n nodes; both are checked before any curve
+    # is written
     if not 1 <= args.probe_index <= args.n:
         ap.error(f"--probe-index must be in [1, --n={args.n}], got {args.probe_index}")
+    if not 1 <= args.anchors <= args.n:
+        ap.error(f"--anchors must be in [1, --n={args.n}], got {args.anchors}")
     run(args)

@@ -32,9 +32,14 @@ class CompletionFailure(RuntimeError):
 
 
 # geodesic recovery: each missing hop becomes the mean over this many
-# best-matching nodes that observed it, re-estimated this many times; the
-# per-node intermediates are built a block of rows at a time, with at most
-# graph.BLOCK_CELLS cells per block
+# best-matching nodes that observed it, re-estimated this many times. Each
+# round ranks the nearest nodes of every incomplete row a block of rows at a
+# time (at most graph.BLOCK_CELLS ranked-node cells per block, k nodes x m
+# columns a row), keeping the rows x n distances for the entries that must
+# rank all observers; it then estimates column by column, gathering only
+# for the rows that miss the column. The block step is kept for
+# bit-identical distances: BLAS orders a product's sums by its row count,
+# and a distance one bit off can reorder tied nodes.
 NEIGHBOURS = 5
 NEIGHBOUR_ROUNDS = 3
 
@@ -110,25 +115,45 @@ def fill_from_neighbours(
     k = min(n, math.ceil(2 * NEIGHBOURS / mask.mean(axis=0).min()))
     step = max(1, graph.BLOCK_CELLS // max(n, k * m))
     rows_missing = np.flatnonzero(~mask.all(axis=1))
+    # per round: the ranked nodes of each incomplete row, nearest first down
+    # a column, and the row's distances to every node for its short entries
+    near = np.empty((k, rows_missing.size), dtype=np.intp)
+    dist = np.empty((rows_missing.size, n))
+    product = np.empty((min(step, rows_missing.size), n))
+    observed_t, values_t = mask.T.copy(), v.T.copy()
+    # for each column, the places in rows_missing of the rows that miss it
+    missing_t = ~mask[rows_missing].T
+    at = [np.flatnonzero(missing_t[j]) for j in range(m)]
     for _ in range(NEIGHBOUR_ROUNDS):
         sq_t, h_t = (h * h).T, h.T
-        nxt = h.copy()
         for start in range(0, rows_missing.size, step):
             rows = rows_missing[start : start + step]
-            # sum over node i's observed a of (h(l,a) - h(i,a))^2, less a per-row constant
-            d = w[rows] @ sq_t - 2.0 * v[rows] @ h_t
-            near = np.argpartition(d, k - 1, axis=1)[:, :k]
-            order = np.argsort(np.take_along_axis(d, near, axis=1), axis=1)
-            near = np.take_along_axis(near, order, axis=1)
-            seen = mask[near]  # rows x k x m, nearest first
-            used = seen & (np.cumsum(seen, axis=1, dtype=np.int32) <= NEIGHBOURS)
-            got = used.sum(axis=1, dtype=np.int32)
-            est = np.where(used, v[near], 0.0).sum(axis=1) / np.maximum(got, 1)
-            for r, j in zip(*np.nonzero((got < take) & ~mask[rows])):
-                cand = np.flatnonzero(mask[:, j])
-                nearest = cand[np.argpartition(d[r, cand], take[j] - 1)[: take[j]]]
-                est[r, j] = v[nearest, j].mean()
-            nxt[rows] = est
+            # sum over node i's observed a of (h(l,a) - h(i,a))^2, less a per-row
+            # constant: w[rows] @ sq_t - 2.0 * v[rows] @ h_t, the same products
+            # of the same operands, written into the table, not new arrays
+            d, p = dist[start : start + step], product[: rows.size]
+            np.matmul(w[rows], sq_t, out=d)
+            np.matmul(2.0 * v[rows], h_t, out=p)
+            d -= p
+            ranked = np.argpartition(d, k - 1, axis=1)[:, :k]
+            order = np.argsort(np.take_along_axis(d, ranked, axis=1), axis=1)
+            near[:, start : start + step] = np.take_along_axis(ranked, order, axis=1).T
+        nxt = h.copy()
+        for j in range(m):
+            nb = near[:, at[j]]  # k x rows missing j
+            count = np.cumsum(observed_t[j][nb], axis=0, dtype=np.int32)
+            got = np.minimum(count[-1], NEIGHBOURS)
+            # values are zero off the mask, so the sum up to the NEIGHBOURS-th
+            # observer adds exactly the observers' hops, nearest first
+            est = np.sum(values_t[j][nb], axis=0, where=count <= NEIGHBOURS)
+            est /= np.maximum(got, 1)
+            short = np.flatnonzero(got < take[j])
+            if short.size:
+                cand = np.flatnonzero(observed_t[j])
+                d = dist[np.ix_(at[j][short], cand)]
+                nearest = cand[np.argpartition(d, take[j] - 1, axis=1)[:, : take[j]]]
+                est[short] = values_t[j][nearest].mean(axis=1)
+            nxt[rows_missing[at[j]], j] = est
         h = np.where(mask, v, np.clip(nxt, lower, upper))
     return h
 

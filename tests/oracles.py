@@ -1,10 +1,12 @@
 """Independent reference implementations used only to check the library.
 
-Everything here is deliberately brute-force and kept free of the code
+Everything here is deliberately brute-force, or an earlier version of a
+rewritten routine kept to pin its exact outputs, and free of the code
 paths under test.
 """
 from __future__ import annotations
 
+import math
 from collections import deque
 
 import numpy as np
@@ -331,6 +333,59 @@ def naive_neighbour_fill(
                 nxt[i, j] = min(max(mean, lower[i, j]), upper[i, j])
         h = nxt
     return h
+
+
+def blocked_neighbour_fill(
+    values: np.ndarray,
+    mask: np.ndarray,
+    estimate: np.ndarray,
+    lower: np.ndarray,
+    upper: np.ndarray,
+    neighbours: int,
+    rounds: int,
+    block_cells: int,
+) -> tuple[np.ndarray, int]:
+    """The neighbour fill as it was before its per-column gather: each row
+    block gathers the observations of its k nearest nodes for every column
+    (rows x k x m), and an entry short of observers there ranks all
+    observers of its column, one entry at a time.
+
+    It makes the same ranking calls on the same row blocks as
+    tpm.fill_from_neighbours, so tied distances resolve alike and the two
+    agree bit for bit. Returns the filled matrix and the number of entries
+    that went through the all-observers search, over all rounds.
+    """
+    h = np.where(mask, values, np.clip(estimate, lower, upper))
+    if mask.all():
+        return h, 0
+    n, m = h.shape
+    w = mask.astype(float)
+    take = np.minimum(neighbours, mask.sum(axis=0))
+    k = min(n, math.ceil(2 * neighbours / mask.mean(axis=0).min()))
+    step = max(1, block_cells // max(n, k * m))
+    rows_missing = np.flatnonzero(~mask.all(axis=1))
+    short_entries = 0
+    for _ in range(rounds):
+        sq_t, h_t = (h * h).T, h.T
+        nxt = h.copy()
+        for start in range(0, rows_missing.size, step):
+            rows = rows_missing[start : start + step]
+            d = w[rows] @ sq_t - 2.0 * values[rows] @ h_t
+            near = np.argpartition(d, k - 1, axis=1)[:, :k]
+            order = np.argsort(np.take_along_axis(d, near, axis=1), axis=1)
+            near = np.take_along_axis(near, order, axis=1)
+            seen = mask[near]  # rows x k x m, nearest first
+            used = seen & (np.cumsum(seen, axis=1, dtype=np.int32) <= neighbours)
+            got = used.sum(axis=1, dtype=np.int32)
+            est = np.where(used, values[near], 0.0).sum(axis=1) / np.maximum(got, 1)
+            for r, j in zip(*np.nonzero((got < take) & ~mask[rows])):
+                cand = np.flatnonzero(mask[:, j])
+                nearest = cand[np.argpartition(d[r, cand], take[j] - 1)[: take[j]]]
+                est[r, j] = values[nearest, j].mean()
+                short_entries += 1
+            nxt[rows] = est
+        h = np.where(mask, values, np.clip(nxt, lower, upper))
+    return h, short_entries
 
 
 def naive_topology_preservation_error(

@@ -303,6 +303,7 @@ class TestPointTable:
         "text",
         [
             "id,x,y\n0,1,2\n",
+            "a,b,c\n0,1.0,2.0\n",
             "node_id,x,y\n0,1.0\n",
             "node_id,x,y\n0,one,2.0\n",
             "node_id,x,y\n",

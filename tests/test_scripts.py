@@ -55,3 +55,14 @@ def test_spectrum_study_probe_index_out_of_range(tmp_path, probe):
     assert proc.returncode == 2
     assert "--probe-index" in proc.stderr and "Traceback" not in proc.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("anchors", [None, "0", "81"])
+def test_spectrum_study_anchor_count_out_of_range(tmp_path, anchors):
+    # None: the default 100 anchors, more than --n 80 nodes
+    out = tmp_path / "study"
+    count = () if anchors is None else ("--anchors", anchors)
+    proc = _spectrum_study("--n", "80", "--probe-index", "5", *count, "--out", str(out))
+    assert proc.returncode == 2
+    assert "--anchors" in proc.stderr and "Traceback" not in proc.stderr
+    assert not out.exists()
