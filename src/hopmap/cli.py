@@ -20,7 +20,7 @@ from .experiment import (
     run_experiment,
     summarize,
 )
-from .graph import VcMatrix, all_pairs_hops, anchor_hops
+from .graph import HopDistanceMatrix, all_pairs_hops, anchor_hops
 from .lowrank import (
     CompletionConfig,
     complete_nuclear_norm,
@@ -39,10 +39,8 @@ from .sampling import (
     STRATEGIES,
     AnchorSelection,
     load_observed,
-    random_entry_observations,
     save_observed,
     select_anchors,
-    vc_observations,
 )
 from .tpm import MAP_EXTRACTORS, CompletionFailure, complete_anchor_hops
 
@@ -181,11 +179,14 @@ def _cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _anchor_matrix(args, g) -> VcMatrix:
-    """Hops from every node to the anchors that --anchors, --strategy and
-    --seed select."""
-    sel = AnchorSelection(args.strategy, args.anchors, seed=args.seed)
-    return anchor_hops(g, select_anchors(g, sel))
+def _selection(args) -> AnchorSelection:
+    """The anchors that --anchors, --strategy and --seed select."""
+    return AnchorSelection(args.strategy, args.anchors, seed=args.seed)
+
+
+def _anchor_matrix(args, g) -> HopDistanceMatrix:
+    """Hops from every node to the selected anchors."""
+    return anchor_hops(g, select_anchors(g, _selection(args)))
 
 
 def _spectrum_matrix(args) -> np.ndarray:
@@ -211,16 +212,14 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_sample(args) -> int:
     g, _ = load_snap_edge_list(args.input)
-    if args.mode == "vc":
-        p = _anchor_matrix(args, g)
-        o = vc_observations(p, args.fraction, seed=args.seed)
-    else:
-        o = random_entry_observations(all_pairs_hops(g), 1.0 - args.fraction, seed=args.seed)
+    mode = MODES[args.mode]
+    truth = mode.truth(g, _selection(args))
+    o = mode.observe(truth, args.fraction, args.seed)
     csv_path, json_path = save_observed(o, args.out)
     if args.mode == "vc":
         # anchor node ids, needed later by `eval --metric E --anchor-ids`
         anchors_path = Path(args.out).with_suffix(".anchors.txt")
-        anchors_path.write_text(",".join(str(a) for a in p.anchor_ids) + "\n")
+        anchors_path.write_text(",".join(str(a) for a in truth.anchor_ids) + "\n")
         print(f"anchors: {anchors_path}")
     print(f"wrote {csv_path} and {json_path} ({o.n_observed} entries)")
     return EXIT_OK

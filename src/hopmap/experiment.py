@@ -10,6 +10,8 @@ import platform
 import time
 import types
 import typing
+from collections import Counter
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -18,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from .graph import Graph, all_pairs_hops, anchor_hops
+from .graph import Graph, HopDistanceMatrix, all_pairs_hops, anchor_hops
 from .lowrank import CompletionConfig
 from .metrics import (
     MetricReport,
@@ -41,6 +43,7 @@ from .netgen import (
 )
 from .sampling import (
     AnchorSelection,
+    ObservedMatrix,
     random_entry_observations,
     select_anchors,
     vc_observations,
@@ -63,7 +66,6 @@ from .tpm import (  # noqa: F401
 from .netgen import write_points as write_tpm
 
 PROCEDURES = tuple(MAP_EXTRACTORS)
-MODES = ("vc", "random_entry")
 GENERATORS = {
     "concave": gen_concave_2d,
     "circular": gen_circular_voids_2d,
@@ -190,12 +192,17 @@ class ExperimentConfig:
             if not 0.0 <= f < 1.0:
                 raise ValueError("fractions must lie in [0, 1)")
         if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}")
+            raise ValueError(f"mode must be one of {tuple(MODES)}")
         if self.mode == "vc" and not self.procedures:
             raise ValueError("procedures must list at least one procedure in vc mode")
         for p in self.procedures:
             if p not in PROCEDURES:
                 raise ValueError(f"procedure must be one of {PROCEDURES}")
+        # a repeated value would be scored once but counted twice in total_runs
+        for key in ("procedures", "fractions"):
+            repeated = [v for v, count in Counter(getattr(self, key)).items() if count > 1]
+            if repeated:
+                raise ValueError(f"{key} lists {repeated[0]!r} more than once")
         if self.k not in (2, 3):
             raise ValueError("map dimension k must be 2 or 3")
         if self.jobs < 1:
@@ -239,6 +246,71 @@ def build_network(spec: NetworkSpec) -> tuple[Graph, PointCloud | None, str]:
 
 
 @dataclass(frozen=True)
+class Mode:
+    """One observation mode of a sweep: truth(graph, anchor selection),
+    observe(truth, deleted fraction f, seed), and scoring(cfg, truth,
+    layout, out dir) -> (labels, baseline map per label, score), where
+    score(label, f, repeat, completed hops) yields (metric, value) pairs.
+    Each calls the pipeline through this module's names at call time:
+    those are the bindings perfbench's spans patch."""
+
+    truth: Callable[[Graph, AnchorSelection], HopDistanceMatrix]
+    observe: Callable[[HopDistanceMatrix, float, int], ObservedMatrix]
+    scoring: Callable[..., tuple]
+
+
+def _vc_scoring(cfg, truth, layout, out):
+    """One label per procedure: its map of each completion, scored by E
+    against its map of the full anchor matrix and, on 2-D layouts, by
+    E_TP; the first repeat's maps are written."""
+    baselines = {p: MAP_EXTRACTORS[p](truth.as_float(), cfg.k) for p in cfg.procedures}
+    lines = None
+    if layout is not None and layout.dim == 2 and cfg.k == 2:
+        # one layout for every run: pair up its scan lines once
+        lines = scan_lines(layout, cfg.bin_width)
+
+    def score(procedure, f, rep, hops):
+        tm = MAP_EXTRACTORS[procedure](hops, cfg.k)
+        if rep == 0:
+            write_tpm(tm, out / f"tpm_{procedure}_f{int(round(100 * f))}.csv")
+        yield "E", mean_distance_error(tm, baselines[procedure], truth.anchor_ids)
+        if lines is not None:
+            # SVD maps are rotated arbitrarily; match axes before scanning
+            oriented, _ = align_maps(tm, layout)
+            yield "E_TP", topology_preservation_error(lines, oriented)
+
+    return cfg.procedures, baselines, score
+
+
+def _entry_scoring(cfg, truth, layout, out):
+    """The one label completion, scored by E_m and E_a against the truth,
+    which must connect every pair."""
+    truth.require_finite()
+
+    def score(label, f, rep, completed):
+        yield "E_m", hdm_mean_error(completed, truth)
+        yield "E_a", hdm_absolute_error(completed, truth)
+
+    return ("completion",), {}, score
+
+
+# mode name -> Mode; in random_entry mode every node is an anchor, and
+# the sampler takes the observed share 1 - f
+MODES = {
+    "vc": Mode(
+        truth=lambda g, sel: anchor_hops(g, select_anchors(g, sel)),
+        observe=lambda truth, f, seed: vc_observations(truth, f, seed=seed),
+        scoring=_vc_scoring,
+    ),
+    "random_entry": Mode(
+        truth=lambda g, sel: all_pairs_hops(g),
+        observe=lambda truth, f, seed: random_entry_observations(truth, 1.0 - f, seed=seed),
+        scoring=_entry_scoring,
+    ),
+}
+
+
+@dataclass(frozen=True)
 class RunFailure:
     network: str
     procedure: str
@@ -276,10 +348,7 @@ def _run(task: tuple) -> tuple:
     them all alike."""
     fi, f, rep = task
     seed = run_seed(_WORK["seed"], "run", fi, rep)
-    if _WORK["mode"] == "vc":
-        o = vc_observations(_WORK["truth"], f, seed=seed)
-    else:
-        o = random_entry_observations(_WORK["truth"], 1.0 - f, seed=seed)
+    o = MODES[_WORK["mode"]].observe(_WORK["truth"], f, seed)
     return seed, complete_anchor_hops(o, _WORK["completion"])
 
 
@@ -315,37 +384,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         (fi, f, rep) for fi, f in enumerate(cfg.fractions) for rep in range(cfg.repeats)
     ]
 
-    baselines: dict[str, PointCloud] = {}
-    if cfg.mode == "vc":
-        sel = replace(cfg.anchors, seed=run_seed(cfg.seed, "anchors"))
-        anchors = select_anchors(g, sel)
-        truth = anchor_hops(g, anchors)
-        labels, m = cfg.procedures, sel.m
-        for procedure in labels:
-            baselines[procedure] = MAP_EXTRACTORS[procedure](truth.as_float(), cfg.k)
-        lines = None
-        if layout is not None and layout.dim == 2 and cfg.k == 2:
-            # one layout for every run: pair up its scan lines once
-            lines = scan_lines(layout, cfg.bin_width)
-
-        def score(procedure, f, rep, hops):
-            tm = MAP_EXTRACTORS[procedure](hops, cfg.k)
-            if rep == 0:
-                write_tpm(tm, out / f"tpm_{procedure}_f{int(round(100 * f))}.csv")
-            yield "E", mean_distance_error(tm, baselines[procedure], anchors)
-            if lines is not None:
-                # SVD maps are rotated arbitrarily; match axes before scanning
-                oriented, _ = align_maps(tm, layout)
-                yield "E_TP", topology_preservation_error(lines, oriented)
-    else:
-        truth = all_pairs_hops(g)
-        truth.require_finite()
-        # every node acts as an anchor in entrywise observation mode
-        labels, m = ("completion",), truth.n
-
-        def score(label, f, rep, completed):
-            yield "E_m", hdm_mean_error(completed, truth)
-            yield "E_a", hdm_absolute_error(completed, truth)
+    mode = MODES[cfg.mode]
+    truth = mode.truth(g, replace(cfg.anchors, seed=run_seed(cfg.seed, "anchors")))
+    labels, baselines, score = mode.scoring(cfg, truth, layout, out)
+    m = len(truth.anchor_ids)
 
     # no results directory for inputs that fail to build
     out.mkdir(parents=True, exist_ok=True)

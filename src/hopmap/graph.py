@@ -91,45 +91,13 @@ class Graph:
 
 @dataclass(frozen=True)
 class HopDistanceMatrix:
-    """n x n matrix of shortest-path lengths in hops.
-
-    ``hops[i, j]`` is the hop count between i and j, UNREACHABLE (-1) when
-    no path exists.  Symmetric, zero diagonal, and entry 1 exactly on edges
-    of the source graph.
-    """
-
-    hops: np.ndarray
-
-    def __post_init__(self):
-        h = self.hops
-        if h.ndim != 2 or h.shape[0] != h.shape[1]:
-            raise ValueError(f"hop matrix must be square, got shape {h.shape}")
-        h.flags.writeable = False
-
-    @property
-    def n(self) -> int:
-        return self.hops.shape[0]
-
-    @property
-    def fully_finite(self) -> bool:
-        return bool((self.hops != UNREACHABLE).all())
-
-    def require_finite(self) -> None:
-        if not self.fully_finite:
-            raise ValueError("hop matrix contains unreachable pairs")
-
-    def as_float(self) -> np.ndarray:
-        """Float copy; rejects unreachable sentinels."""
-        self.require_finite()
-        return self.hops.astype(float)
-
-
-@dataclass(frozen=True)
-class VcMatrix:
     """Hop distances from every node to an ordered set of anchor nodes.
 
-    Column j equals column ``anchor_ids[j]`` of the full hop matrix; the
-    row of node i is its virtual coordinate vector.
+    ``hops[i, j]`` is the hop count between node i and node
+    ``anchor_ids[j]``, UNREACHABLE (-1) when no path exists; the row of
+    node i is its virtual coordinate vector. With every node an anchor
+    (``anchor_ids`` 0..n-1) it is the all-pairs hop matrix: symmetric,
+    zero diagonal, and entry 1 exactly on edges of the source graph.
     """
 
     hops: np.ndarray
@@ -141,14 +109,16 @@ class VcMatrix:
         self.hops.flags.writeable = False
 
     @property
-    def n_nodes(self) -> int:
+    def n(self) -> int:
         return self.hops.shape[0]
 
-    @property
-    def n_anchors(self) -> int:
-        return self.hops.shape[1]
+    def require_finite(self) -> None:
+        if (self.hops == UNREACHABLE).any():
+            raise ValueError("hop matrix contains unreachable pairs")
 
     def as_float(self) -> np.ndarray:
+        """Float copy; rejects unreachable sentinels."""
+        self.require_finite()
         return self.hops.astype(float)
 
 
@@ -203,20 +173,13 @@ def _hops_from(g: Graph, sources) -> np.ndarray:
     return hops
 
 
-def bfs_hops(g: Graph, source: int) -> np.ndarray:
-    """Hop counts from ``source`` to every node; UNREACHABLE where no path."""
-    if not (0 <= source < g.n):
-        raise ValueError(f"source {source} out of range for n={g.n}")
-    return _hops_from(g, [source])[0]
-
-
 def all_pairs_hops(g: Graph) -> HopDistanceMatrix:
-    """Full hop-distance matrix (equivalent to stacking bfs_hops rows),
-    sharing the graph's cached ``Graph.hops`` array."""
-    return HopDistanceMatrix(g.hops)
+    """Full hop-distance matrix, every node an anchor, sharing the
+    graph's cached ``Graph.hops`` array."""
+    return HopDistanceMatrix(g.hops, tuple(range(g.n)))
 
 
-def anchor_hops(g: Graph, anchors: Sequence[int]) -> VcMatrix:
+def anchor_hops(g: Graph, anchors: Sequence[int]) -> HopDistanceMatrix:
     """Hop distances to each anchor, one column per anchor.
 
     Anchors must be distinct, in range, and able to reach every node
@@ -234,7 +197,7 @@ def anchor_hops(g: Graph, anchors: Sequence[int]) -> VcMatrix:
     unreached = (hops == UNREACHABLE).any(axis=0)
     if unreached.any():
         raise ValueError(f"anchor {anchors[int(np.argmax(unreached))]} cannot reach every node")
-    return VcMatrix(hops=hops, anchor_ids=tuple(anchors))
+    return HopDistanceMatrix(hops, tuple(anchors))
 
 
 def adjacency_from_hdm(h) -> Graph:
@@ -264,12 +227,5 @@ def graph_laplacian(g: Graph) -> np.ndarray:
     return np.diag(a.sum(axis=1)) - a
 
 
-def connected_components(g: Graph) -> list[list[int]]:
-    """Maximal connected node sets, each sorted, ordered by smallest member."""
-    _, labels = csgraph.connected_components(g.csr, directed=False)
-    _, first = np.unique(labels, return_index=True)
-    return [np.flatnonzero(labels == labels[i]).tolist() for i in np.sort(first)]
-
-
 def is_connected(g: Graph) -> bool:
-    return g.n <= 1 or len(connected_components(g)) == 1
+    return g.n <= 1 or csgraph.connected_components(g.csr, directed=False)[0] == 1

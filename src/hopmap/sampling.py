@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graph import Graph, HopDistanceMatrix, VcMatrix, all_pairs_hops, level_sweeps
+from .graph import Graph, HopDistanceMatrix, all_pairs_hops, level_sweeps
 from .seeding import spawn_rng
 
 STRATEGIES = ("random", "degree", "closeness", "betweenness")
@@ -146,7 +146,7 @@ def select_anchors(g: Graph, sel: AnchorSelection) -> np.ndarray:
     return np.sort(order[: sel.m])
 
 
-def vc_observations(p: VcMatrix, delete_fraction: float, seed: int = 0) -> ObservedMatrix:
+def vc_observations(p: HopDistanceMatrix, delete_fraction: float, seed: int = 0) -> ObservedMatrix:
     """Delete a uniform random floor(f*N*M) subset of anchor-distance cells.
 
     Deletions that would empty a row are re-drawn elsewhere so that every

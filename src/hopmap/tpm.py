@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import graph
-from .graph import VcMatrix
+from .graph import HopDistanceMatrix
 from .lowrank import (
     CompletionConfig,
     CompletionResult,
@@ -212,7 +212,7 @@ def grammian_map(hops: np.ndarray, k: int = 2) -> PointCloud:
 MAP_EXTRACTORS = {"grammian": grammian_map, "p-completion": p_completion_map}
 
 
-def tpm_full_vc(p: VcMatrix, k: int = 2) -> PointCloud:
+def tpm_full_vc(p: HopDistanceMatrix, k: int = 2) -> PointCloud:
     """The p-completion map of the full anchor-distance matrix."""
     return p_completion_map(p.hops.astype(float), k)
 

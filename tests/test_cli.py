@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from hopmap import experiment
 from hopmap.cli import EXIT_CONVERGENCE, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from hopmap.lowrank import complete_nuclear_norm
 from hopmap.sampling import ObservedMatrix, save_observed
@@ -108,6 +109,24 @@ class TestSpectrum:
 
 
 class TestPipeline:
+    @pytest.mark.parametrize(
+        "mode, observer, share",
+        [("vc", "vc_observations", 0.3), ("random_entry", "random_entry_observations", 1.0 - 0.3)],
+    )
+    def test_sample_observes_through_the_mode_table(
+        self, hk_edges, tmp_path, monkeypatch, mode, observer, share
+    ):
+        # the sweep's mode entry, with the deleted share in vc mode and
+        # the observed share in random_entry mode
+        calls = []
+        observe = getattr(experiment, observer)
+        monkeypatch.setattr(
+            experiment, observer, lambda h, f, **kw: calls.append(f) or observe(h, f, **kw)
+        )
+        rc = main(["sample", "--input", str(hk_edges), "--mode", mode, "--fraction", "0.3",
+                   "--seed", "3", "--out", str(tmp_path / "obs")])
+        assert rc == EXIT_OK and calls == [share]
+
     def test_sample_complete_tpm_eval(self, hk_edges, tmp_path):
         obs = tmp_path / "obs"
         rc = main(
@@ -423,6 +442,15 @@ class TestExperimentCommand:
         )
         assert main(["experiment", "--config", str(cfg)]) == EXIT_DATA
         assert f"root {params['root']} out of range" in capsys.readouterr().err
+        assert not (tmp_path / "results").exists()
+
+    @pytest.mark.parametrize(
+        "key, values", [("procedures", ["grammian", "grammian"]), ("fractions", [0.3, 0.3])]
+    )
+    def test_repeated_value_is_data_error(self, tmp_path, capsys, key, values):
+        cfg = self._config(tmp_path, **{key: values})
+        assert main(["experiment", "--config", str(cfg)]) == EXIT_DATA
+        assert f"error: {key} lists {values[0]!r} more than once" in capsys.readouterr().err
         assert not (tmp_path / "results").exists()
 
 

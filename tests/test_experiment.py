@@ -133,6 +133,20 @@ class TestConfigLoading:
         with pytest.raises(ValueError, match="bin_width must be positive"):
             _tiny_vc_config("x", bin_width=0.0)
 
+    @pytest.mark.parametrize(
+        "over, named",
+        [
+            ({"procedures": ("grammian", "p-completion", "grammian")}, "procedures lists 'grammian'"),
+            ({"fractions": (0.3, 0.3)}, "fractions lists 0.3"),
+            ({"fractions": (0.0, 0.6, 0)}, "fractions lists 0.0"),
+        ],
+    )
+    def test_repeated_procedure_or_fraction_rejected(self, over, named):
+        # a repeat would be counted in total_runs but scored once, and
+        # would share one summary cell with its twin
+        with pytest.raises(ValueError, match=f"^{named} more than once$"):
+            _tiny_vc_config("x", **over)
+
 
 class TestBuildNetwork:
     def test_holme_kim(self):
@@ -351,6 +365,33 @@ class TestEntrySweep:
 
         h = all_pairs_hops(g)
         assert abs(ea - em * h.hops.sum() / h.hops.size) < 1e-12
+
+
+class TestModeTable:
+    def test_sweeps_call_the_module_bindings_once_per_build_and_run(self, tmp_path, monkeypatch):
+        # perfbench's spans patch these names in hopmap.experiment: a mode
+        # that held on to the functions at import would skip the patch
+        calls = []
+        for name in (
+            "select_anchors",
+            "anchor_hops",
+            "all_pairs_hops",
+            "vc_observations",
+            "random_entry_observations",
+        ):
+
+            def counting(*args, _name=name, _fn=getattr(experiment, name), **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(experiment, name, counting)
+        # two fractions x two repeats
+        assert not run_experiment(_tiny_vc_config(tmp_path / "vc")).failures
+        assert calls == ["select_anchors", "anchor_hops"] + ["vc_observations"] * 4
+        calls.clear()
+        cfg = _tiny_vc_config(tmp_path / "entry", mode="random_entry", fractions=(0.5,), repeats=3)
+        assert not run_experiment(cfg).failures
+        assert calls == ["all_pairs_hops"] + ["random_entry_observations"] * 3
 
 
 class TestFailureAccounting:

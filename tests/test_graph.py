@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csgraph
 
 from hopmap import graph
 from hopmap.graph import (
@@ -11,8 +12,6 @@ from hopmap.graph import (
     adjacency_from_hdm,
     all_pairs_hops,
     anchor_hops,
-    bfs_hops,
-    connected_components,
     graph_laplacian,
     is_connected,
 )
@@ -60,28 +59,37 @@ class TestFromEdgeList:
         assert neighbours(g)[2] == (0,)
 
 
+def _components(g: Graph) -> list[list[int]]:
+    """Connected node sets from csgraph's component labels, each sorted,
+    ordered by smallest member."""
+    _, labels = csgraph.connected_components(g.csr, directed=False)
+    _, first = np.unique(labels, return_index=True)
+    return [np.flatnonzero(labels == labels[i]).tolist() for i in np.sort(first)]
+
+
 class TestBfs:
+    # rows of Graph.hops, and _hops_from's level sweep from one source
     def test_path_graph(self):
-        assert bfs_hops(path_graph(3), 0).tolist() == [0, 1, 2]
+        assert path_graph(3).hops[0].tolist() == [0, 1, 2]
 
     def test_complete_graph(self):
-        assert bfs_hops(complete_graph(4), 2).tolist() == [1, 1, 0, 1]
+        assert graph._hops_from(complete_graph(4), [2])[0].tolist() == [1, 1, 0, 1]
 
     def test_petersen_diameter_two(self):
         g = petersen_graph()
         fw = floyd_warshall_hops(g)
         for s in range(10):
-            got = bfs_hops(g, s)
+            got = g.hops[s]
             assert got.tolist() == fw[s].tolist()
             assert got.max() == 2
 
     def test_unreachable_sentinel(self):
         g = Graph.from_edge_list(3, [(0, 1)])
-        assert bfs_hops(g, 0).tolist() == [0, 1, UNREACHABLE]
+        assert graph._hops_from(g, [0])[0].tolist() == [0, 1, UNREACHABLE]
 
     def test_source_out_of_range(self):
-        with pytest.raises(ValueError):
-            bfs_hops(path_graph(3), 3)
+        with pytest.raises(ValueError, match="out of range"):
+            anchor_hops(path_graph(3), [3])
 
 
 class TestAllPairs:
@@ -106,8 +114,9 @@ class TestAllPairs:
         rng = np.random.default_rng(7)
         g = random_connected_graph(rng, 40)
         h = all_pairs_hops(g).hops
+        fresh = Graph(n=g.n, edges=g.edges)  # searched per source, not cached
         for s in range(g.n):
-            assert (h[s] == bfs_hops(g, s)).all()
+            assert (h[s] == graph._hops_from(fresh, [s])[0]).all()
 
     def test_matches_floyd_warshall_oracle(self):
         rng = np.random.default_rng(1)
@@ -231,15 +240,17 @@ class TestLaplacian:
 class TestComponents:
     def test_two_triangles(self):
         g = Graph.from_edge_list(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-        assert connected_components(g) == [[0, 1, 2], [3, 4, 5]]
+        assert _components(g) == [[0, 1, 2], [3, 4, 5]]
+        assert not is_connected(g)
 
     def test_connected_grid(self):
-        assert len(connected_components(grid_graph(4, 5))) == 1
+        assert len(_components(grid_graph(4, 5))) == 1
         assert is_connected(grid_graph(4, 5))
 
     def test_all_singletons(self):
         g = Graph.from_edge_list(5, [])
-        assert connected_components(g) == [[0], [1], [2], [3], [4]]
+        assert _components(g) == [[0], [1], [2], [3], [4]]
+        assert not is_connected(g)
 
 
 @given(
@@ -279,8 +290,8 @@ class TestHopsCache:
         assert all_pairs_hops(g).n == 0
 
     def test_cached_graph_is_not_searched_again(self, monkeypatch):
-        # anchor_hops and bfs_hops still go through _hops_from, which
-        # then reads rows of the cache: count the level sweeps it starts.
+        # anchor_hops and _hops_from then read rows of the cache: count
+        # the level sweeps _hops_from starts.
         # _betweenness runs its own sweep through sampling's binding of
         # level_sweeps, which this does not count
         searches = []
@@ -296,7 +307,7 @@ class TestHopsCache:
         for strategy in ("closeness", "betweenness"):
             anchors = select_anchors(g, AnchorSelection(strategy, 10))
         anchor_hops(g, anchors)
-        bfs_hops(g, 3)
+        graph._hops_from(g, [3])
         assert searches == [None]
 
 
@@ -330,7 +341,7 @@ class TestTraversalOracles:
             fw = floyd_warshall_hops(g)
             for copy in _fresh_and_cached(g):
                 for s in range(g.n):
-                    row = bfs_hops(copy, s)
+                    row = graph._hops_from(copy, [s])[0]
                     assert _is_int64_c(row) and row.tolist() == fw[s].tolist()
 
     @pytest.mark.parametrize("one_source_per_block", [False, True])
@@ -349,7 +360,7 @@ class TestTraversalOracles:
 
     def test_bfs_hops_unreachable_across_components(self):
         g = random_graph_with_components(np.random.default_rng(32), [6, 4, 5])
-        hops = bfs_hops(g, 7)
+        hops = graph._hops_from(g, [7])[0]
         assert (hops[:6] == UNREACHABLE).all() and (hops[10:] == UNREACHABLE).all()
         assert (hops[6:10] >= 0).all()
 
@@ -374,7 +385,7 @@ class TestTraversalOracles:
             fw = floyd_warshall_hops(g)
             classes = {tuple(np.flatnonzero(fw[v] != UNREACHABLE).tolist()) for v in range(g.n)}
             expected = sorted(list(c) for c in classes)
-            assert connected_components(g) == expected
+            assert _components(g) == expected
             assert is_connected(g) == (len(expected) == 1)
 
     def test_subgraph_bfs_relabels_in_naive_bfs_order(self):

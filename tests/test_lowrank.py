@@ -25,7 +25,7 @@ from hopmap.sampling import (
     select_anchors,
     vc_observations,
 )
-from hopmap.graph import VcMatrix
+from hopmap.graph import HopDistanceMatrix
 from oracles import (
     cartesian_product,
     cycle_graph,
@@ -261,7 +261,7 @@ class TestCompletion:
         assert np.array_equal(res.completed, res.completed.T)
 
     def test_deterministic(self):
-        p = VcMatrix(
+        p = HopDistanceMatrix(
             hops=np.random.default_rng(10).integers(0, 9, size=(50, 8)),
             anchor_ids=np.arange(8),
         )

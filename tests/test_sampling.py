@@ -7,7 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hopmap import graph, sampling
-from hopmap.graph import Graph, VcMatrix, all_pairs_hops, anchor_hops
+from hopmap.graph import Graph, HopDistanceMatrix, all_pairs_hops, anchor_hops
 from hopmap.netgen import gen_holme_kim
 from hopmap.sampling import (
     AnchorSelection,
@@ -38,7 +38,7 @@ def random_vc(rng, n, m):
     hops = rng.integers(1, 12, size=(n, m))
     anchors = np.arange(m)
     hops[anchors, np.arange(m)] = 0
-    return VcMatrix(hops=hops, anchor_ids=anchors)
+    return HopDistanceMatrix(hops=hops, anchor_ids=anchors)
 
 
 class TestSelectAnchors:
