@@ -113,8 +113,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--input", required=True, help="edge list path")
     p.add_argument("--mode", choices=MODES, default="vc")
     p.add_argument("--fraction", type=_fraction, required=True, help="missing fraction in [0, 1)")
-    p.add_argument("--anchors", type=_positive_int, default=20)
-    p.add_argument("--strategy", choices=STRATEGIES, default="random")
+    # vc only; None marks a flag left out, which random_entry mode requires
+    p.add_argument("--anchors", type=_positive_int, default=None, help="vc anchor count (default 20)")
+    p.add_argument("--strategy", choices=STRATEGIES, default=None, help="vc anchor strategy (default random)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="observation base path (no suffix)")
 
@@ -211,9 +212,17 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    given = [f"--{name}" for name in ("anchors", "strategy") if getattr(args, name) is not None]
+    if args.mode == "random_entry" and given:
+        raise SystemExit_(
+            EXIT_USAGE,
+            f"hopmap sample: error: argument {given[0]}: not allowed with --mode random_entry, "
+            "where every node is an anchor",
+        )
     g, _ = load_snap_edge_list(args.input)
     mode = MODES[args.mode]
-    truth = mode.truth(g, _selection(args))
+    sel = AnchorSelection(args.strategy or "random", args.anchors or 20, seed=args.seed)
+    truth = mode.truth(g, sel)
     o = mode.observe(truth, args.fraction, args.seed)
     csv_path, json_path = save_observed(o, args.out)
     if args.mode == "vc":

@@ -412,7 +412,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         failures=tuple(r for _, label_failures in by_label.values() for r in label_failures),
         total_runs=len(tasks) * len(labels),
     )
-    _write_outputs(cfg, result, out, net_name, time.time() - started)
+    _write_outputs(cfg, result, out, net_name, labels, time.time() - started)
     return result
 
 
@@ -432,7 +432,7 @@ def _simd_extensions() -> list[str] | None:
         return None
 
 
-def _write_outputs(cfg, result, out, net_name, elapsed):
+def _write_outputs(cfg, result, out, net_name, labels, elapsed):
     with open(out / "runs.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["network", "procedure", "M", "f", "seed", "metric", "value"])
@@ -458,7 +458,8 @@ def _write_outputs(cfg, result, out, net_name, elapsed):
     meta = {
         "network": net_name,
         "mode": cfg.mode,
-        "procedures": list(cfg.procedures),
+        # the labels the mode scored: an entry sweep scores only completion
+        "procedures": list(labels),
         "fractions": list(cfg.fractions),
         "repeats": cfg.repeats,
         "seed": cfg.seed,

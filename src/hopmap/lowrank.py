@@ -19,7 +19,9 @@ RANK_TOLERANCE = 1e-10
 # dimension is at most FULL_SVD_BELOW, else a randomized range finder with
 # OVERSAMPLE extra columns and POWER_ITERS power steps, warm-started: its
 # test block leads with the right singular vectors the previous iteration
-# kept, so one power step is enough. Either block, the whole matrix or the
+# kept. Kept vectors take one product, fresh columns take the power step:
+# the kept ones already span most of the answer, and the power-stepped
+# Gaussian columns find what they lack. Either block, the whole matrix or the
 # range finder's projection, is factored from the eigenvalues of its Gram
 # matrix over the shorter side, which squares the condition number: below a
 # threshold of GRAM_MIN_RATIO times the largest singular value it takes a
@@ -207,22 +209,22 @@ def _spectral_norm(a: np.ndarray, iters: int = 100, tol: float = 1e-9) -> float:
 def _randomized_svd(a, k, rng, thresh, start=None):
     """Halko-style range finder; top ~k singular triplets of a.
 
-    The test block has p = min(k + OVERSAMPLE, min_dim) columns: the
-    columns of start (orthonormal right vectors, at most p of them) first,
-    then Gaussian columns drawn from rng. The power steps normalise by LU
-    and only the last product is orthonormalised by QR. The projected
-    p x n block is factored by _gram_svd.
+    The test block has p = min(k + OVERSAMPLE, *a.shape) columns: the
+    columns of start (orthonormal right vectors, fewer than p of them)
+    first, then Gaussian columns drawn from rng. Kept vectors take one
+    product, fresh columns take the power step: only the Gaussian columns
+    go through the LU-normalised power steps, then a @ [start | fresh] is
+    orthonormalised by one QR. The projected p x n block is factored by
+    _gram_svd.
     """
-    min_dim = min(a.shape)
-    p = min(k + OVERSAMPLE, min_dim)
-    if start is None:
-        q = rng.standard_normal((a.shape[1], p))
-    else:
-        q = np.hstack([start, rng.standard_normal((a.shape[1], p - start.shape[1]))])
+    p = min(k + OVERSAMPLE, min(a.shape))
+    w = rng.standard_normal((a.shape[1], p - (0 if start is None else start.shape[1])))
     for _ in range(POWER_ITERS):
-        q = lu(a @ q, permute_l=True)[0]
-        q = lu(a.T @ q, permute_l=True)[0]
-    q = np.linalg.qr(a @ q)[0]
+        w = lu(a @ w, permute_l=True)[0]
+        w = lu(a.T @ w, permute_l=True)[0]
+    if start is not None:
+        w = np.hstack([start, w])
+    q = np.linalg.qr(a @ w)[0]
     ub, s, vt = _gram_svd(q.T @ a, thresh)
     return q @ ub, s, vt
 

@@ -253,6 +253,19 @@ class TestExitCodes:
     def test_no_subcommand(self):
         assert main([]) == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "extra, flag",
+        [(["--anchors", "20"], "--anchors"), (["--strategy", "random"], "--strategy")],
+    )
+    def test_entry_sample_refuses_anchor_flags(self, hk_edges, tmp_path, capsys, extra, flag):
+        # every node is an anchor in random_entry mode, even with the vc defaults
+        obs = tmp_path / "ent"
+        rc = main(["sample", "--input", str(hk_edges), "--mode", "random_entry",
+                   "--fraction", "0.5", "--out", str(obs), *extra])
+        assert rc == EXIT_USAGE
+        assert f"argument {flag}" in capsys.readouterr().err
+        assert not (tmp_path / "ent.csv").exists()
+
     def test_tpm_requires_one_source(self, tmp_path):
         rc = main(["tpm", "--out", str(tmp_path / "m.csv")])
         assert rc == EXIT_USAGE

@@ -309,6 +309,27 @@ class TestEntrySweep:
         for r in res.reports:
             assert r.value >= 0.0
 
+    def test_meta_names_the_scored_label(self, tmp_path):
+        # the config's procedures play no part in entry mode, so meta.json
+        # records the one label the runs were scored under
+        cfg = _tiny_vc_config(
+            tmp_path / "entry",
+            mode="random_entry",
+            procedures=("grammian", "p-completion"),
+            fractions=(0.5,),
+            repeats=1,
+        )
+        run_experiment(cfg)
+        meta = json.loads((tmp_path / "entry" / "meta.json").read_text())
+        assert meta["procedures"] == ["completion"]
+        with open(tmp_path / "entry" / "runs.csv", newline="") as fh:
+            assert {r["procedure"] for r in csv.DictReader(fh)} == {"completion"}
+        # a vc sweep still records its configured procedures
+        vc = _tiny_vc_config(tmp_path / "vc", procedures=("grammian", "p-completion"), repeats=1)
+        run_experiment(vc)
+        meta = json.loads((tmp_path / "vc" / "meta.json").read_text())
+        assert meta["procedures"] == ["grammian", "p-completion"]
+
     def test_parallel_matches_serial_on_randomized_svt_path(self, tmp_path):
         # 450 nodes: above FULL_SVD_BELOW, so every completion runs the
         # warm-started randomized range finder

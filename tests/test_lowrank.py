@@ -383,14 +383,17 @@ def _symmetric_rank5_observation(n=450, seed=21):
     return truth, ObservedMatrix(values=np.where(mask, truth, 0.0), mask=mask, symmetric=True)
 
 
-def _assert_step_matches_full_svd(g, thresh, rank):
+def _assert_step_matches_full_svd(g, thresh, rank, start=None):
     full_u, full_s, full_vt = np.linalg.svd(g)
     shrunk = full_s[:rank] - thresh
     assert full_s[rank] <= thresh < full_s[rank - 1]
     expected = (full_u[:, :rank] * shrunk) @ full_vt[:rank]
     a, got_rank, nuclear, kept_v = _svt(g, thresh, 10, np.random.default_rng(0))
-    # warm-started from its own kept subspace, the step agrees as well
-    warm, warm_rank, _, _ = _svt(g, thresh, rank + 5, np.random.default_rng(1), kept_v)
+    # warm-started from its own kept subspace, or from the given start, the
+    # step agrees as well
+    if start is None:
+        start = kept_v
+    warm, warm_rank, _, _ = _svt(g, thresh, rank + 5, np.random.default_rng(1), start)
     assert got_rank == warm_rank == rank
     assert abs(nuclear - shrunk.sum()) <= 1e-8 * nuclear
     for step in (a, warm):
@@ -458,6 +461,23 @@ class TestRandomizedSvt:
         # thresholded on the Gram path
         g = _with_spectrum(np.linspace(100.0, 10.0, 8), 1e-3, seed=23)
         _assert_step_matches_full_svd(g, 5.0, 8)
+
+    @pytest.mark.parametrize("source", ["half", "perturbed"])
+    def test_warm_start_from_partial_subspace(self, source):
+        # start spans only part of the answer: 4 of the 8 kept vectors, or
+        # all 8 of a perturbed copy (a stale subspace, as in the IALM loop);
+        # the power-stepped fresh columns must find what start lacks
+        g = _with_spectrum(np.linspace(100.0, 10.0, 8), 1e-3, seed=23)
+        true_v = np.linalg.svd(g)[2][:8].T
+        if source == "half":
+            start = true_v[:, :4]
+        else:
+            noise = np.random.default_rng(27).standard_normal(g.shape)
+            start = _svt(g + 0.05 * noise, 5.0, 10, np.random.default_rng(2))[3]
+            assert start.shape[1] == 8
+            # the stale subspace is visibly off the true one
+            assert np.linalg.norm(start @ (start.T @ true_v) - true_v) > 1e-3
+        _assert_step_matches_full_svd(g, 5.0, 8, start)
 
     def test_small_threshold_falls_back_to_plain_svd(self):
         # kept values span 1e8 and the threshold lies far below
