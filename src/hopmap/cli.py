@@ -20,7 +20,7 @@ from .experiment import (
     run_experiment,
     summarize,
 )
-from .graph import HopDistanceMatrix, all_pairs_hops, anchor_hops
+from .graph import all_pairs_hops
 from .lowrank import (
     CompletionConfig,
     complete_nuclear_norm,
@@ -40,7 +40,6 @@ from .sampling import (
     AnchorSelection,
     load_observed,
     save_observed,
-    select_anchors,
 )
 from .tpm import MAP_EXTRACTORS, CompletionFailure, complete_anchor_hops
 
@@ -104,18 +103,13 @@ def _build_parser() -> _Parser:
     )
     s.add_argument("--centered", action="store_true")
     s.add_argument("--top", type=_positive_int, default=None, help="keep first K >= 1 values")
-    s.add_argument("--anchors", type=_positive_int, default=20, help="anchor count for vc")
-    s.add_argument("--strategy", choices=STRATEGIES, default="random")
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=int, default=None, help="vc anchor seed (default 0)")
     s.add_argument("--out", required=True, help="output CSV path")
 
     p = sub.add_parser("sample", help="draw a partial observation of P or H")
     p.add_argument("--input", required=True, help="edge list path")
     p.add_argument("--mode", choices=MODES, default="vc")
     p.add_argument("--fraction", type=_fraction, required=True, help="missing fraction in [0, 1)")
-    # vc only; None marks a flag left out, which random_entry mode requires
-    p.add_argument("--anchors", type=_positive_int, default=None, help="vc anchor count (default 20)")
-    p.add_argument("--strategy", choices=STRATEGIES, default=None, help="vc anchor strategy (default random)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="observation base path (no suffix)")
 
@@ -130,11 +124,14 @@ def _build_parser() -> _Parser:
     source.add_argument("--edges", help="edge list for the full-VC map")
     t.add_argument("--procedure", choices=PROCEDURES, default="p-completion")
     t.add_argument("--k", type=int, default=2, choices=[2, 3])
-    t.add_argument("--anchors", type=_positive_int, default=20)
-    t.add_argument("--strategy", choices=STRATEGIES, default="random")
-    t.add_argument("--seed", type=int, default=0)
+    t.add_argument("--seed", type=int, default=None, help="anchor seed (default 0)")
     t.add_argument("--out", required=True, help="map CSV path")
 
+    # the anchor flags default to None, so that a command can refuse one it
+    # would ignore; _selection fills in the defaults
+    for anchored in (s, p, t):
+        anchored.add_argument("--anchors", type=_positive_int, default=None, help="anchor count (default 20)")
+        anchored.add_argument("--strategy", choices=STRATEGIES, default=None, help="anchor strategy (default random)")
     for completing in (c, t):
         completing.add_argument("--tolerance", type=_positive_float, default=1e-6)
         completing.add_argument("--max-iters", type=_positive_int, default=500)
@@ -181,13 +178,16 @@ def _cmd_generate(args) -> int:
 
 
 def _selection(args) -> AnchorSelection:
-    """The anchors that --anchors, --strategy and --seed select."""
-    return AnchorSelection(args.strategy, args.anchors, seed=args.seed)
+    """The anchors that --anchors, --strategy and --seed (default 20, random, 0) select."""
+    return AnchorSelection(args.strategy or "random", args.anchors or 20, seed=args.seed or 0)
 
 
-def _anchor_matrix(args, g) -> HopDistanceMatrix:
-    """Hops from every node to the selected anchors."""
-    return anchor_hops(g, select_anchors(g, _selection(args)))
+def _refuse_given(args, names, where: str) -> None:
+    """Refuse, as a usage error, the first of these flags that was given."""
+    given = [f"--{name}" for name in names if getattr(args, name) is not None]
+    if given:
+        message = f"argument {given[0]}: not allowed {where}"
+        raise SystemExit_(EXIT_USAGE, f"hopmap {args.command}: error: {message}")
 
 
 def _spectrum_matrix(args) -> np.ndarray:
@@ -198,10 +198,13 @@ def _spectrum_matrix(args) -> np.ndarray:
         return g.adjacency_matrix()
     if args.matrix_kind == "hdm":
         return all_pairs_hops(g).as_float()
-    return _anchor_matrix(args, g).as_float()
+    return MODES["vc"].truth(g, _selection(args)).as_float()
 
 
 def _cmd_spectrum(args) -> int:
+    if args.format == "matrix" or args.matrix_kind != "vc":
+        kind = "--format matrix" if args.format == "matrix" else f"--matrix-kind {args.matrix_kind}"
+        _refuse_given(args, ("anchors", "strategy", "seed"), f"with {kind}, which selects no anchors")
     m = _spectrum_matrix(args)
     values = normalized_spectrum(m, center=args.centered)
     if args.top is not None:
@@ -212,17 +215,11 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    given = [f"--{name}" for name in ("anchors", "strategy") if getattr(args, name) is not None]
-    if args.mode == "random_entry" and given:
-        raise SystemExit_(
-            EXIT_USAGE,
-            f"hopmap sample: error: argument {given[0]}: not allowed with --mode random_entry, "
-            "where every node is an anchor",
-        )
+    if args.mode == "random_entry":
+        _refuse_given(args, ("anchors", "strategy"), "with --mode random_entry, where every node is an anchor")
     g, _ = load_snap_edge_list(args.input)
     mode = MODES[args.mode]
-    sel = AnchorSelection(args.strategy or "random", args.anchors or 20, seed=args.seed)
-    truth = mode.truth(g, sel)
+    truth = mode.truth(g, _selection(args))
     o = mode.observe(truth, args.fraction, args.seed)
     csv_path, json_path = save_observed(o, args.out)
     if args.mode == "vc":
@@ -264,8 +261,9 @@ def _cmd_complete(args) -> int:
 def _cmd_tpm(args) -> int:
     if args.edges is not None:
         g, _ = load_snap_edge_list(args.edges)
-        hops = _anchor_matrix(args, g).as_float()
+        hops = MODES["vc"].truth(g, _selection(args)).as_float()
     else:
+        _refuse_given(args, ("anchors", "strategy", "seed"), "with --input, which selects no anchors")
         cfg = CompletionConfig(tolerance=args.tolerance, max_iters=args.max_iters)
         hops = complete_anchor_hops(load_observed(args.input), cfg)
     tm = MAP_EXTRACTORS[args.procedure](hops, args.k)

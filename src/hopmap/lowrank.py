@@ -19,13 +19,13 @@ RANK_TOLERANCE = 1e-10
 # dimension is at most FULL_SVD_BELOW, else a randomized range finder with
 # OVERSAMPLE extra columns and POWER_ITERS power steps, warm-started: its
 # test block leads with the right singular vectors the previous iteration
-# kept. Kept vectors take one product, fresh columns take the power step:
-# the kept ones already span most of the answer, and the power-stepped
-# Gaussian columns find what they lack. Either block, the whole matrix or the
+# kept. Kept vectors take one product, fresh columns take the power step,
+# which finds what the kept ones lack. Either block, the whole matrix or the
 # range finder's projection, is factored from the eigenvalues of its Gram
 # matrix over the shorter side, which squares the condition number: below a
 # threshold of GRAM_MIN_RATIO times the largest singular value it takes a
-# plain SVD
+# plain SVD. Each step thresholds into its input, so a completion holds one
+# full-size iterate, and the residual sums the observed entries only
 MU_SCALE = 1.0
 MU_GROWTH = 1.1
 FULL_SVD_BELOW = 400
@@ -254,9 +254,9 @@ def _gram_svd(b, thresh):
 def _svt(g, thresh, rank_guess, rng, start=None):
     """Singular value thresholding: keep sigma > thresh, shrink by thresh.
 
-    Returns the thresholded matrix, its rank, its nuclear norm and the kept
-    right singular vectors as columns (None when none is kept), which the
-    next call can take as start for its randomized range finder.
+    Overwrites g (no factor aliases it) with the thresholded matrix and
+    returns g, its rank, its nuclear norm and the kept right singular vectors
+    as columns (None when none is kept), the next call's range-finder start.
     """
     min_dim = min(g.shape)
     if min_dim <= FULL_SVD_BELOW:
@@ -272,15 +272,14 @@ def _svt(g, thresh, rank_guess, rng, start=None):
             if s.size >= min_dim or s[-1] <= thresh:
                 break
             k = 2 * k + 5
-    kept = s > thresh
-    n_kept = int(np.count_nonzero(kept))
-    if n_kept == 0:
-        m, n = g.shape
-        return np.zeros((m, n)), 0, 0.0, None
-    shrunk = s[kept] - thresh
-    a = (u[:, kept] * shrunk) @ vt[kept]
-    # s is descending, so the kept vectors are the leading rows of vt
-    return a, n_kept, float(shrunk.sum()), vt[:n_kept].T
+    # s is descending, so the kept vectors lead u's columns and vt's rows
+    r = int(np.count_nonzero(s > thresh))
+    if r == 0:
+        g.fill(0.0)
+        return g, 0, 0.0, None
+    shrunk = s[:r] - thresh
+    np.matmul(u[:, :r] * shrunk, vt[:r], out=g)
+    return g, r, float(shrunk.sum()), vt[:r].T
 
 
 def complete_nuclear_norm(
@@ -290,9 +289,9 @@ def complete_nuclear_norm(
     extension, via an inexact augmented Lagrangian / singular value
     thresholding iteration.
 
-    The observed entries of the result match o within cfg.tolerance
-    (relative Frobenius over the mask). Symmetric-mode inputs are
-    symmetrized on output. Deterministic for fixed inputs and config.
+    The residual, the Frobenius norm of the misfit on the observed entries
+    over that of the observations, ends at most cfg.tolerance. Symmetric-mode
+    inputs are symmetrized on output. Deterministic for fixed inputs and config.
     """
     if cfg is None:
         cfg = CompletionConfig()
@@ -315,9 +314,6 @@ def complete_nuclear_norm(
     d_m = d.ravel()[idx]
     y_m = np.zeros(idx.size)
     a = np.zeros_like(d)
-    # zero off the mask; the residual is the norm of the whole buffer, so
-    # it sums in the same order as over a masked n x n difference
-    gap = np.zeros_like(d)
     residuals: list[float] = []
     nuclears: list[float] = []
     ranks: list[int] = []
@@ -325,15 +321,13 @@ def complete_nuclear_norm(
     v = None
     converged = False
     for _ in range(cfg.max_iters):
-        # _svt returns a fresh C-contiguous array, so the previous
-        # iterate is free to take the step's input in place
+        # _svt turns the step input into the next iterate in place
         a.ravel()[idx] = d_m + y_m / mu
         a, n_kept, nuclear, v = _svt(a, 1.0 / mu, rank_guess, rng, v)
         rank_guess = n_kept + 5
         ranks.append(n_kept)
         gap_m = d_m - a.ravel()[idx]
-        gap.ravel()[idx] = gap_m
-        residual = float(np.linalg.norm(gap) / obs_norm)
+        residual = float(np.linalg.norm(gap_m) / obs_norm)
         residuals.append(residual)
         nuclears.append(nuclear)
         if residual <= cfg.tolerance:
@@ -342,11 +336,11 @@ def complete_nuclear_norm(
         y_m += mu * gap_m
         mu *= MU_GROWTH
 
-    completed = a
     if o.symmetric:
-        completed = 0.5 * (completed + completed.T)
+        a = np.add(a, a.T)
+        a *= 0.5
     return CompletionResult(
-        completed=completed,
+        completed=a,
         iterations=len(residuals),
         final_residual=residuals[-1],
         converged=converged,

@@ -135,8 +135,9 @@ def _hop_error_sums(h_hat: np.ndarray, h: HopDistanceMatrix) -> tuple[float, flo
     if h_hat.shape != h.hops.shape:
         raise ValueError("estimate and reference dimensions differ")
     h.require_finite()
-    true = h.hops.astype(float)
-    return float(np.abs(h_hat - true).sum()), float(true.sum())
+    dev = h.hops.astype(float)
+    total = float(dev.sum())
+    return float(np.abs(np.subtract(h_hat, dev, out=dev), out=dev).sum()), total
 
 
 def hdm_mean_error(h_hat: np.ndarray, h: HopDistanceMatrix) -> float:

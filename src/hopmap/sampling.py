@@ -194,6 +194,14 @@ def _repair_empty_rows(mask: np.ndarray, rng: np.random.Generator, max_moves: in
                 raise ValueError("could not repair empty rows within retry budget")
 
 
+def _upper_pair(n: int, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column of pair number k in the order of np.triu_indices(n, 1),
+    without it: row i holds the numbers from i*n - i*(i+1)/2 on."""
+    rows = np.arange(n)
+    i = np.searchsorted(rows * n - rows * (rows + 1) // 2, k, side="right") - 1
+    return i, k - i * n + i * (i + 1) // 2 + i + 1
+
+
 def random_entry_observations(
     h: HopDistanceMatrix, observe_fraction: float, seed: int = 0
 ) -> ObservedMatrix:
@@ -215,10 +223,9 @@ def random_entry_observations(
     n_pairs_wanted = min(n_pairs_wanted, n_pairs_total)
 
     rng = spawn_rng(seed, "entry-observations")
-    iu, ju = np.triu_indices(n, k=1)
     chosen = rng.choice(n_pairs_total, size=n_pairs_wanted, replace=False)
     mask = np.zeros((n, n), dtype=bool)
-    mask[iu[chosen], ju[chosen]] = True
+    mask[_upper_pair(n, chosen)] = True
     mask |= mask.T
     # guarantee off-diagonal coverage per row by swapping pairs in
     for _ in range(100 * n):

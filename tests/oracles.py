@@ -238,9 +238,9 @@ def naive_complete_nuclear_norm(
     o: ObservedMatrix, cfg: CompletionConfig | None = None
 ) -> CompletionResult:
     """The IALM loop of lowrank.complete_nuclear_norm on dense n x n
-    arrays: multipliers, step input and residual all formed by np.where
-    over the whole matrix. Takes a valid observation whose mask is neither
-    empty nor full."""
+    arrays: multipliers, step input and misfit all formed by np.where over
+    the whole matrix, a fresh step input each iteration. Takes a valid
+    observation whose mask is neither empty nor full."""
     cfg = cfg or CompletionConfig()
     mask = o.mask
     d = np.where(mask, o.values, 0.0)
@@ -258,7 +258,8 @@ def naive_complete_nuclear_norm(
         rank_guess = n_kept + 5
         ranks.append(n_kept)
         gap = np.where(mask, d - a, 0.0)
-        residuals.append(float(np.linalg.norm(gap) / obs_norm))
+        # the misfit on the observed entries, in row-major order
+        residuals.append(float(np.linalg.norm(gap[mask]) / obs_norm))
         nuclears.append(nuclear)
         if residuals[-1] <= cfg.tolerance:
             converged = True

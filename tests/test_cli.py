@@ -266,6 +266,43 @@ class TestExitCodes:
         assert f"argument {flag}" in capsys.readouterr().err
         assert not (tmp_path / "ent.csv").exists()
 
+    @pytest.mark.parametrize(
+        "source, extra, flag",
+        [
+            (["--matrix-kind", "hdm"], ["--anchors", "5"], "--anchors"),
+            (["--matrix-kind", "adjacency"], ["--strategy", "degree"], "--strategy"),
+            (["--format", "matrix", "--matrix-kind", "vc"], ["--seed", "3"], "--seed"),
+        ],
+        ids=["hdm", "adjacency", "matrix-file"],
+    )
+    def test_spectrum_without_anchors_refuses_anchor_flags(
+        self, hk_edges, tmp_path, capsys, source, extra, flag
+    ):
+        # only an edge list read as vc selects anchors; the refusal comes
+        # before the input is read, so a missing matrix file is not reached
+        path = tmp_path / "m.csv" if "matrix" in source else hk_edges
+        out = tmp_path / "spec.csv"
+        rc = main(["spectrum", "--input", str(path), *source, *extra, "--out", str(out)])
+        assert rc == EXIT_USAGE
+        assert f"argument {flag}: not allowed with {source[0]} {source[1]}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "extra, flag",
+        [(["--anchors", "5"], "--anchors"), (["--strategy", "degree"], "--strategy"),
+         (["--seed", "9"], "--seed")],
+    )
+    def test_tpm_input_refuses_anchor_flags(self, hk_edges, tmp_path, capsys, extra, flag):
+        # the observation file fixes the matrix; only --edges selects anchors
+        obs = tmp_path / "obs"
+        rc = main(["sample", "--input", str(hk_edges), "--fraction", "0.3", "--out", str(obs)])
+        assert rc == EXIT_OK
+        out = tmp_path / "map.csv"
+        rc = main(["tpm", "--input", str(obs), *extra, "--out", str(out)])
+        assert rc == EXIT_USAGE
+        assert f"argument {flag}: not allowed with --input" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_tpm_requires_one_source(self, tmp_path):
         rc = main(["tpm", "--out", str(tmp_path / "m.csv")])
         assert rc == EXIT_USAGE

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -388,12 +390,13 @@ def _assert_step_matches_full_svd(g, thresh, rank, start=None):
     shrunk = full_s[:rank] - thresh
     assert full_s[rank] <= thresh < full_s[rank - 1]
     expected = (full_u[:, :rank] * shrunk) @ full_vt[:rank]
-    a, got_rank, nuclear, kept_v = _svt(g, thresh, 10, np.random.default_rng(0))
+    # _svt overwrites its input, so each call takes a copy of g
+    a, got_rank, nuclear, kept_v = _svt(g.copy(), thresh, 10, np.random.default_rng(0))
     # warm-started from its own kept subspace, or from the given start, the
     # step agrees as well
     if start is None:
         start = kept_v
-    warm, warm_rank, _, _ = _svt(g, thresh, rank + 5, np.random.default_rng(1), start)
+    warm, warm_rank, _, _ = _svt(g.copy(), thresh, rank + 5, np.random.default_rng(1), start)
     assert got_rank == warm_rank == rank
     assert abs(nuclear - shrunk.sum()) <= 1e-8 * nuclear
     for step in (a, warm):
@@ -488,3 +491,36 @@ class TestRandomizedSvt:
         assert thresh < GRAM_MIN_RATIO * head[0]
         g = _with_spectrum(head, 1e-8, seed=24)
         _assert_step_matches_full_svd(g, thresh, 8)
+
+
+class TestOneIterate:
+    """A square completion holds one n x n iterate: each step thresholds
+    into its input, and the residual sums the observed entries only."""
+
+    def test_step_thresholds_into_its_input(self):
+        g = _with_spectrum(np.linspace(100.0, 10.0, 8), 1e-3, seed=23)
+        expected, rank, _, _ = _svt(g.copy(), 5.0, 10, np.random.default_rng(0))
+        buf = g.copy()
+        got, got_rank, _, _ = _svt(buf, 5.0, 10, np.random.default_rng(0))
+        assert got is buf and got_rank == rank == 8
+        assert np.array_equal(got, expected)
+        # nothing kept: the input is zeroed
+        buf = g.copy()
+        got, got_rank, nuclear, kept_v = _svt(buf, 1e3, 10, np.random.default_rng(0))
+        assert got is buf and (got_rank, nuclear, kept_v) == (0, 0.0, None)
+        assert not buf.any()
+
+    def test_allocation_peak_under_four_iterates(self):
+        # the step input, its thresholded product, a dense residual buffer
+        # and two symmetrization temporaries once took 5.3 n^2 float64 cells
+        o = _entry_observation(450)
+        n = o.shape[0]
+        assert n > FULL_SVD_BELOW
+        tracemalloc.start()
+        try:
+            res = complete_nuclear_norm(o, CompletionConfig(tolerance=1e-4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.converged
+        assert peak <= 4 * n * n * 8

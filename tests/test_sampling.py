@@ -260,6 +260,32 @@ class TestRandomEntryObservations:
         with pytest.raises(ValueError):
             random_entry_observations(all_pairs_hops(g), 0.9, seed=0)
 
+    @pytest.mark.parametrize("n", [2, 3, 7, 450])
+    def test_pair_numbers_map_as_triu_indices(self, n):
+        i, j = sampling._upper_pair(n, np.arange(n * (n - 1) // 2))
+        ref_i, ref_j = np.triu_indices(n, k=1)
+        assert np.array_equal(i, ref_i) and np.array_equal(j, ref_j)
+
+    @pytest.mark.parametrize(
+        "h, fraction, seed",
+        [
+            (lambda: all_pairs_hops(gen_holme_kim(300, 3, 0.3, seed=0)), 0.2, 3),
+            (lambda: all_pairs_hops(gen_holme_kim(300, 3, 0.3, seed=0)), 0.02, 5),
+            # few enough pairs that the row coverage repair runs
+            (lambda: all_pairs_hops(cycle_graph(50)), 0.05, 1),
+            (lambda: all_pairs_hops(cycle_graph(7)), 0.5, 2),
+        ],
+    )
+    def test_masks_equal_triu_indices_draws(self, monkeypatch, h, fraction, seed):
+        # the same seeded draws mapped through np.triu_indices, as the
+        # sampler did before it computed rows and columns from pair numbers
+        h = h()
+        got = random_entry_observations(h, fraction, seed=seed).mask
+        monkeypatch.setattr(
+            sampling, "_upper_pair", lambda n, k: tuple(ix[k] for ix in np.triu_indices(n, k=1))
+        )
+        assert np.array_equal(got, random_entry_observations(h, fraction, seed=seed).mask)
+
 
 class TestObservedMatrix:
     """The constructor owns every rule of an observation: its own read-only
