@@ -83,6 +83,16 @@ _fraction = _checked(float, lambda v: 0.0 <= v < 1.0, "in [0, 1)")
 _probability = _checked(float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
 
 
+# the input flags each metric reads; it needs every one but --bin-width
+# and refuses the others
+EVAL_FLAGS = {
+    "E": ("map", "baseline", "anchor_ids"),
+    "E_TP": ("map", "layout", "bin_width"),
+    "E_m": ("est", "edges"),
+    "E_a": ("est", "edges"),
+}
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="hopmap", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -99,7 +109,8 @@ def _build_parser() -> _Parser:
     s.add_argument("--input", required=True, help="edge list or dense matrix CSV")
     s.add_argument("--format", choices=["edges", "matrix"], default="edges")
     s.add_argument(
-        "--matrix-kind", choices=["hdm", "adjacency", "vc"], default="hdm"
+        "--matrix-kind", choices=["hdm", "adjacency", "vc"], default=None,
+        help="what to build from an edge list (default hdm)",
     )
     s.add_argument("--centered", action="store_true")
     s.add_argument("--top", type=_positive_int, default=None, help="keep first K >= 1 values")
@@ -127,22 +138,23 @@ def _build_parser() -> _Parser:
     t.add_argument("--seed", type=int, default=None, help="anchor seed (default 0)")
     t.add_argument("--out", required=True, help="map CSV path")
 
-    # the anchor flags default to None, so that a command can refuse one it
-    # would ignore; _selection fills in the defaults
+    # the anchor, completion and --bin-width flags default to None, so that
+    # a command can refuse one it would ignore; _selection fills in the
+    # anchor defaults, and the library's own defaults apply to the others
     for anchored in (s, p, t):
         anchored.add_argument("--anchors", type=_positive_int, default=None, help="anchor count (default 20)")
         anchored.add_argument("--strategy", choices=STRATEGIES, default=None, help="anchor strategy (default random)")
     for completing in (c, t):
-        completing.add_argument("--tolerance", type=_positive_float, default=1e-6)
-        completing.add_argument("--max-iters", type=_positive_int, default=500)
+        completing.add_argument("--tolerance", type=_positive_float, default=None, help="default 1e-6")
+        completing.add_argument("--max-iters", type=_positive_int, default=None, help="default 500")
 
     e = sub.add_parser("eval", help="score a map or completed matrix")
-    e.add_argument("--metric", required=True, choices=["E", "E_TP", "E_m", "E_a"])
-    e.add_argument("--map", dest="map_path", default=None)
+    e.add_argument("--metric", required=True, choices=list(EVAL_FLAGS))
+    e.add_argument("--map", default=None)
     e.add_argument("--baseline", default=None, help="reference map CSV (metric E)")
     e.add_argument("--anchor-ids", default=None, help="comma-separated ids or a file of them (metric E)")
     e.add_argument("--layout", default=None, help="layout CSV (metric E_TP)")
-    e.add_argument("--bin-width", type=_positive_float, default=1.0)
+    e.add_argument("--bin-width", type=_positive_float, default=None, help="metric E_TP (default 1)")
     e.add_argument("--est", default=None, help="completed matrix CSV (E_m, E_a)")
     e.add_argument("--edges", default=None, help="edge list of the true graph")
     e.add_argument("--out", default=None, help="optional single-row CSV")
@@ -182,11 +194,20 @@ def _selection(args) -> AnchorSelection:
     return AnchorSelection(args.strategy or "random", args.anchors or 20, seed=args.seed or 0)
 
 
+def _given(args, *names) -> dict:
+    """name -> value of each of these flags that was given."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
 def _refuse_given(args, names, where: str) -> None:
     """Refuse, as a usage error, the first of these flags that was given."""
-    given = [f"--{name}" for name in names if getattr(args, name) is not None]
+    given = list(_given(args, *names))
     if given:
-        message = f"argument {given[0]}: not allowed {where}"
+        message = f"argument {_flag(given[0])}: not allowed {where}"
         raise SystemExit_(EXIT_USAGE, f"hopmap {args.command}: error: {message}")
 
 
@@ -196,14 +217,16 @@ def _spectrum_matrix(args) -> np.ndarray:
     g, _ = load_snap_edge_list(args.input)
     if args.matrix_kind == "adjacency":
         return g.adjacency_matrix()
-    if args.matrix_kind == "hdm":
-        return all_pairs_hops(g).as_float()
-    return MODES["vc"].truth(g, _selection(args)).as_float()
+    if args.matrix_kind == "vc":
+        return MODES["vc"].truth(g, _selection(args)).as_float()
+    return all_pairs_hops(g).as_float()
 
 
 def _cmd_spectrum(args) -> int:
+    if args.format == "matrix":
+        _refuse_given(args, ("matrix_kind",), "with --format matrix, which is read as given")
     if args.format == "matrix" or args.matrix_kind != "vc":
-        kind = "--format matrix" if args.format == "matrix" else f"--matrix-kind {args.matrix_kind}"
+        kind = "--format matrix" if args.format == "matrix" else f"--matrix-kind {args.matrix_kind or 'hdm'}"
         _refuse_given(args, ("anchors", "strategy", "seed"), f"with {kind}, which selects no anchors")
     m = _spectrum_matrix(args)
     values = normalized_spectrum(m, center=args.centered)
@@ -232,7 +255,7 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_complete(args) -> int:
-    cfg = CompletionConfig(tolerance=args.tolerance, max_iters=args.max_iters)
+    cfg = CompletionConfig(**_given(args, "tolerance", "max_iters"))
     res = complete_nuclear_norm(load_observed(args.input), cfg)
     if args.trace is not None:
         with open(args.trace, "w", newline="") as fh:
@@ -260,11 +283,12 @@ def _cmd_complete(args) -> int:
 
 def _cmd_tpm(args) -> int:
     if args.edges is not None:
+        _refuse_given(args, ("tolerance", "max_iters"), "with --edges, which completes nothing")
         g, _ = load_snap_edge_list(args.edges)
         hops = MODES["vc"].truth(g, _selection(args)).as_float()
     else:
         _refuse_given(args, ("anchors", "strategy", "seed"), "with --input, which selects no anchors")
-        cfg = CompletionConfig(tolerance=args.tolerance, max_iters=args.max_iters)
+        cfg = CompletionConfig(**_given(args, "tolerance", "max_iters"))
         hops = complete_anchor_hops(load_observed(args.input), cfg)
     tm = MAP_EXTRACTORS[args.procedure](hops, args.k)
     write_points(tm, args.out)
@@ -272,22 +296,15 @@ def _cmd_tpm(args) -> int:
     return EXIT_OK
 
 
-def _require(args, pairs, metric) -> None:
-    missing = [flag for attr, flag in pairs if getattr(args, attr) is None]
-    if missing:
-        raise SystemExit_(
-            EXIT_USAGE, f"eval --metric {metric} needs " + ", ".join(missing)
-        )
-
-
 def _cmd_eval(args) -> int:
+    reads = EVAL_FLAGS[args.metric]
+    unread = [n for n in dict.fromkeys(sum(EVAL_FLAGS.values(), ())) if n not in reads]
+    _refuse_given(args, unread, f"with --metric {args.metric}, which does not read it")
+    missing = [_flag(n) for n in reads if n != "bin_width" and getattr(args, n) is None]
+    if missing:
+        raise SystemExit_(EXIT_USAGE, f"eval --metric {args.metric} needs " + ", ".join(missing))
     if args.metric == "E":
-        _require(
-            args,
-            [("map_path", "--map"), ("baseline", "--baseline"), ("anchor_ids", "--anchor-ids")],
-            "E",
-        )
-        tm = read_points(args.map_path)
+        tm = read_points(args.map)
         base = read_points(args.baseline)
         spec = args.anchor_ids
         if Path(spec).is_file():
@@ -296,12 +313,10 @@ def _cmd_eval(args) -> int:
         ids = np.array([int(v) for v in spec.split(",")])
         value = mean_distance_error(tm, base, ids)
     elif args.metric == "E_TP":
-        _require(args, [("map_path", "--map"), ("layout", "--layout")], "E_TP")
-        tm = read_points(args.map_path)
-        lines = scan_lines(read_points(args.layout), args.bin_width)
+        tm = read_points(args.map)
+        lines = scan_lines(read_points(args.layout), **_given(args, "bin_width"))
         value = topology_preservation_error(lines, tm)
     else:
-        _require(args, [("est", "--est"), ("edges", "--edges")], args.metric)
         est = np.loadtxt(args.est, delimiter=",", ndmin=2)
         g, _ = load_snap_edge_list(args.edges)
         h = all_pairs_hops(g)

@@ -222,7 +222,13 @@ def load_config(path: str | Path) -> ExperimentConfig:
             raise ValueError(f"{path}: {exc}") from None
     if not isinstance(raw, dict):
         raise ValueError("config must be a JSON object")
-    return ExperimentConfig(**_read_block(raw, _declared(ExperimentConfig), "config"))
+    cfg = ExperimentConfig(**_read_block(raw, _declared(ExperimentConfig), "config"))
+    # a key only another mode reads would be ignored without a word
+    others = {key for mode in MODES.values() for key in mode.keys} - set(MODES[cfg.mode].keys)
+    unread = sorted(others.intersection(raw))
+    if unread:
+        raise ValueError(f"config key(s) {unread} not read in {cfg.mode} mode")
+    return cfg
 
 
 def build_network(spec: NetworkSpec) -> tuple[Graph, PointCloud | None, str]:
@@ -252,11 +258,14 @@ class Mode:
     layout, out dir) -> (labels, baseline map per label, score), where
     score(label, f, repeat, completed hops) yields (metric, value) pairs.
     Each calls the pipeline through this module's names at call time:
-    those are the bindings perfbench's spans patch."""
+    those are the bindings perfbench's spans patch. keys are the config
+    keys that this mode reads and some other mode does not; load_config
+    refuses a config file that gives one of another mode's keys."""
 
     truth: Callable[[Graph, AnchorSelection], HopDistanceMatrix]
     observe: Callable[[HopDistanceMatrix, float, int], ObservedMatrix]
     scoring: Callable[..., tuple]
+    keys: tuple[str, ...]
 
 
 def _vc_scoring(cfg, truth, layout, out):
@@ -301,11 +310,13 @@ MODES = {
         truth=lambda g, sel: anchor_hops(g, select_anchors(g, sel)),
         observe=lambda truth, f, seed: vc_observations(truth, f, seed=seed),
         scoring=_vc_scoring,
+        keys=("anchors", "procedures", "k", "bin_width"),
     ),
     "random_entry": Mode(
         truth=lambda g, sel: all_pairs_hops(g),
         observe=lambda truth, f, seed: random_entry_observations(truth, 1.0 - f, seed=seed),
         scoring=_entry_scoring,
+        keys=(),
     ),
 }
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.sparse import csgraph, csr_matrix
@@ -20,34 +20,38 @@ UNREACHABLE = -1
 BLOCK_CELLS = 1 << 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
-    """Immutable undirected graph: node count plus unordered edge pairs.
+    """Immutable undirected graph on nodes 0..n-1.
 
-    Edges are stored canonically as (i, j) with i < j.  Use
-    :meth:`from_edge_list` to build one from raw, possibly messy input.
+    ``edges`` takes any array-like of index pairs and holds them as one
+    read-only E x 2 int64 array of canonical rows (i, j), i < j, sorted,
+    with duplicates and reversals collapsed. An index out of range or a
+    self-loop raises ValueError naming the first bad pair.
     """
 
     n: int
-    edges: frozenset[tuple[int, int]]
+    edges: np.ndarray
 
-    @classmethod
-    def from_edge_list(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "Graph":
-        """Build a graph from index pairs; duplicates and reversals collapse.
-
-        Raises ValueError on out-of-range indices or self-loops.
-        """
-        if n < 0:
-            raise ValueError(f"node count must be nonnegative, got {n}")
-        edges = set()
-        for i, j in pairs:
-            i, j = int(i), int(j)
-            if not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"edge ({i}, {j}) out of range for n={n}")
-            if i == j:
-                raise ValueError(f"self-loop at node {i}")
-            edges.add((i, j) if i < j else (j, i))
-        return cls(n=n, edges=frozenset(edges))
+    def __post_init__(self):
+        if self.n < 0:
+            raise ValueError(f"node count must be nonnegative, got {self.n}")
+        pairs = np.asarray(self.edges, dtype=np.int64)
+        if pairs.size == 0:
+            pairs = pairs.reshape(0, 2)
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise ValueError(f"edges must be index pairs, got shape {pairs.shape}")
+        outside = ((pairs < 0) | (pairs >= self.n)).any(axis=1)
+        bad = outside | (pairs[:, 0] == pairs[:, 1])
+        if bad.any():
+            first = int(np.argmax(bad))
+            i, j = pairs[first].tolist()
+            if outside[first]:
+                raise ValueError(f"edge ({i}, {j}) out of range for n={self.n}")
+            raise ValueError(f"self-loop at node {i}")
+        edges = np.unique(np.sort(pairs, axis=1), axis=0)
+        edges.flags.writeable = False
+        object.__setattr__(self, "edges", edges)
 
     @property
     def edge_count(self) -> int:
@@ -66,11 +70,8 @@ class Graph:
     @cached_property
     def csr(self) -> csr_matrix:
         """Symmetric 0/1 adjacency in CSR form, column indices sorted."""
-        if not self.edges:
-            return csr_matrix((self.n, self.n), dtype=np.int8)
-        ij = np.array(sorted(self.edges), dtype=np.int64)
-        rows = np.concatenate([ij[:, 0], ij[:, 1]])
-        cols = np.concatenate([ij[:, 1], ij[:, 0]])
+        i, j = self.edges.T
+        rows, cols = np.concatenate([i, j]), np.concatenate([j, i])
         data = np.ones(len(rows), dtype=np.int8)
         a = csr_matrix((data, (rows, cols)), shape=(self.n, self.n))
         a.sort_indices()
@@ -216,9 +217,7 @@ def adjacency_from_hdm(h) -> Graph:
         raise ValueError("negative entries in hop matrix (unreachable sentinels?)")
     if (rounded != rounded.T).any():
         raise ValueError("hop matrix is not symmetric")
-    n = rounded.shape[0]
-    ii, jj = np.nonzero(np.triu(rounded == 1, k=1))
-    return Graph(n=n, edges=frozenset(zip(ii.tolist(), jj.tolist())))
+    return Graph(rounded.shape[0], np.argwhere(np.triu(rounded == 1, k=1)))
 
 
 def graph_laplacian(g: Graph) -> np.ndarray:

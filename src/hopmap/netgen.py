@@ -63,7 +63,7 @@ def unit_disk_connect(pc: PointCloud, radius: float) -> Graph:
     if radius <= 0:
         raise ValueError("radius must be positive")
     pairs = cKDTree(pc.coords).query_pairs(radius, output_type="ndarray")
-    return Graph.from_edge_list(pc.n, [(int(i), int(j)) for i, j in pairs])
+    return Graph(pc.n, pairs)
 
 
 def _connect_with_retries(pc: PointCloud, cfg: GeneratorConfig) -> Graph:
@@ -191,12 +191,10 @@ def gen_holme_kim(n: int = 500, m: int = 3, p_triad: float = 0.5, seed: int = 0)
     if not 0.0 <= p_triad <= 1.0:
         raise ValueError("p_triad must be in [0, 1]")
     rng = spawn_rng(seed, "holme-kim")
-    edges: set[tuple[int, int]] = set()
     neighbors: list[set[int]] = [set() for _ in range(n)]
     repeated: list[int] = list(range(m))
 
     def add_edge(a, b):
-        edges.add((min(a, b), max(a, b)))
         neighbors[a].add(b)
         neighbors[b].add(a)
 
@@ -230,7 +228,7 @@ def gen_holme_kim(n: int = 500, m: int = 3, p_triad: float = 0.5, seed: int = 0)
             repeated.append(target)
             made += 1
         repeated.extend([source] * m)
-    return Graph.from_edge_list(n, list(edges))
+    return Graph(n, [(a, b) for a, nbrs in enumerate(neighbors) for b in nbrs])
 
 
 def load_snap_edge_list(path: str | Path) -> tuple[Graph, np.ndarray]:
@@ -255,17 +253,13 @@ def load_snap_edge_list(path: str | Path) -> tuple[Graph, np.ndarray]:
                 raw_pairs.append((a, b))
     if not raw_pairs:
         raise ValueError(f"{path}: no edges found")
-    original_ids = np.unique(np.array(raw_pairs, dtype=np.int64))
-    index = {int(v): i for i, v in enumerate(original_ids)}
-    pairs = [(index[a], index[b]) for a, b in raw_pairs]
-    return Graph.from_edge_list(len(original_ids), pairs), original_ids
+    original_ids, index = np.unique(np.array(raw_pairs, dtype=np.int64), return_inverse=True)
+    return Graph(len(original_ids), index.reshape(-1, 2)), original_ids
 
 
 def write_edge_list(g: Graph, path: str | Path) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"# undirected graph: {g.n} nodes, {len(g.edges)} edges\n")
-        for i, j in sorted(g.edges):
-            fh.write(f"{i} {j}\n")
+    header = f"undirected graph: {g.n} nodes, {g.edge_count} edges"
+    np.savetxt(path, g.edges, fmt="%d", header=header)
 
 
 def subgraph_bfs(g: Graph, root: int, target_n: int) -> Graph:
@@ -280,8 +274,7 @@ def subgraph_bfs(g: Graph, root: int, target_n: int) -> Graph:
         raise ValueError(
             f"component of root holds only {len(order)} of {target_n} requested nodes"
         )
-    rows, cols = triu(g.csr[order][:, order]).nonzero()
-    return Graph.from_edge_list(target_n, zip(rows.tolist(), cols.tolist()))
+    return Graph(target_n, np.column_stack(triu(g.csr[order][:, order]).nonzero()))
 
 
 def write_points(pc: PointCloud, path: str | Path) -> None:

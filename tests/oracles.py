@@ -78,15 +78,15 @@ def triangle_violations(hops: np.ndarray) -> int:
 
 
 def path_graph(n: int) -> Graph:
-    return Graph.from_edge_list(n, [(i, i + 1) for i in range(n - 1)])
+    return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle_graph(n: int) -> Graph:
-    return Graph.from_edge_list(n, [(i, (i + 1) % n) for i in range(n)])
+    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def complete_graph(n: int) -> Graph:
-    return Graph.from_edge_list(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
 def grid_graph(rows: int, cols: int) -> Graph:
@@ -100,14 +100,14 @@ def grid_graph(rows: int, cols: int) -> Graph:
                 pairs.append((idx(r, c), idx(r + 1, c)))
             if c + 1 < cols:
                 pairs.append((idx(r, c), idx(r, c + 1)))
-    return Graph.from_edge_list(rows * cols, pairs)
+    return Graph(rows * cols, pairs)
 
 
 def petersen_graph() -> Graph:
     outer = [(i, (i + 1) % 5) for i in range(5)]
     spokes = [(i, i + 5) for i in range(5)]
     inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-    return Graph.from_edge_list(10, outer + spokes + inner)
+    return Graph(10, outer + spokes + inner)
 
 
 def cartesian_product(g1: Graph, g2: Graph) -> Graph:
@@ -119,7 +119,7 @@ def cartesian_product(g1: Graph, g2: Graph) -> Graph:
     for b in range(g2.n):
         for i, j in g1.edges:
             pairs.append((i * g2.n + b, j * g2.n + b))
-    return Graph.from_edge_list(g1.n * g2.n, pairs)
+    return Graph(g1.n * g2.n, pairs)
 
 
 def random_connected_graph(rng: np.random.Generator, n: int, extra_edge_frac: float = 0.5) -> Graph:
@@ -134,7 +134,7 @@ def random_connected_graph(rng: np.random.Generator, n: int, extra_edge_frac: fl
         i, j = rng.integers(0, n, size=2)
         if i != j:
             pairs.append((int(i), int(j)))
-    return Graph.from_edge_list(n, pairs)
+    return Graph(n, pairs)
 
 
 def random_graph_with_components(rng: np.random.Generator, sizes: list[int]) -> Graph:
@@ -145,7 +145,7 @@ def random_graph_with_components(rng: np.random.Generator, sizes: list[int]) -> 
         sub = random_connected_graph(rng, size)
         pairs.extend((i + offset, j + offset) for i, j in sub.edges)
         offset += size
-    return Graph.from_edge_list(offset, pairs)
+    return Graph(offset, pairs)
 
 
 def brute_betweenness(g: Graph) -> np.ndarray:

@@ -271,9 +271,10 @@ class TestExitCodes:
         [
             (["--matrix-kind", "hdm"], ["--anchors", "5"], "--anchors"),
             (["--matrix-kind", "adjacency"], ["--strategy", "degree"], "--strategy"),
-            (["--format", "matrix", "--matrix-kind", "vc"], ["--seed", "3"], "--seed"),
+            (["--format", "matrix"], ["--seed", "3"], "--seed"),
+            (["--format", "matrix"], ["--matrix-kind", "adjacency"], "--matrix-kind"),
         ],
-        ids=["hdm", "adjacency", "matrix-file"],
+        ids=["hdm", "adjacency", "matrix-file", "matrix-kind"],
     )
     def test_spectrum_without_anchors_refuses_anchor_flags(
         self, hk_edges, tmp_path, capsys, source, extra, flag
@@ -301,6 +302,43 @@ class TestExitCodes:
         rc = main(["tpm", "--input", str(obs), *extra, "--out", str(out)])
         assert rc == EXIT_USAGE
         assert f"argument {flag}: not allowed with --input" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "extra, flag",
+        [(["--tolerance", "0.5"], "--tolerance"), (["--max-iters", "1"], "--max-iters")],
+    )
+    def test_tpm_edges_refuses_completion_flags(self, hk_edges, tmp_path, capsys, extra, flag):
+        # the full-VC map completes nothing
+        out = tmp_path / "map.csv"
+        rc = main(["tpm", "--edges", str(hk_edges), *extra, "--out", str(out)])
+        assert rc == EXIT_USAGE
+        assert f"argument {flag}: not allowed with --edges" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "metric, extra, flag",
+        [
+            (["E_m", "--est", "e.csv", "--edges", "g.txt"], ["--layout", "l.csv"], "--layout"),
+            (["E_a", "--est", "e.csv", "--edges", "g.txt"], ["--bin-width", "7"], "--bin-width"),
+            (["E_m", "--est", "e.csv", "--edges", "g.txt"], ["--map", "m.csv"], "--map"),
+            (["E", "--map", "m.csv", "--baseline", "b.csv", "--anchor-ids", "1,2"],
+             ["--bin-width", "7"], "--bin-width"),
+            (["E", "--map", "m.csv", "--baseline", "b.csv", "--anchor-ids", "1,2"],
+             ["--edges", "g.txt"], "--edges"),
+            (["E_TP", "--map", "m.csv", "--layout", "l.csv"], ["--baseline", "b.csv"], "--baseline"),
+            (["E_TP", "--map", "m.csv", "--layout", "l.csv"], ["--anchor-ids", "1,2"], "--anchor-ids"),
+            (["E_TP", "--map", "m.csv", "--layout", "l.csv"], ["--est", "e.csv"], "--est"),
+        ],
+        ids=["em-layout", "ea-bin-width", "em-map", "e-bin-width", "e-edges", "etp-baseline",
+             "etp-anchor-ids", "etp-est"],
+    )
+    def test_eval_refuses_other_metrics_flags(self, tmp_path, capsys, metric, extra, flag):
+        # refused before any input is read, so the named files need not exist
+        out = tmp_path / "score.csv"
+        rc = main(["eval", "--metric", *metric, *extra, "--out", str(out)])
+        assert rc == EXIT_USAGE
+        assert f"argument {flag}: not allowed with --metric {metric[0]}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_tpm_requires_one_source(self, tmp_path):
@@ -531,6 +569,18 @@ class TestConfigKeys:
         rc, err = self._run(tmp_path, capsys, {"anchors": {"mm": 5}})
         assert rc == EXIT_DATA
         assert err.startswith("error:") and "mm" in err
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("anchors", {"strategy": "degree", "m": 5}), ("procedures", ["grammian"]),
+         ("k", 3), ("bin_width", 7.0)],
+    )
+    def test_entry_mode_refuses_vc_keys(self, tmp_path, capsys, key, value):
+        # every node is an anchor and no map is made in random_entry mode
+        rc, err = self._run(tmp_path, capsys, {"mode": "random_entry", key: value})
+        assert rc == EXIT_DATA
+        assert err.strip() == f"error: config key(s) ['{key}'] not read in random_entry mode"
         assert not (tmp_path / "r").exists()
 
     def test_unknown_generator_param(self, tmp_path, capsys):

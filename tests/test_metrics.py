@@ -248,13 +248,13 @@ class TestHopErrors:
             hdm_mean_error(np.zeros((4, 4)), h)
 
     def test_unreachable_reference_rejected(self):
-        g = Graph.from_edge_list(4, [(0, 1), (2, 3)])
+        g = Graph(4, [(0, 1), (2, 3)])
         h = all_pairs_hops(g)
         with pytest.raises(ValueError):
             hdm_mean_error(np.zeros((4, 4)), h)
 
     def test_zero_total_rejected(self):
-        h = all_pairs_hops(Graph.from_edge_list(1, []))
+        h = all_pairs_hops(Graph(1, []))
         with pytest.raises(ValueError):
             hdm_mean_error(np.zeros((1, 1)), h)
 

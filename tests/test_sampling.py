@@ -31,7 +31,7 @@ from oracles import (
 
 
 def star_graph(n):
-    return Graph.from_edge_list(n, [(0, i) for i in range(1, n)])
+    return Graph(n, [(0, i) for i in range(1, n)])
 
 
 def random_vc(rng, n, m):
@@ -160,7 +160,7 @@ class TestBetweenness:
         g = path_graph(40)
         np.testing.assert_allclose(sampling._betweenness(g), brute_betweenness(g), rtol=1e-12, atol=1e-12)
 
-    @pytest.mark.parametrize("g", [Graph.from_edge_list(1, []), Graph.from_edge_list(4, [])])
+    @pytest.mark.parametrize("g", [Graph(1, []), Graph(4, [])])
     def test_edgeless_graph_scores_zero(self, g):
         assert sampling._betweenness(g).tolist() == [0.0] * g.n
 
@@ -256,7 +256,7 @@ class TestRandomEntryObservations:
             random_entry_observations(h, 0.01, seed=0)
 
     def test_unreachable_input_rejected(self):
-        g = Graph.from_edge_list(4, [(0, 1), (2, 3)])
+        g = Graph(4, [(0, 1), (2, 3)])
         with pytest.raises(ValueError):
             random_entry_observations(all_pairs_hops(g), 0.9, seed=0)
 

@@ -61,7 +61,7 @@ class TestFullVc:
         # two leaves hanging off the same hub are indistinguishable from
         # any anchor that is not one of them, so their map points coincide
         edges = [(0, 1), (1, 2), (2, 3), (1, 4), (1, 5)]
-        g = Graph.from_edge_list(6, edges)
+        g = Graph(6, edges)
         p = anchor_hops(g, [0, 2, 3])
         assert np.array_equal(p.hops[4], p.hops[5])
         tm = tpm_full_vc(p, k=2)
