@@ -2,8 +2,6 @@
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -34,14 +32,14 @@ from .metrics import (
     scan_lines,
     topology_preservation_error,
 )
-from .netgen import load_snap_edge_list, read_points, write_edge_list, write_points
+from .netgen import load_snap_edge_list, read_points, write_csv, write_edge_list, write_json, write_points
 from .sampling import (
     STRATEGIES,
     AnchorSelection,
     load_observed,
     save_observed,
 )
-from .tpm import MAP_EXTRACTORS, CompletionFailure, complete_anchor_hops
+from .tpm import MAP_EXTRACTORS, CompletionFailure, align_maps, complete_anchor_hops
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -101,9 +99,9 @@ def _build_parser() -> _Parser:
     g.add_argument("--net", required=True, choices=sorted(GENERATORS) + ["holme-kim"])
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", default=".", help="output directory")
-    g.add_argument("--n", type=int, default=500, help="holme-kim node count, above --m")
-    g.add_argument("--m", type=_positive_int, default=3, help="holme-kim edges per node")
-    g.add_argument("--p-triad", type=_probability, default=0.5)
+    g.add_argument("--n", type=int, default=None, help="holme-kim node count, above --m (default 500)")
+    g.add_argument("--m", type=_positive_int, default=None, help="holme-kim edges per node (default 3)")
+    g.add_argument("--p-triad", type=_probability, default=None, help="holme-kim (default 0.5)")
 
     s = sub.add_parser("spectrum", help="normalized singular values as CSV")
     s.add_argument("--input", required=True, help="edge list or dense matrix CSV")
@@ -138,9 +136,10 @@ def _build_parser() -> _Parser:
     t.add_argument("--seed", type=int, default=None, help="anchor seed (default 0)")
     t.add_argument("--out", required=True, help="map CSV path")
 
-    # the anchor, completion and --bin-width flags default to None, so that
-    # a command can refuse one it would ignore; _selection fills in the
-    # anchor defaults, and the library's own defaults apply to the others
+    # generate's holme-kim flags and the anchor, completion and --bin-width
+    # flags default to None, so that a command can refuse one it would
+    # ignore; _selection fills in the anchor defaults, and the library's own
+    # defaults apply to the others
     for anchored in (s, p, t):
         anchored.add_argument("--anchors", type=_positive_int, default=None, help="anchor count (default 20)")
         anchored.add_argument("--strategy", choices=STRATEGIES, default=None, help="anchor strategy (default random)")
@@ -168,14 +167,14 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_generate(args) -> int:
-    params = {}
-    if args.net == "holme-kim":
-        if args.n <= args.m:
-            raise SystemExit_(
-                EXIT_USAGE,
-                f"hopmap generate: error: argument --n: must exceed --m ({args.m}), got {args.n}",
-            )
-        params = {"n": args.n, "m": args.m, "p_triad": args.p_triad}
+    params = _given(args, "n", "m", "p_triad")
+    if args.net != "holme-kim":
+        _refuse_given(args, params, f"with --net {args.net}, a layout of fixed size")
+    n, m = params.get("n", 500), params.get("m", 3)  # gen_holme_kim's defaults
+    if n <= m:
+        raise SystemExit_(
+            EXIT_USAGE, f"hopmap generate: error: argument --n: must exceed --m ({m}), got {n}"
+        )
     g, layout, _ = build_network(NetworkSpec(kind=args.net, seed=args.seed, params=params))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -258,11 +257,8 @@ def _cmd_complete(args) -> int:
     cfg = CompletionConfig(**_given(args, "tolerance", "max_iters"))
     res = complete_nuclear_norm(load_observed(args.input), cfg)
     if args.trace is not None:
-        with open(args.trace, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["iter", "residual", "nuclear_norm"])
-            for it, (r, nu) in enumerate(zip(res.residual_trace, res.nuclear_trace), start=1):
-                w.writerow([it, repr(r), repr(nu)])
+        trace = zip(range(1, res.iterations + 1), res.residual_trace, res.nuclear_trace)
+        write_csv(["iter", "residual", "nuclear_norm"], trace, args.trace)
     np.savetxt(args.out, res.completed, delimiter=",")
     meta = {
         "iterations": res.iterations,
@@ -270,10 +266,7 @@ def _cmd_complete(args) -> int:
         "converged": res.converged,
         "kept_rank": res.rank_trace[-1] if res.rank_trace else None,
     }
-    meta_path = Path(args.out).with_suffix(".meta.json")
-    with open(meta_path, "w") as fh:
-        json.dump(meta, fh, indent=2)
-        fh.write("\n")
+    write_json(meta, Path(args.out).with_suffix(".meta.json"))
     print(
         f"wrote {args.out}: iterations={res.iterations} "
         f"residual={res.final_residual:.3e} converged={res.converged}"
@@ -313,9 +306,11 @@ def _cmd_eval(args) -> int:
         ids = np.array([int(v) for v in spec.split(",")])
         value = mean_distance_error(tm, base, ids)
     elif args.metric == "E_TP":
-        tm = read_points(args.map)
-        lines = scan_lines(read_points(args.layout), **_given(args, "bin_width"))
-        value = topology_preservation_error(lines, tm)
+        layout = read_points(args.layout)
+        lines = scan_lines(layout, **_given(args, "bin_width"))
+        # SVD maps are rotated arbitrarily; match axes before scanning, as the sweep does
+        oriented, _ = align_maps(read_points(args.map), layout)
+        value = topology_preservation_error(lines, oriented)
     else:
         est = np.loadtxt(args.est, delimiter=",", ndmin=2)
         g, _ = load_snap_edge_list(args.edges)
@@ -324,10 +319,7 @@ def _cmd_eval(args) -> int:
         value = fn(est, h)
     print(f"{args.metric} = {value!r}")
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["metric", "value"])
-            w.writerow([args.metric, repr(value)])
+        write_csv(["metric", "value"], [[args.metric, value]], args.out)
     return EXIT_OK
 
 
@@ -374,7 +366,7 @@ def main(argv=None) -> int:
     except CompletionFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

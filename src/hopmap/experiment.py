@@ -1,10 +1,8 @@
 """Monte-Carlo experiment harness: sample, complete, map, score, summarize."""
 from __future__ import annotations
 
-import csv
 import dataclasses
 import inspect
-import json
 import os
 import platform
 import time
@@ -39,7 +37,10 @@ from .netgen import (
     gen_holme_kim,
     gen_t_cylinder_3d,
     load_snap_edge_list,
+    read_json_object,
     subgraph_bfs,
+    write_csv,
+    write_json,
 )
 from .sampling import (
     AnchorSelection,
@@ -212,22 +213,24 @@ class ExperimentConfig:
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
-    """Read a JSON experiment config; unknown keys in any block, missing
-    required keys and values of the wrong type raise ValueError naming
-    them, and a file that is not JSON one naming the file."""
-    with open(path) as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: {exc}") from None
-    if not isinstance(raw, dict):
-        raise ValueError("config must be a JSON object")
+    """Read a JSON experiment config. Unknown or unread keys in any block,
+    missing required keys and values of the wrong type raise ValueError
+    naming them; a file that is not a JSON object raises one naming it."""
+    raw = read_json_object(path)
     cfg = ExperimentConfig(**_read_block(raw, _declared(ExperimentConfig), "config"))
     # a key only another mode reads would be ignored without a word
     others = {key for mode in MODES.values() for key in mode.keys} - set(MODES[cfg.mode].keys)
     unread = sorted(others.intersection(raw))
     if unread:
         raise ValueError(f"config key(s) {unread} not read in {cfg.mode} mode")
+    # so would these seeds
+    seeds = {}
+    if "seed" in raw.get("anchors", {}):
+        seeds["anchors.seed"] = "run_experiment draws the anchors from the top-level seed"
+    if cfg.network.kind == "edges" and "seed" in raw["network"]:
+        seeds["network.seed"] = "an edge-list network is read, not drawn"
+    if seeds:
+        raise ValueError(f"config key(s) {list(seeds)} never read: " + "; ".join(seeds.values()))
     return cfg
 
 
@@ -444,28 +447,22 @@ def _simd_extensions() -> list[str] | None:
 
 
 def _write_outputs(cfg, result, out, net_name, labels, elapsed):
-    with open(out / "runs.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["network", "procedure", "M", "f", "seed", "metric", "value"])
-        for r in result.reports:
-            w.writerow(
-                [r.network, r.procedure, r.m, r.f, r.seed, r.metric, repr(float(r.value))]
-            )
-
+    write_csv(
+        ["network", "procedure", "M", "f", "seed", "metric", "value"],
+        ([r.network, r.procedure, r.m, r.f, r.seed, r.metric, r.value] for r in result.reports),
+        out / "runs.csv",
+    )
     cells = _summary_cells(result)
-    with open(out / "summary.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["network", "procedure", "M", "f", "metric", "mean", "std", "n_runs"])
-        for key in sorted(cells, key=str):
-            mean, std, n_runs = cells[key]
-            w.writerow(list(key) + [repr(mean), repr(std), n_runs])
-
-    with open(out / "failures.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["network", "procedure", "f", "repeat", "error"])
-        for r in result.failures:
-            w.writerow([r.network, r.procedure, r.f, r.repeat, r.error])
-
+    write_csv(
+        ["network", "procedure", "M", "f", "metric", "mean", "std", "n_runs"],
+        ([*key, *cells[key]] for key in sorted(cells, key=str)),
+        out / "summary.csv",
+    )
+    write_csv(
+        ["network", "procedure", "f", "repeat", "error"],
+        ([r.network, r.procedure, r.f, r.repeat, r.error] for r in result.failures),
+        out / "failures.csv",
+    )
     meta = {
         "network": net_name,
         "mode": cfg.mode,
@@ -486,9 +483,7 @@ def _write_outputs(cfg, result, out, net_name, labels, elapsed):
             **{var: os.environ.get(var) for var in BLAS_THREAD_VARS},
         },
     }
-    with open(out / "meta.json", "w") as fh:
-        json.dump(meta, fh, indent=2)
-        fh.write("\n")
+    write_json(meta, out / "meta.json")
 
 
 def _summary_cells(result: ExperimentResult) -> dict[tuple, tuple[float, float, int]]:

@@ -1,7 +1,6 @@
 """SVD, spectra, double centering, and nuclear-norm matrix completion."""
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -9,6 +8,7 @@ from pathlib import Path
 import numpy as np
 from scipy.linalg import lu
 
+from .netgen import write_csv
 from .sampling import ObservedMatrix
 
 RANK_TOLERANCE = 1e-10
@@ -110,10 +110,7 @@ def normalized_spectrum(m: np.ndarray, center: bool = False) -> np.ndarray:
 def write_spectrum(values: np.ndarray, path: str | Path) -> None:
     """Write a spectrum as CSV rows index,value: 1-based indices, floats
     in repr form."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["index", "value"])
-        w.writerows([i, repr(float(v))] for i, v in enumerate(values, start=1))
+    write_csv(["index", "value"], enumerate(values, start=1), path)
 
 
 def double_center_full(sq: np.ndarray) -> np.ndarray:

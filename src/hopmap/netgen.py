@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import csv
+import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -231,11 +232,14 @@ def gen_holme_kim(n: int = 500, m: int = 3, p_triad: float = 0.5, seed: int = 0)
     return Graph(n, [(a, b) for a, nbrs in enumerate(neighbors) for b in nbrs])
 
 
+_ID_MIN, _ID_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
+
+
 def load_snap_edge_list(path: str | Path) -> tuple[Graph, np.ndarray]:
     """Read a plain-text edge list ('# comment' lines skipped, one
-    whitespace-separated integer pair per line). Node ids are remapped to
-    a dense [0, n) range; returns the graph and the original id of each
-    new index."""
+    whitespace-separated pair of int64 ids per line). Node ids are
+    remapped to a dense [0, n) range; returns the graph and the original
+    id of each new index."""
     raw_pairs = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -249,6 +253,8 @@ def load_snap_edge_list(path: str | Path) -> tuple[Graph, np.ndarray]:
                 a, b = int(parts[0]), int(parts[1])
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: non-integer id in {line!r}") from None
+            if not (_ID_MIN <= a <= _ID_MAX and _ID_MIN <= b <= _ID_MAX):
+                raise ValueError(f"{path}:{lineno}: id outside the int64 range in {line!r}")
             if a != b:
                 raw_pairs.append((a, b))
     if not raw_pairs:
@@ -277,11 +283,41 @@ def subgraph_bfs(g: Graph, root: int, target_n: int) -> Graph:
     return Graph(target_n, np.column_stack(triu(g.csr[order][:, order]).nonzero()))
 
 
+def write_csv(header: list[str], rows, path: str | Path) -> None:
+    """Write a header and rows of plain values as CSV through csv.writer,
+    which puts a float in repr form, so reading it back is exact; a numpy
+    float, whose repr names its type, is written as a float."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows([float(v) if isinstance(v, np.floating) else v for v in row] for row in rows)
+
+
+def write_json(obj, path: str | Path) -> None:
+    """Write a JSON value indented by two spaces, with a final newline."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2)
+        fh.write("\n")
+
+
+def read_json_object(path: str | Path) -> dict:
+    """The JSON object a file holds. Raises ValueError naming the file when
+    its text is not JSON or its value is not an object."""
+    with open(path) as fh:
+        try:
+            value = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    if not isinstance(value, dict):
+        raise ValueError(f"{path}: must hold a JSON object")
+    return value
+
+
 def write_points(pc: PointCloud, path: str | Path) -> None:
     """Write a layout or map as CSV rows node_id,x,y[,z], floats in repr
     form so that reading them back is exact."""
     n, k = pc.coords.shape
-    # the bytes csv.writer gives: \r\n line ends, no cell needs quoting
+    # write_csv's bytes from one %-template, faster for the sweep's most frequent writer
     row = "%d" + ",%s" * k + "\r\n"
     cells = list(map(repr, pc.coords.ravel().tolist()))
     columns = (cells[j::k] for j in range(k))

@@ -2,16 +2,14 @@
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .graph import Graph, HopDistanceMatrix, all_pairs_hops, level_sweeps
+from .netgen import read_json_object, write_csv, write_json
 from .seeding import spawn_rng
-
-STRATEGIES = ("random", "degree", "closeness", "betweenness")
 
 # decimals kept of each centrality score, divided by the largest, before
 # ranking (see select_anchors)
@@ -119,6 +117,15 @@ def _betweenness(g: Graph) -> np.ndarray:
     return cb / 2.0  # each undirected pair counted twice
 
 
+# centrality strategy -> node scores, of which select_anchors takes the top m
+CENTRALITY = {
+    "degree": lambda g: g.degrees.astype(float),
+    "closeness": _closeness,
+    "betweenness": _betweenness,
+}
+STRATEGIES = ("random", *CENTRALITY)
+
+
 def select_anchors(g: Graph, sel: AnchorSelection) -> np.ndarray:
     """m distinct node indices per the selection strategy.
 
@@ -133,12 +140,7 @@ def select_anchors(g: Graph, sel: AnchorSelection) -> np.ndarray:
     if sel.strategy == "random":
         rng = spawn_rng(sel.seed, "anchors")
         return np.sort(rng.choice(g.n, size=sel.m, replace=False))
-    if sel.strategy == "degree":
-        score = g.degrees.astype(float)
-    elif sel.strategy == "closeness":
-        score = _closeness(g)
-    else:
-        score = _betweenness(g)
+    score = CENTRALITY[sel.strategy](g)
     top = score.max()
     if top > 0:
         score = np.round(score / top, TIE_DIGITS)
@@ -168,30 +170,24 @@ def vc_observations(p: HopDistanceMatrix, delete_fraction: float, seed: int = 0)
 
 
 def _repair_empty_rows(mask: np.ndarray, rng: np.random.Generator, max_moves: int) -> None:
-    """Move deletions out of empty rows into rows that can spare a cell."""
+    """Move deletions out of empty rows into rows that can spare a cell,
+    drawing at most max_moves cells in all. A move deletes only from a row
+    that holds two cells or more, so it never empties one, and one pass
+    over the rows that start empty covers every row."""
     moves = 0
-    while True:
-        empty = np.flatnonzero(~mask.any(axis=1))
-        if empty.size == 0:
-            return
-        for row in empty:
-            col = rng.integers(0, mask.shape[1])
-            mask[row, col] = True
-            # delete a different observed cell, without emptying its row or column
-            for _ in range(max_moves):
-                moves += 1
-                if moves > max_moves:
-                    raise ValueError("could not repair empty rows within retry budget")
-                r = rng.integers(0, mask.shape[0])
-                c = rng.integers(0, mask.shape[1])
-                if not mask[r, c] or (r == row and c == col):
-                    continue
-                if mask[r].sum() < 2 or mask[:, c].sum() < 2:
-                    continue
+    for row in np.flatnonzero(~mask.any(axis=1)):
+        mask[row, rng.integers(0, mask.shape[1])] = True
+        # delete another observed cell, without emptying its row or column;
+        # the cell just restored is its row's only one
+        while True:
+            moves += 1
+            if moves > max_moves:
+                raise ValueError("could not repair empty rows within retry budget")
+            r = rng.integers(0, mask.shape[0])
+            c = rng.integers(0, mask.shape[1])
+            if mask[r, c] and mask[r].sum() >= 2 and mask[:, c].sum() >= 2:
                 mask[r, c] = False
                 break
-            else:
-                raise ValueError("could not repair empty rows within retry budget")
 
 
 def _upper_pair(n: int, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -227,18 +223,15 @@ def random_entry_observations(
     mask = np.zeros((n, n), dtype=bool)
     mask[_upper_pair(n, chosen)] = True
     mask |= mask.T
-    # guarantee off-diagonal coverage per row by swapping pairs in
-    for _ in range(100 * n):
-        empty = np.flatnonzero(~mask.any(axis=1))
-        if empty.size == 0:
-            break
-        row = empty[0]
+    # cover each empty row by swapping a pair of it in; no swap empties a row
+    for row in np.flatnonzero(~mask.any(axis=1)):
+        if mask[row].any():
+            continue  # covered as an earlier row's partner
         partner = rng.integers(0, n - 1)
         partner += partner >= row
         # remove one existing pair whose endpoints stay covered
         obs_i, obs_j = np.nonzero(np.triu(mask, k=1))
-        order = rng.permutation(obs_i.size)
-        for idx in order:
+        for idx in rng.permutation(obs_i.size):
             r, c = obs_i[idx], obs_j[idx]
             if mask[r].sum() >= 2 and mask[c].sum() >= 2:
                 mask[r, c] = mask[c, r] = False
@@ -246,8 +239,6 @@ def random_entry_observations(
         else:
             raise ValueError("could not enforce row coverage")
         mask[row, partner] = mask[partner, row] = True
-    else:
-        raise ValueError("could not enforce row coverage")
     np.fill_diagonal(mask, True)
     return ObservedMatrix(values=h.hops, mask=mask, symmetric=True, seed=seed)
 
@@ -257,21 +248,14 @@ def save_observed(o: ObservedMatrix, base: str | Path) -> tuple[Path, Path]:
     base = Path(base)
     csv_path = base.with_suffix(".csv")
     json_path = base.with_suffix(".json")
-    rows, cols = np.nonzero(o.mask)
-    with open(csv_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["row", "col", "value"])
-        for r, c in zip(rows.tolist(), cols.tolist()):
-            w.writerow([r, c, repr(float(o.values[r, c]))])
+    write_csv(["row", "col", "value"], zip(*np.nonzero(o.mask), o.values[o.mask]), csv_path)
     header = {
         "rows": int(o.shape[0]),
         "cols": int(o.shape[1]),
         "mode": "symmetric" if o.symmetric else "general",
         "seed": o.seed,
     }
-    with open(json_path, "w") as fh:
-        json.dump(header, fh, indent=2)
-        fh.write("\n")
+    write_json(header, json_path)
     return csv_path, json_path
 
 
@@ -287,13 +271,7 @@ def load_observed(base: str | Path) -> ObservedMatrix:
     base = Path(base)
     json_path = base.with_suffix(".json")
     csv_path = base.with_suffix(".csv")
-    with open(json_path) as fh:
-        try:
-            header = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{json_path}: {exc}") from None
-    if not isinstance(header, dict):
-        raise ValueError(f"{json_path}: header must be a JSON object")
+    header = read_json_object(json_path)
     for key in ("rows", "cols"):
         size = header.get(key)
         if not isinstance(size, int) or isinstance(size, bool) or size < 1:

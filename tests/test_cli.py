@@ -9,6 +9,7 @@ import pytest
 from hopmap import experiment
 from hopmap.cli import EXIT_CONVERGENCE, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from hopmap.lowrank import complete_nuclear_norm
+from hopmap.netgen import PointCloud, read_points, write_points
 from hopmap.sampling import ObservedMatrix, save_observed
 
 
@@ -65,6 +66,22 @@ class TestGenerate:
         assert rc == EXIT_USAGE
         assert f"argument {flag}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [["--n", "100"], ["--m", "7"], ["--p-triad", "0.9"]])
+    def test_layout_refuses_holme_kim_flags(self, tmp_path, capsys, flags):
+        # a layout's size is fixed by its geometry; the flag would change nothing
+        out = tmp_path / "net"
+        rc = main(["generate", "--net", "concave", *flags, "--out", str(out)])
+        assert rc == EXIT_USAGE
+        assert f"argument {flags[0]}: not allowed with --net concave" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_holme_kim_defaults(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(["generate", "--net", "holme-kim", "--out", str(a)]) == EXIT_OK
+        flags = ["--n", "500", "--m", "3", "--p-triad", "0.5"]
+        assert main(["generate", "--net", "holme-kim", *flags, "--out", str(b)]) == EXIT_OK
+        assert (a / "holme-kim_edges.txt").read_bytes() == (b / "holme-kim_edges.txt").read_bytes()
 
 
 class TestSpectrum:
@@ -242,6 +259,26 @@ class TestPipeline:
                    "--layout", str(tmp_path / "concave_layout.csv")])
         assert rc == EXIT_OK
 
+    def test_etp_of_a_rotated_map_is_unchanged(self, tmp_path):
+        # eval aligns the map onto the layout before scanning, as the sweep does
+        main(["generate", "--net", "concave", "--seed", "1", "--out", str(tmp_path)])
+        obs = tmp_path / "obs"
+        main(["sample", "--input", str(tmp_path / "concave_edges.txt"), "--mode", "vc",
+              "--fraction", "0.4", "--seed", "2", "--out", str(obs)])
+        mp = tmp_path / "map.csv"
+        main(["tpm", "--input", str(obs), "--out", str(mp)])
+        turn = np.radians(37.0)
+        rotation = np.array([[np.cos(turn), -np.sin(turn)], [np.sin(turn), np.cos(turn)]])
+        write_points(PointCloud(coords=read_points(mp).coords @ rotation), tmp_path / "rot.csv")
+        values = []
+        for name in ("map.csv", "rot.csv"):
+            out = tmp_path / f"{name}.etp"
+            rc = main(["eval", "--metric", "E_TP", "--map", str(tmp_path / name),
+                       "--layout", str(tmp_path / "concave_layout.csv"), "--out", str(out)])
+            assert rc == EXIT_OK
+            values.append(out.read_text())
+        assert values[0] == values[1]
+
 
 class TestExitCodes:
     def test_missing_required_flag(self):
@@ -404,6 +441,13 @@ class TestExitCodes:
         rc = main(["spectrum", "--input", str(bad), "--out", str(tmp_path / "s.csv")])
         assert rc == EXIT_DATA
 
+    def test_edge_list_id_beyond_int64_is_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "huge.txt"
+        bad.write_text("0 1\n1 18446744073709551616\n")
+        rc = main(["spectrum", "--input", str(bad), "--out", str(tmp_path / "s.csv")])
+        assert rc == EXIT_DATA
+        assert capsys.readouterr().err.startswith(f"error: {bad}:2: id outside the int64 range")
+
     def test_out_of_range_observation_is_data_error(self, tmp_path, capsys):
         (tmp_path / "obs.json").write_text('{"rows": 3, "cols": 3, "mode": "general"}\n')
         (tmp_path / "obs.csv").write_text("row,col,value\n0,0,1.0\n5,1,2.0\n")
@@ -457,7 +501,7 @@ class TestExperimentCommand:
         raw = {
             "network": {"kind": "holme-kim", "seed": 2,
                         "params": {"n": 50, "m": 3, "p_triad": 0.3}},
-            "anchors": {"strategy": "random", "m": 8, "seed": 0},
+            "anchors": {"strategy": "random", "m": 8},
             "procedures": ["p-completion"],
             "fractions": [0.0, 0.3],
             "repeats": 2,
@@ -514,6 +558,12 @@ class TestExperimentCommand:
         p.write_text("{not json")
         assert main(["experiment", "--config", str(p)]) == EXIT_DATA
         assert capsys.readouterr().err.startswith(f"error: {p}:")
+
+    def test_non_object_config_is_data_error(self, tmp_path, capsys):
+        p = tmp_path / "cfg.json"
+        p.write_text("[1, 2]\n")
+        assert main(["experiment", "--config", str(p)]) == EXIT_DATA
+        assert capsys.readouterr().err == f"error: {p}: must hold a JSON object\n"
 
     def test_missing_edge_list_leaves_no_results_dir(self, tmp_path, capsys):
         missing = tmp_path / "nope.txt"
@@ -581,6 +631,20 @@ class TestConfigKeys:
         rc, err = self._run(tmp_path, capsys, {"mode": "random_entry", key: value})
         assert rc == EXIT_DATA
         assert err.strip() == f"error: config key(s) ['{key}'] not read in random_entry mode"
+        assert not (tmp_path / "r").exists()
+
+    def test_anchor_seed_is_data_error(self, tmp_path, capsys):
+        # run_experiment draws the anchors from the top-level seed
+        rc, err = self._run(tmp_path, capsys, {"anchors": {"m": 5, "seed": 3}})
+        assert rc == EXIT_DATA
+        assert err.startswith("error: config key(s) ['anchors.seed'] never read")
+        assert not (tmp_path / "r").exists()
+
+    def test_edge_list_seed_is_data_error(self, hk_edges, tmp_path, capsys):
+        network = {"kind": "edges", "seed": 7, "params": {"path": str(hk_edges)}}
+        rc, err = self._run(tmp_path, capsys, {"network": network, "anchors": {"seed": 0}})
+        assert rc == EXIT_DATA
+        assert err.startswith("error: config key(s) ['anchors.seed', 'network.seed'] never read")
         assert not (tmp_path / "r").exists()
 
     def test_unknown_generator_param(self, tmp_path, capsys):

@@ -71,11 +71,17 @@ class TestConfigLoading:
         with pytest.raises(ValueError, match="'procedures' must be a list of str"):
             load_config(p)
 
+    def test_non_object_names_the_file(self, tmp_path):
+        p = tmp_path / "cfg.json"
+        p.write_text("[1, 2]\n")
+        with pytest.raises(ValueError, match=r"cfg\.json: must hold a JSON object"):
+            load_config(p)
+
     def test_inline_params_and_procedures_list(self, tmp_path):
         # network params go under "params" only; inline they are unknown keys
         raw = {
             "network": {"kind": "concave", "seed": 2, "params": {"pitch": 2.0}},
-            "anchors": {"strategy": "degree", "m": 10, "seed": 3},
+            "anchors": {"strategy": "degree", "m": 10},
             "procedures": ["grammian", "p-completion"],
             "completion": {"tolerance": 1e-4, "max_iters": 100},
             "out_dir": str(tmp_path / "r"),

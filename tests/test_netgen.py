@@ -11,10 +11,13 @@ from hopmap.netgen import (
     gen_holme_kim,
     gen_t_cylinder_3d,
     load_snap_edge_list,
+    read_json_object,
     read_points,
     subgraph_bfs,
     unit_disk_connect,
+    write_csv,
     write_edge_list,
+    write_json,
     write_points,
 )
 from oracles import cycle_graph, random_connected_graph
@@ -207,6 +210,20 @@ class TestSnapEdgeList:
         with pytest.raises(ValueError):
             load_snap_edge_list(p)
 
+    def test_id_outside_int64_rejected(self, tmp_path):
+        p = tmp_path / "edges.txt"
+        for big in (2**63, -(2**63) - 1, 2**64):
+            p.write_text(f"0 1\n1 {big}\n")
+            with pytest.raises(ValueError, match=r"edges\.txt:2: id outside the int64 range"):
+                load_snap_edge_list(p)
+
+    def test_int64_extreme_ids_accepted(self, tmp_path):
+        p = tmp_path / "edges.txt"
+        p.write_text(f"{-(2**63)} 0\n0 {2**63 - 1}\n")
+        g, ids = load_snap_edge_list(p)
+        assert ids.tolist() == [-(2**63), 0, 2**63 - 1]
+        assert g.edges.tolist() == [[0, 1], [1, 2]]
+
     def test_empty_file_rejected(self, tmp_path):
         p = tmp_path / "edges.txt"
         p.write_text("# only comments\n")
@@ -317,3 +334,64 @@ class TestPointTable:
         path.write_text(text)
         with pytest.raises(ValueError, match="points.csv"):
             read_points(path)
+
+
+class TestMapTable:
+    """Maps share the layouts' point table: round trips of SVD-like maps."""
+
+    def test_normal_map_round_trip_2d(self, tmp_path):
+        rng = np.random.default_rng(29)
+        tm = PointCloud(coords=rng.normal(size=(7, 2)))
+        path = tmp_path / "map.csv"
+        write_points(tm, path)
+        back = read_points(path)
+        assert np.array_equal(back.coords, tm.coords)
+
+    def test_normal_map_round_trip_3d(self, tmp_path):
+        rng = np.random.default_rng(30)
+        tm = PointCloud(coords=rng.normal(size=(5, 3)))
+        path = tmp_path / "map.csv"
+        write_points(tm, path)
+        back = read_points(path)
+        assert np.array_equal(back.coords, tm.coords)
+
+    def test_map_with_sparse_ids_rejected(self, tmp_path):
+        path = tmp_path / "map.csv"
+        path.write_text("node_id,x,y\n0,1.0,2.0\n2,3.0,4.0\n")
+        with pytest.raises(ValueError):
+            read_points(path)
+
+
+class TestTableWriters:
+    """write_csv and write_json, the one writer of each format."""
+
+    def test_csv_bytes(self, tmp_path):
+        path = tmp_path / "t.csv"
+        rows = [[1 / 3, 1e-20, np.float64(0.1)], [7, np.int64(-2), "x, y"]]
+        write_csv(["a", "b", "c"], rows, path)
+        assert path.read_bytes() == b'a,b,c\r\n0.3333333333333333,1e-20,0.1\r\n7,-2,"x, y"\r\n'
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_points_match_csv_writer(self, tmp_path, dim):
+        # write_points keeps its own template for speed; the bytes are write_csv's
+        pc = PointCloud(coords=np.random.default_rng(dim).normal(size=(6, dim)) * 1e3)
+        write_points(pc, tmp_path / "points.csv")
+        header = ["node_id", "x", "y", "z"][: 1 + dim]
+        write_csv(header, ([i, *row] for i, row in enumerate(pc.coords)), tmp_path / "table.csv")
+        assert (tmp_path / "points.csv").read_bytes() == (tmp_path / "table.csv").read_bytes()
+
+    def test_json_bytes_and_round_trip(self, tmp_path):
+        path = tmp_path / "meta.json"
+        value = {"a": 1, "b": [0.5, None], "c": np.float64(1 / 3)}
+        write_json(value, path)
+        assert path.read_text() == (
+            '{\n  "a": 1,\n  "b": [\n    0.5,\n    null\n  ],\n  "c": 0.3333333333333333\n}\n'
+        )
+        assert read_json_object(path) == value
+
+    @pytest.mark.parametrize("text", ["{not json", "[1, 2]\n", "3\n", ""])
+    def test_read_json_object_names_the_file(self, tmp_path, text):
+        path = tmp_path / "conf.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=r"conf\.json: "):
+            read_json_object(path)

@@ -4,7 +4,7 @@ import pytest
 
 from hopmap.graph import Graph, all_pairs_hops, anchor_hops
 from hopmap.lowrank import CompletionConfig, complete_nuclear_norm
-from hopmap.netgen import PointCloud, gen_holme_kim, read_points, write_points
+from hopmap.netgen import PointCloud, gen_holme_kim
 from hopmap.sampling import (
     AnchorSelection,
     ObservedMatrix,
@@ -382,26 +382,3 @@ class TestAlignMaps:
         _, t = align_maps(a, b)
         assert t.residual < 1e-9
 
-
-class TestSerialization:
-    def test_round_trip_2d(self, tmp_path):
-        rng = np.random.default_rng(29)
-        tm = PointCloud(coords=rng.normal(size=(7, 2)))
-        path = tmp_path / "map.csv"
-        write_points(tm, path)
-        back = read_points(path)
-        assert np.array_equal(back.coords, tm.coords)
-
-    def test_round_trip_3d(self, tmp_path):
-        rng = np.random.default_rng(30)
-        tm = PointCloud(coords=rng.normal(size=(5, 3)))
-        path = tmp_path / "map.csv"
-        write_points(tm, path)
-        back = read_points(path)
-        assert np.array_equal(back.coords, tm.coords)
-
-    def test_sparse_ids_rejected(self, tmp_path):
-        path = tmp_path / "map.csv"
-        path.write_text("node_id,x,y\n0,1.0,2.0\n2,3.0,4.0\n")
-        with pytest.raises(ValueError):
-            read_points(path)
