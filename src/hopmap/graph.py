@@ -134,25 +134,34 @@ def level_sweeps(g: Graph, sources=None):
     forward half of Brandes 2001, batched as in Buluc & Gilbert 2011):
     path counts grow one hop level at a time, and a node not yet reached
     with a positive count from level k-1 is at level k.
+
+    Every pass is unmasked: a boolean ``unseen`` block marks the nodes not
+    yet reached, and each level adds it to the level count, so a node
+    first reached at depth d ends with d.
     """
     sources = np.arange(g.n) if sources is None else np.asarray(sources, dtype=np.int64)
     a = g.csr.astype(float)
     step = max(1, BLOCK_CELLS // max(g.n, 1))
     for start in range(0, sources.size, step):
         block = sources[start : start + step]
-        level = np.full((g.n, block.size), UNREACHABLE, dtype=np.int64)
-        level[block, np.arange(block.size)] = 0
-        sigma = (level == 0).astype(float)
-        front, depth = sigma, 0  # sigma on the deepest level, zero elsewhere
+        level = np.zeros((g.n, block.size), dtype=np.int64)
+        unseen = np.ones((g.n, block.size), dtype=bool)
+        unseen[block, np.arange(block.size)] = False
+        sigma = (~unseen).astype(float)
+        front = sigma  # sigma on the deepest level, zero elsewhere
         while True:
             prod = a @ front
-            on = (prod > 0) & (level == UNREACHABLE)
+            on = prod > 0
+            on &= unseen
             if not on.any():
                 break
-            depth += 1
-            np.copyto(level, depth, where=on)
-            front = np.where(on, prod, 0.0)
+            level += unseen
+            unseen ^= on
+            # counts are finite and nonnegative, so this is where(on, prod, 0)
+            prod *= on
+            front = prod
             sigma += front  # exact: sigma is zero where front is not
+        level[unseen] = UNREACHABLE
         yield block, level, sigma
 
 
@@ -160,9 +169,10 @@ def _hops_from(g: Graph, sources) -> np.ndarray:
     """Hop counts from each source (rows, every node when ``sources`` is
     None) to every node; UNREACHABLE where no path. Rows of ``g.hops``
     once that is cached, otherwise the levels of one level sweep from just
-    these sources. A sweep costs one sparse product per hop level: faster
-    than Dijkstra on small-world graphs, slower on long-diameter ones such
-    as the 2-d sensor layouts (see README)."""
+    these sources. A sweep costs one sparse product per hop level: on
+    Holme-Kim graphs it takes a quarter to two fifths of Dijkstra's CPU time,
+    on long-diameter ones such as the concave layout (34 levels) 1.1 to
+    1.4 times as much (see README)."""
     if "hops" in vars(g):
         return g.hops[sources]
     n_sources = g.n if sources is None else len(sources)

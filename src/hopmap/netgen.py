@@ -2,8 +2,11 @@
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
+import re
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -235,11 +238,43 @@ def gen_holme_kim(n: int = 500, m: int = 3, p_triad: float = 0.5, seed: int = 0)
 _ID_MIN, _ID_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 
 
+# the lines _edge_lines skips as comments (first non-whitespace character
+# '#'), with any blank lines before them
+_COMMENT_LINES = re.compile(r"^\s*#.*$", re.MULTILINE)
+
+
 def load_snap_edge_list(path: str | Path) -> tuple[Graph, np.ndarray]:
     """Read a plain-text edge list ('# comment' lines skipped, one
     whitespace-separated pair of int64 ids per line). Node ids are
     remapped to a dense [0, n) range; returns the graph and the original
-    id of each new index."""
+    id of each new index.
+
+    The file is parsed as one block (np.loadtxt over the text without its
+    comment lines). A file the block parse refuses is read again line by
+    line, which names the first bad line in the error."""
+    text = Path(path).read_text()
+    try:
+        with warnings.catch_warnings():
+            # numpy < 1.25 reads "1.0" as an int with a DeprecationWarning,
+            # and an empty block warns: both go to the line loop
+            warnings.simplefilter("error")
+            pairs = np.loadtxt(
+                io.StringIO(_COMMENT_LINES.sub("", text)), dtype=np.int64, comments=None, ndmin=2
+            )
+        if pairs.shape[1] != 2:
+            raise ValueError("not two ids per line")
+    except (ValueError, Warning):
+        pairs = _edge_lines(path)
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    if not len(pairs):
+        raise ValueError(f"{path}: no edges found")
+    original_ids, index = np.unique(pairs, return_inverse=True)
+    return Graph(len(original_ids), index.reshape(-1, 2)), original_ids
+
+
+def _edge_lines(path: str | Path) -> np.ndarray:
+    """The edge list's id pairs read one line at a time; raises ValueError
+    naming the first line that is not two int64 ids."""
     raw_pairs = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -255,12 +290,8 @@ def load_snap_edge_list(path: str | Path) -> tuple[Graph, np.ndarray]:
                 raise ValueError(f"{path}:{lineno}: non-integer id in {line!r}") from None
             if not (_ID_MIN <= a <= _ID_MAX and _ID_MIN <= b <= _ID_MAX):
                 raise ValueError(f"{path}:{lineno}: id outside the int64 range in {line!r}")
-            if a != b:
-                raw_pairs.append((a, b))
-    if not raw_pairs:
-        raise ValueError(f"{path}: no edges found")
-    original_ids, index = np.unique(np.array(raw_pairs, dtype=np.int64), return_inverse=True)
-    return Graph(len(original_ids), index.reshape(-1, 2)), original_ids
+            raw_pairs.append((a, b))
+    return np.array(raw_pairs, dtype=np.int64).reshape(-1, 2)
 
 
 def write_edge_list(g: Graph, path: str | Path) -> None:

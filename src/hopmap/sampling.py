@@ -104,15 +104,28 @@ def _betweenness(g: Graph) -> np.ndarray:
     ``graph.level_sweeps`` grows the path counts sigma forward from each
     source. Dependencies delta flow back one level at a time, with
     delta(v) = sigma(v) * sum over successors w of (1 + delta(w)) / sigma(w).
+
+    Each level multiplies by its 0/1 mask instead of masking the passes:
+    the quotient is taken over a copy of sigma whose unreached zeros are
+    ones, and a level's delta cells are still zero when it adds to them,
+    so every cell gets the same bits as a masked divide and copy.
     """
     cb = np.zeros(g.n)
     a = g.csr.astype(float)
     for _, level, sigma in level_sweeps(g):
         # a source's own dependency is never counted, so stop at level 1
         delta = np.zeros_like(sigma)
-        for k in range(int(level.max()), 1, -1):
-            w = np.divide(1.0 + delta, sigma, out=np.zeros_like(sigma), where=level == k)
-            np.copyto(delta, sigma * (a @ w), where=level == k - 1)
+        sigma_safe = np.where(sigma > 0, sigma, 1.0)
+        top = int(level.max())
+        on = level == top
+        for k in range(top, 1, -1):
+            w = (1.0 + delta) / sigma_safe
+            w *= on
+            on = level == k - 1
+            up = a @ w
+            up *= sigma
+            up *= on
+            delta += up
         cb += delta.sum(axis=1)
     return cb / 2.0  # each undirected pair counted twice
 

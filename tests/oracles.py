@@ -11,7 +11,8 @@ from collections import deque
 
 import numpy as np
 
-from hopmap.graph import Graph
+from hopmap import graph
+from hopmap.graph import UNREACHABLE, Graph
 from hopmap.lowrank import (
     MU_GROWTH,
     MU_SCALE,
@@ -211,6 +212,54 @@ def brandes_betweenness(g: Graph) -> np.ndarray:
             if w != s:
                 cb[w] += delta[w]
     return cb / 2.0  # each undirected pair counted twice
+
+
+def masked_level_sweeps(g: Graph, sources=None):
+    """graph.level_sweeps as first written, every level pass masked: the
+    int64 levels compared with UNREACHABLE, ``np.copyto(where=)`` and
+    ``np.where``. Kept to pin the exact levels and path counts of the
+    unmasked sweep; blocks the sources by graph.BLOCK_CELLS as read at
+    call time, as the library does."""
+    sources = np.arange(g.n) if sources is None else np.asarray(sources, dtype=np.int64)
+    a = g.csr.astype(float)
+    step = max(1, graph.BLOCK_CELLS // max(g.n, 1))
+    for start in range(0, sources.size, step):
+        block = sources[start : start + step]
+        level = np.full((g.n, block.size), UNREACHABLE, dtype=np.int64)
+        level[block, np.arange(block.size)] = 0
+        sigma = (level == 0).astype(float)
+        front, depth = sigma, 0
+        while True:
+            prod = a @ front
+            on = (prod > 0) & (level == UNREACHABLE)
+            if not on.any():
+                break
+            depth += 1
+            np.copyto(level, depth, where=on)
+            front = np.where(on, prod, 0.0)
+            sigma += front
+        yield block, level, sigma
+
+
+def masked_hops_from(g: Graph, sources=None) -> np.ndarray:
+    """Source x node hop counts from masked_level_sweeps."""
+    levels = [level.T for _, level, _ in masked_level_sweeps(g, sources)]
+    return np.concatenate(levels) if levels else np.zeros((0, g.n), dtype=np.int64)
+
+
+def masked_betweenness(g: Graph) -> np.ndarray:
+    """sampling._betweenness as first written, its backward pass masked
+    (``np.divide(where=)``, ``np.copyto(where=)``), over
+    masked_level_sweeps. Kept to pin the exact scores."""
+    cb = np.zeros(g.n)
+    a = g.csr.astype(float)
+    for _, level, sigma in masked_level_sweeps(g):
+        delta = np.zeros_like(sigma)
+        for k in range(int(level.max()), 1, -1):
+            w = np.divide(1.0 + delta, sigma, out=np.zeros_like(sigma), where=level == k)
+            np.copyto(delta, sigma * (a @ w), where=level == k - 1)
+        cb += delta.sum(axis=1)
+    return cb / 2.0
 
 
 def validate_svd_factors(f: SvdFactors, m: np.ndarray | None = None) -> None:

@@ -26,6 +26,8 @@ from oracles import (
     naive_bfs_order,
     neighbours,
     grid_graph,
+    masked_hops_from,
+    masked_level_sweeps,
     path_graph,
     petersen_graph,
     random_connected_graph,
@@ -409,3 +411,50 @@ class TestTraversalOracles:
                     [(index[i], index[j]) for i, j in g.edges if i in index and j in index],
                 )
                 assert np.array_equal(subgraph_bfs(g, root, target_n).edges, expected.edges)
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and np.array_equal(a, b) and a.tobytes() == b.tobytes()
+
+
+def _sweep_oracle_graphs() -> list[Graph]:
+    """Holme-Kim graphs (at n=300 the sources span several blocks),
+    disjoint unions with singletons, the 40-node path and edgeless graphs."""
+    rng = np.random.default_rng(41)
+    return [
+        gen_holme_kim(120, 2, 0.5, seed=1),
+        gen_holme_kim(300, 2, 0.5, seed=3),
+        *(random_graph_with_components(rng, [1, 2, 15, 30, 7]) for _ in range(3)),
+        path_graph(40),
+        Graph(1, []),
+        Graph(4, []),
+    ]
+
+
+class TestMaskedSweepOracle:
+    """The unmasked level sweep against the masked one it replaced
+    (oracles.masked_level_sweeps): the same levels and path counts bit for
+    bit, and so the same Graph.hops and anchor_hops."""
+
+    @pytest.mark.parametrize("one_source_per_block", [False, True])
+    def test_same_bits_as_masked_sweep(self, monkeypatch, one_source_per_block):
+        if one_source_per_block:
+            monkeypatch.setattr(graph, "BLOCK_CELLS", 1)
+        rng = np.random.default_rng(42)
+        for g in _sweep_oracle_graphs():
+            connected = is_connected(g)
+            assert _same_bits(Graph(g.n, g.edges).hops, masked_hops_from(g))
+            for sources in (None, rng.permutation(g.n)[:1], rng.permutation(g.n)[:20]):
+                got = list(graph.level_sweeps(g, sources))
+                want = list(masked_level_sweeps(g, sources))
+                assert len(got) == len(want)
+                for (block, level, sigma), (block0, level0, sigma0) in zip(got, want):
+                    assert np.array_equal(block, block0)
+                    assert _same_bits(level, level0) and _same_bits(sigma, sigma0)
+                fresh = Graph(g.n, g.edges)
+                want_hops = masked_hops_from(g, sources)
+                assert _same_bits(graph._hops_from(fresh, sources), want_hops)
+                if connected:
+                    anchors = range(g.n) if sources is None else sources
+                    hops = anchor_hops(fresh, anchors).hops
+                    assert _same_bits(hops, np.ascontiguousarray(want_hops.T))

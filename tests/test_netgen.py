@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hopmap import netgen
 from hopmap.graph import all_pairs_hops, is_connected
 from hopmap.netgen import (
     GeneratorConfig,
@@ -208,6 +209,51 @@ class TestSnapEdgeList:
             load_snap_edge_list(p)
         p.write_text("a b\n")
         with pytest.raises(ValueError):
+            load_snap_edge_list(p)
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("0 1\n1 2 3\n", r"edges\.txt:5: expected two ids, got '1 2 3'"),
+            ("0 1\n7\n", r"edges\.txt:5: expected two ids, got '7'"),
+            ("0 1\n1 2 # trailing\n", r"edges\.txt:5: expected two ids"),
+            ("0 1\n1.0 2\n", r"edges\.txt:5: non-integer id in '1\.0 2'"),
+            ("0 1\na b\n", r"edges\.txt:5: non-integer id in 'a b'"),
+        ],
+    )
+    def test_error_names_the_file_line(self, tmp_path, body, message):
+        # the block parse refuses the file, the line loop names the line:
+        # counted in the file, past a comment and a blank line
+        p = tmp_path / "edges.txt"
+        p.write_text("# header\n\n  # indented comment\n" + body)
+        with pytest.raises(ValueError, match=message):
+            load_snap_edge_list(p)
+
+    def test_well_formed_file_is_parsed_as_one_block(self, tmp_path, monkeypatch):
+        # comments, blank lines, tabs, padding, signs and a self-loop, none
+        # of which sends the file to the line loop
+        def no_line_loop(path):
+            raise AssertionError("read line by line")
+
+        monkeypatch.setattr(netgen, "_edge_lines", no_line_loop)
+        p = tmp_path / "edges.txt"
+        p.write_text("# FromNodeId\tToNodeId\n\n 10\t30 \n\n  # note\n+30 -20\n5 5\n")
+        g, ids = load_snap_edge_list(p)
+        assert ids.tolist() == [-20, 10, 30]
+        assert g.edges.tolist() == [[0, 2], [1, 2]]
+
+    def test_line_loop_reads_what_the_block_parse_refuses(self, tmp_path):
+        # ids that int() reads and numpy does not are still accepted
+        p = tmp_path / "edges.txt"
+        p.write_text("1_000 2\n2 3\n")
+        g, ids = load_snap_edge_list(p)
+        assert ids.tolist() == [2, 3, 1000]
+        assert g.edges.tolist() == [[0, 1], [0, 2]]
+
+    def test_self_loops_only_is_no_edges(self, tmp_path):
+        p = tmp_path / "edges.txt"
+        p.write_text("# loops\n3 3\n4 4\n")
+        with pytest.raises(ValueError, match=r"edges\.txt: no edges found"):
             load_snap_edge_list(p)
 
     def test_id_outside_int64_rejected(self, tmp_path):

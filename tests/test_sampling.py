@@ -23,6 +23,7 @@ from oracles import (
     brute_betweenness,
     cartesian_product,
     cycle_graph,
+    masked_betweenness,
     path_graph,
     petersen_graph,
     random_connected_graph,
@@ -163,6 +164,25 @@ class TestBetweenness:
     @pytest.mark.parametrize("g", [Graph(1, []), Graph(4, [])])
     def test_edgeless_graph_scores_zero(self, g):
         assert sampling._betweenness(g).tolist() == [0.0] * g.n
+
+    @pytest.mark.parametrize("one_source_per_block", [False, True])
+    def test_same_bits_as_masked_brandes(self, monkeypatch, one_source_per_block):
+        # oracles.masked_betweenness is the where= backward pass this one
+        # replaced, over the masked sweep: the scores must not move a bit
+        if one_source_per_block:
+            monkeypatch.setattr(graph, "BLOCK_CELLS", 1)
+        rng = np.random.default_rng(43)
+        graphs = [
+            gen_holme_kim(120, 2, 0.5, seed=1),
+            gen_holme_kim(300, 2, 0.5, seed=3),
+            *(random_graph_with_components(rng, [1, 2, 15, 30, 7]) for _ in range(3)),
+            path_graph(40),
+            Graph(1, []),
+            Graph(4, []),
+        ]
+        for g in graphs:
+            got, want = sampling._betweenness(g), masked_betweenness(g)
+            assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
 
 
 class TestVcObservations:
