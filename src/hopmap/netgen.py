@@ -255,7 +255,7 @@ def load_snap_edge_list(path: str | Path) -> tuple[Graph, np.ndarray]:
     text = Path(path).read_text()
     try:
         with warnings.catch_warnings():
-            # numpy < 1.25 reads "1.0" as an int with a DeprecationWarning,
+            # older numpy reads "1.0" as an int with a DeprecationWarning,
             # and an empty block warns: both go to the line loop
             warnings.simplefilter("error")
             pairs = np.loadtxt(

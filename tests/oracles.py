@@ -23,6 +23,7 @@ from hopmap.lowrank import (
     _svt,
     svd,
 )
+from hopmap.netgen import gen_holme_kim
 from hopmap.sampling import ObservedMatrix
 
 INF = np.iinfo(np.int64).max // 4
@@ -147,6 +148,21 @@ def random_graph_with_components(rng: np.random.Generator, sizes: list[int]) -> 
         pairs.extend((i + offset, j + offset) for i, j in sub.edges)
         offset += size
     return Graph(offset, pairs)
+
+
+def sweep_test_graphs() -> list[Graph]:
+    """Holme-Kim graphs (at n=300 the sources span several blocks of
+    graph.BLOCK_CELLS), disjoint unions with singletons, the 40-node path
+    (39 levels) and edgeless graphs."""
+    rng = np.random.default_rng(41)
+    return [
+        gen_holme_kim(120, 2, 0.5, seed=1),
+        gen_holme_kim(300, 2, 0.5, seed=3),
+        *(random_graph_with_components(rng, [1, 2, 15, 30, 7]) for _ in range(3)),
+        path_graph(40),
+        Graph(1, []),
+        Graph(4, []),
+    ]
 
 
 def brute_betweenness(g: Graph) -> np.ndarray:

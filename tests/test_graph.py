@@ -32,6 +32,7 @@ from oracles import (
     petersen_graph,
     random_connected_graph,
     random_graph_with_components,
+    sweep_test_graphs,
     triangle_violations,
 )
 
@@ -417,20 +418,6 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return a.dtype == b.dtype and np.array_equal(a, b) and a.tobytes() == b.tobytes()
 
 
-def _sweep_oracle_graphs() -> list[Graph]:
-    """Holme-Kim graphs (at n=300 the sources span several blocks),
-    disjoint unions with singletons, the 40-node path and edgeless graphs."""
-    rng = np.random.default_rng(41)
-    return [
-        gen_holme_kim(120, 2, 0.5, seed=1),
-        gen_holme_kim(300, 2, 0.5, seed=3),
-        *(random_graph_with_components(rng, [1, 2, 15, 30, 7]) for _ in range(3)),
-        path_graph(40),
-        Graph(1, []),
-        Graph(4, []),
-    ]
-
-
 class TestMaskedSweepOracle:
     """The unmasked level sweep against the masked one it replaced
     (oracles.masked_level_sweeps): the same levels and path counts bit for
@@ -441,7 +428,7 @@ class TestMaskedSweepOracle:
         if one_source_per_block:
             monkeypatch.setattr(graph, "BLOCK_CELLS", 1)
         rng = np.random.default_rng(42)
-        for g in _sweep_oracle_graphs():
+        for g in sweep_test_graphs():
             connected = is_connected(g)
             assert _same_bits(Graph(g.n, g.edges).hops, masked_hops_from(g))
             for sources in (None, rng.permutation(g.n)[:1], rng.permutation(g.n)[:20]):

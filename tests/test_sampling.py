@@ -28,6 +28,7 @@ from oracles import (
     petersen_graph,
     random_connected_graph,
     random_graph_with_components,
+    sweep_test_graphs,
 )
 
 
@@ -171,16 +172,7 @@ class TestBetweenness:
         # replaced, over the masked sweep: the scores must not move a bit
         if one_source_per_block:
             monkeypatch.setattr(graph, "BLOCK_CELLS", 1)
-        rng = np.random.default_rng(43)
-        graphs = [
-            gen_holme_kim(120, 2, 0.5, seed=1),
-            gen_holme_kim(300, 2, 0.5, seed=3),
-            *(random_graph_with_components(rng, [1, 2, 15, 30, 7]) for _ in range(3)),
-            path_graph(40),
-            Graph(1, []),
-            Graph(4, []),
-        ]
-        for g in graphs:
+        for g in sweep_test_graphs():
             got, want = sampling._betweenness(g), masked_betweenness(g)
             assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
 
