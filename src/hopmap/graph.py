@@ -49,7 +49,11 @@ class Graph:
             if outside[first]:
                 raise ValueError(f"edge ({i}, {j}) out of range for n={self.n}")
             raise ValueError(f"self-loop at node {i}")
-        edges = np.unique(np.sort(pairs, axis=1), axis=0)
+        rows = np.sort(pairs, axis=1)
+        rows = rows[np.lexsort((rows[:, 1], rows[:, 0]))]
+        keep = np.ones(len(rows), dtype=bool)
+        keep[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+        edges = rows[keep]
         edges.flags.writeable = False
         object.__setattr__(self, "edges", edges)
 

@@ -33,13 +33,14 @@ class CompletionFailure(RuntimeError):
 
 # geodesic recovery: each missing hop becomes the mean over this many
 # best-matching nodes that observed it, re-estimated this many times. Each
-# round ranks the nearest nodes of every incomplete row a block of rows at a
-# time (at most graph.BLOCK_CELLS ranked-node cells per block, k nodes x m
-# columns a row), keeping the rows x n distances for the entries that must
-# rank all observers; it then estimates column by column, gathering only
-# for the rows that miss the column. The block step is kept for
-# bit-identical distances: BLAS orders a product's sums by its row count,
-# and a distance one bit off can reorder tied nodes.
+# round ranks the nearest nodes of every incomplete row a block of step
+# rows at a time, step x n distances a block, keeping the rows x n distances
+# for the entries that must rank all observers; it then estimates column by
+# column, gathering only for the rows that miss the column. The step is
+# graph.BLOCK_CELLS // max(n, k*m): the k*m term (k ranked nodes, m
+# columns) sizes no array and stays only to keep the row blocks where they
+# were, and with them every distance bit for bit: BLAS orders a product's
+# sums by its row count, and a distance one bit off can reorder tied nodes.
 NEIGHBOURS = 5
 NEIGHBOUR_ROUNDS = 3
 
@@ -60,29 +61,24 @@ def geodesic_bounds(o: ObservedMatrix) -> tuple[np.ndarray, np.ndarray]:
     mask = o.mask
     n, m = mask.shape
     # missing entries drop out of every maximum (below) and minimum (above)
-    below = np.where(mask, o.values, -np.inf)[:, :, None]
-    above = np.where(mask, o.values, np.inf)[:, :, None]
-    step = max(1, graph.BLOCK_CELLS // (m * m))
-    lo = np.zeros((m, m))
-    hi = np.full((m, m), np.inf)
-    for start in range(0, n, step):
-        b = below[start : start + step]
-        a = above[start : start + step]
-        lo = np.maximum(lo, (b - a.transpose(0, 2, 1)).max(axis=0))
-        hi = np.minimum(hi, (a + a.transpose(0, 2, 1)).min(axis=0))
+    below = np.where(mask, o.values, -np.inf)
+    above = np.where(mask, o.values, np.inf)
+    lo = np.empty((m, m))
+    hi = np.empty((m, m))
+    for a in range(m):
+        lo[a] = (below[:, a, None] - above).max(axis=0, initial=0.0)
+        hi[a] = (above[:, a, None] + above).min(axis=0, initial=np.inf)
     lo = np.maximum(lo, lo.T)
     np.fill_diagonal(hi, 0.0)
     for c in range(m):
         hi = np.minimum(hi, hi[:, c : c + 1] + hi[c : c + 1, :])
 
-    lower = np.empty((n, m))
-    upper = np.empty((n, m))
-    for start in range(0, n, step):
-        rows = slice(start, start + step)
-        b, a = below[rows], above[rows]
-        lower[rows] = np.maximum((b - hi).max(axis=1), (lo - a).max(axis=1))
-        upper[rows] = (a + hi).min(axis=1)
-    np.maximum(lower, 0.0, out=lower)
+    lower = np.zeros((n, m))
+    upper = np.full((n, m), np.inf)
+    for a in range(m):
+        np.maximum(lower, below[:, a, None] - hi[a], out=lower)
+        np.maximum(lower, lo[a] - above[:, a, None], out=lower)
+        np.minimum(upper, above[:, a, None] + hi[a], out=upper)
     lower[mask] = upper[mask] = o.values[mask]
     return lower, upper
 

@@ -368,6 +368,45 @@ def naive_partial_center(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return out
 
 
+def naive_geodesic_bounds(values: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds on every entry of a node x anchor hop matrix, entry by entry
+    as tpm.geodesic_bounds' docstring states them.
+
+    h(a,b) lies in [max |h(i,a) - h(i,b)|, min h(i,a) + h(i,b)] over the
+    nodes i observing both anchors ([0, inf) when none does, h(a,a) = 0);
+    the upper bounds are closed by Floyd-Warshall. A missing h(i,j) takes
+    the max of h(i,a) - hi(a,j) and lo(a,j) - h(i,a), at least 0, and the
+    min of h(i,a) + hi(a,j) over the anchors a that node i observes; an
+    observed entry is its observation.
+    """
+    n, m = mask.shape
+    lo = np.zeros((m, m))
+    hi = np.full((m, m), np.inf)
+    for a in range(m):
+        for b in range(m):
+            both = [i for i in range(n) if mask[i, a] and mask[i, b]]
+            if both:
+                lo[a, b] = max(abs(values[i, a] - values[i, b]) for i in both)
+                hi[a, b] = min(values[i, a] + values[i, b] for i in both)
+        hi[a, a] = 0.0
+    for c in range(m):
+        for a in range(m):
+            for b in range(m):
+                hi[a, b] = min(hi[a, b], hi[a, c] + hi[c, b])
+    lower = np.zeros((n, m))
+    upper = np.full((n, m), np.inf)
+    for i in range(n):
+        for j in range(m):
+            if mask[i, j]:
+                lower[i, j] = upper[i, j] = values[i, j]
+                continue
+            for a in range(m):
+                if mask[i, a]:
+                    lower[i, j] = max(lower[i, j], values[i, a] - hi[a, j], lo[a, j] - values[i, a])
+                    upper[i, j] = min(upper[i, j], values[i, a] + hi[a, j])
+    return lower, upper
+
+
 def naive_neighbour_fill(
     values: np.ndarray,
     mask: np.ndarray,

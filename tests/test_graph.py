@@ -64,6 +64,17 @@ class TestFromEdgeList:
         assert (g.edges[:, 0] < g.edges[:, 1]).all() and not g.edges.flags.writeable
         assert np.array_equal(Graph(g.n, g.edges[::-1, ::-1]).edges, g.edges)
 
+    def test_canonical_rows_match_row_unique(self):
+        # the rows np.unique(np.sort(pairs, axis=1), axis=0) gives, in order
+        rng = np.random.default_rng(60)
+        for n, size in ((2, 5), (6, 40), (50, 300), (2000, 1000)):
+            pairs = rng.integers(0, n, size=(size, 2))
+            pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+            pairs = np.concatenate([pairs, pairs[: size // 3, ::-1], pairs[: size // 4]])
+            edges = Graph(n, rng.permutation(pairs)).edges
+            assert edges.dtype == np.int64
+            assert np.array_equal(edges, np.unique(np.sort(pairs, axis=1), axis=0))
+
     def test_degrees_and_adjacency(self):
         g = Graph(4, [(0, 1), (0, 2), (0, 3)])
         assert g.degrees.tolist() == [3, 1, 1, 1]

@@ -30,6 +30,7 @@ from oracles import (
     blocked_neighbour_fill,
     floyd_warshall_hops,
     grid_graph,
+    naive_geodesic_bounds,
     naive_neighbour_fill,
     path_graph,
     random_connected_graph,
@@ -187,14 +188,32 @@ class TestGeodesicBounds:
                 assert np.array_equal(lower[o.mask], truth[o.mask])
                 assert np.array_equal(upper[o.mask], truth[o.mask])
 
-    def test_one_row_blocks_give_the_same_bounds(self, monkeypatch):
-        # the row blocks take their size from graph.BLOCK_CELLS
+    def test_matches_entrywise_oracle(self):
         rng = np.random.default_rng(50)
-        o = vc_observations(_vc(random_connected_graph(rng, 60, 0.5), 8, seed=51), 0.5, seed=52)
-        want = geodesic_bounds(o)
-        monkeypatch.setattr(graph, "BLOCK_CELLS", 1)
-        for got, expected in zip(geodesic_bounds(o), want):
-            assert np.array_equal(got, expected)
+        for trial in range(8):
+            n = int(rng.integers(20, 120))
+            g = random_connected_graph(rng, n, float(rng.uniform(0.0, 1.0)))
+            p = _vc(g, int(rng.integers(4, 20)), seed=trial)
+            for f in (0.0, 0.3, 0.6, 0.85):
+                o = vc_observations(p, f, seed=trial)
+                for got, want in zip(geodesic_bounds(o), naive_geodesic_bounds(o.values, o.mask)):
+                    assert np.array_equal(got, want)
+
+    def test_anchors_without_a_common_observer(self):
+        # path 0-1-2-3-4-5 with anchors 0, 5 and 2: no node observes both
+        # 0 and 5, so their upper bound 5 comes only through anchor 2 in
+        # the closure, and caps node 1's hop to anchor 5 at 1 + 3; node 2
+        # observes nothing and keeps [0, inf)
+        p = anchor_hops(path_graph(6), [0, 5, 2])
+        mask = np.array(
+            [[1, 0, 0], [1, 0, 1], [0, 0, 0], [0, 0, 1], [0, 1, 1], [0, 1, 0]], dtype=bool
+        )
+        o = ObservedMatrix(values=np.where(mask, p.hops, 0).astype(float), mask=mask)
+        lower, upper = geodesic_bounds(o)
+        want_lower, want_upper = naive_geodesic_bounds(o.values, mask)
+        assert np.array_equal(lower, want_lower) and np.array_equal(upper, want_upper)
+        assert upper[1, 1] == 4.0
+        assert np.array_equal(lower[2], np.zeros(3)) and np.isinf(upper[2]).all()
 
     def test_hand_worked_path(self):
         # path 0-1-2-3-4 with anchors at both ends; node 0 observes both,
