@@ -19,12 +19,7 @@ from .experiment import (
     summarize,
 )
 from .graph import all_pairs_hops
-from .lowrank import (
-    CompletionConfig,
-    complete_nuclear_norm,
-    normalized_spectrum,
-    write_spectrum,
-)
+from .lowrank import CompletionConfig, CompletionResult, normalized_spectrum, write_spectrum
 from .metrics import (
     hdm_absolute_error,
     hdm_mean_error,
@@ -39,7 +34,7 @@ from .sampling import (
     load_observed,
     save_observed,
 )
-from .tpm import MAP_EXTRACTORS, CompletionFailure, align_maps, complete_anchor_hops
+from .tpm import MAP_EXTRACTORS, CompletionFailure, align_maps
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -122,7 +117,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="observation base path (no suffix)")
 
-    c = sub.add_parser("complete", help="nuclear-norm completion of an observation")
+    c = sub.add_parser("complete", help="complete an observation as the sweep of its mode does")
     c.add_argument("--input", required=True, help="observation base path")
     c.add_argument("--out", required=True, help="completed matrix CSV path")
     c.add_argument("--trace", default=None, help="iteration trace CSV path")
@@ -253,9 +248,20 @@ def _cmd_sample(args) -> int:
     return EXIT_OK
 
 
-def _cmd_complete(args) -> int:
+def _complete(args) -> CompletionResult:
+    """The completion of the observation at --input by its mode's
+    completer: random_entry's for a symmetric header, vc's for a general one."""
+    o = load_observed(args.input)
     cfg = CompletionConfig(**_given(args, "tolerance", "max_iters"))
-    res = complete_nuclear_norm(load_observed(args.input), cfg)
+    return MODES["random_entry" if o.symmetric else "vc"].complete(o, cfg)
+
+
+def _cmd_complete(args) -> int:
+    try:
+        res = _complete(args)
+    except CompletionFailure as exc:
+        # still written, with converged false in its meta file
+        res = exc.result
     if args.trace is not None:
         trace = zip(range(1, res.iterations + 1), res.residual_trace, res.nuclear_trace)
         write_csv(["iter", "residual", "nuclear_norm"], trace, args.trace)
@@ -281,8 +287,7 @@ def _cmd_tpm(args) -> int:
         hops = MODES["vc"].truth(g, _selection(args)).as_float()
     else:
         _refuse_given(args, ("anchors", "strategy", "seed"), "with --input, which selects no anchors")
-        cfg = CompletionConfig(**_given(args, "tolerance", "max_iters"))
-        hops = complete_anchor_hops(load_observed(args.input), cfg)
+        hops = _complete(args).completed
     tm = MAP_EXTRACTORS[args.procedure](hops, args.k)
     write_points(tm, args.out)
     print(f"wrote {args.out} ({tm.n} points, k={tm.dim})")

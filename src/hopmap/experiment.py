@@ -19,7 +19,7 @@ import numpy as np
 import scipy
 
 from .graph import Graph, HopDistanceMatrix, all_pairs_hops, anchor_hops
-from .lowrank import CompletionConfig
+from .lowrank import CompletionConfig, CompletionResult
 from .metrics import (
     MetricReport,
     hdm_absolute_error,
@@ -55,10 +55,11 @@ from .tpm import (
     CompletionFailure,
     align_maps,
     complete_anchor_hops,
-)
-# no caller here: bound only for perfbench's lowrank.complete and tpm.map spans
-from .tpm import (  # noqa: F401
     complete_nuclear_norm,
+    require_converged,
+)
+# no caller here: bound only for perfbench's tpm.map span
+from .tpm import (  # noqa: F401
     tpm_full_vc,
     tpm_via_grammian,
     tpm_via_p_completion,
@@ -257,9 +258,11 @@ def build_network(spec: NetworkSpec) -> tuple[Graph, PointCloud | None, str]:
 @dataclass(frozen=True)
 class Mode:
     """One observation mode of a sweep: truth(graph, anchor selection),
-    observe(truth, deleted fraction f, seed), and scoring(cfg, truth,
-    layout, out dir) -> (labels, baseline map per label, score), where
-    score(label, f, repeat, completed hops) yields (metric, value) pairs.
+    observe(truth, deleted fraction f, seed), complete(observation,
+    completion config) -> CompletionResult, raising CompletionFailure when
+    the solve does not converge, and scoring(cfg, truth, layout, out dir)
+    -> (labels, baseline map per label, score), where score(label, f,
+    repeat, completed hops) yields (metric, value) pairs.
     Each calls the pipeline through this module's names at call time:
     those are the bindings perfbench's spans patch. keys are the config
     keys that this mode reads and some other mode does not; load_config
@@ -267,6 +270,7 @@ class Mode:
 
     truth: Callable[[Graph, AnchorSelection], HopDistanceMatrix]
     observe: Callable[[HopDistanceMatrix, float, int], ObservedMatrix]
+    complete: Callable[[ObservedMatrix, CompletionConfig], CompletionResult]
     scoring: Callable[..., tuple]
     keys: tuple[str, ...]
 
@@ -306,18 +310,23 @@ def _entry_scoring(cfg, truth, layout, out):
     return ("completion",), {}, score
 
 
-# mode name -> Mode; in random_entry mode every node is an anchor, and
-# the sampler takes the observed share 1 - f
+# mode name -> Mode; in random_entry mode every node is an anchor, the
+# sampler takes the observed share 1 - f, and the nuclear-norm solve
+# alone completes: with a fifth or more of all pairs observed it is
+# already closer than the neighbour fill, which would also break the
+# symmetry
 MODES = {
     "vc": Mode(
         truth=lambda g, sel: anchor_hops(g, select_anchors(g, sel)),
         observe=lambda truth, f, seed: vc_observations(truth, f, seed=seed),
+        complete=lambda o, cfg: complete_anchor_hops(o, cfg),
         scoring=_vc_scoring,
         keys=("anchors", "procedures", "k", "bin_width"),
     ),
     "random_entry": Mode(
         truth=lambda g, sel: all_pairs_hops(g),
         observe=lambda truth, f, seed: random_entry_observations(truth, 1.0 - f, seed=seed),
+        complete=lambda o, cfg: require_converged(complete_nuclear_norm(o, cfg)),
         scoring=_entry_scoring,
         keys=(),
     ),
@@ -362,8 +371,9 @@ def _run(task: tuple) -> tuple:
     them all alike."""
     fi, f, rep = task
     seed = run_seed(_WORK["seed"], "run", fi, rep)
-    o = MODES[_WORK["mode"]].observe(_WORK["truth"], f, seed)
-    return seed, complete_anchor_hops(o, _WORK["completion"])
+    mode = MODES[_WORK["mode"]]
+    o = mode.observe(_WORK["truth"], f, seed)
+    return seed, mode.complete(o, _WORK["completion"]).completed
 
 
 def _map_tasks(fn, tasks, payload, jobs):

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,6 +29,14 @@ class CompletionFailure(RuntimeError):
             f"completion stopped at iteration {result.iterations} with "
             f"residual {result.final_residual:.3e}"
         )
+
+
+def require_converged(res: CompletionResult) -> CompletionResult:
+    """res, when its solve reached tolerance; raises CompletionFailure
+    carrying it when the solve hit its iteration cap instead."""
+    if not res.converged:
+        raise CompletionFailure(res)
+    return res
 
 
 # geodesic recovery: each missing hop becomes the mean over this many
@@ -156,25 +164,21 @@ def fill_from_neighbours(
 
 def complete_anchor_hops(
     o: ObservedMatrix, cfg: CompletionConfig | None = None
-) -> np.ndarray:
+) -> CompletionResult:
     """Complete a partial node x anchor hop matrix: the minimum-nuclear-norm
     extension, clipped into the geodesic bounds and refined from
     like-placed nodes (see geodesic_bounds and fill_from_neighbours).
 
-    Observed entries are returned exactly as observed, and a fully observed
-    input is returned as is. Symmetric-mode observations of a whole hop
-    matrix (every node an anchor) get the nuclear-norm completion alone:
-    with a fifth or more of all pairs observed it is already closer than
-    the neighbour fill, which would also break the symmetry. Raises
+    Returns the nuclear-norm solve's result, its iterations and traces,
+    with completed replaced by the refined matrix. Observed entries come
+    back exactly as observed, and a fully observed input as is. Raises
     CompletionFailure when the nuclear-norm solve does not converge.
     """
-    res = complete_nuclear_norm(o, cfg)
-    if not res.converged:
-        raise CompletionFailure(res)
-    if o.symmetric or o.mask.all():
-        return res.completed
+    res = require_converged(complete_nuclear_norm(o, cfg))
+    if o.mask.all():
+        return res
     lower, upper = geodesic_bounds(o)
-    return fill_from_neighbours(o, res.completed, lower, upper)
+    return replace(res, completed=fill_from_neighbours(o, res.completed, lower, upper))
 
 
 def _check_k(m: int, k: int) -> None:
@@ -220,7 +224,7 @@ def tpm_via_p_completion(
     then take columns 2..k+1 of U Sigma. With nothing deleted this is
     exactly tpm_full_vc."""
     _check_k(o.shape[1], k)
-    return p_completion_map(complete_anchor_hops(o, cfg), k)
+    return p_completion_map(complete_anchor_hops(o, cfg).completed, k)
 
 
 def tpm_via_grammian(
@@ -231,7 +235,7 @@ def tpm_via_grammian(
     columns of U Sigma. Centering after completion keeps the row and column
     means free of the sampling noise of means over observed entries."""
     _check_k(o.shape[1], k)
-    return grammian_map(complete_anchor_hops(o, cfg), k)
+    return grammian_map(complete_anchor_hops(o, cfg).completed, k)
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,10 @@ import pytest
 
 from hopmap import experiment
 from hopmap.cli import EXIT_CONVERGENCE, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
-from hopmap.lowrank import complete_nuclear_norm
+from hopmap.lowrank import CompletionConfig, complete_nuclear_norm
 from hopmap.netgen import PointCloud, read_points, write_points
-from hopmap.sampling import ObservedMatrix, save_observed
+from hopmap.sampling import ObservedMatrix, load_observed, save_observed
+from hopmap.tpm import MAP_EXTRACTORS
 
 
 @pytest.fixture
@@ -201,6 +202,25 @@ class TestPipeline:
             maps[procedure] = mp.read_bytes()
         # --edges honours --procedure: the two maps differ
         assert maps["p-completion"] != maps["grammian"]
+
+    def test_complete_writes_the_matrix_tpm_maps(self, hk_edges, tmp_path):
+        # each kind of file is completed by its mode's completer, and tpm
+        # --input maps that matrix; np.savetxt's %.18e reads back to the
+        # same float64 values
+        for mode, completer in experiment.MODES.items():
+            obs, done = tmp_path / mode, tmp_path / f"{mode}_done.csv"
+            main(["sample", "--input", str(hk_edges), "--mode", mode, "--fraction", "0.5",
+                  "--seed", "3", "--out", str(obs)])
+            assert main(["complete", "--input", str(obs), "--out", str(done)]) == EXIT_OK
+            hops = np.loadtxt(done, delimiter=",")
+            want = completer.complete(load_observed(obs), CompletionConfig()).completed
+            assert np.array_equal(hops, want)
+            for procedure in experiment.PROCEDURES:
+                mp, ref = tmp_path / f"{mode}_{procedure}.csv", tmp_path / f"{mode}_{procedure}_ref.csv"
+                rc = main(["tpm", "--input", str(obs), "--procedure", procedure, "--out", str(mp)])
+                assert rc == EXIT_OK
+                write_points(MAP_EXTRACTORS[procedure](hops, 2), ref)
+                assert mp.read_bytes() == ref.read_bytes()
 
     def test_complete_trace_rows_are_the_result_traces(self, tmp_path):
         rng = np.random.default_rng(12)
@@ -480,12 +500,17 @@ class TestExitCodes:
         assert err.startswith("error:") and named in err
 
     def test_non_convergence_exit(self, hk_edges, tmp_path):
-        ent = tmp_path / "ent"
-        main(["sample", "--input", str(hk_edges), "--mode", "random_entry",
-              "--fraction", "0.5", "--seed", "5", "--out", str(ent)])
-        rc = main(["complete", "--input", str(ent), "--out", str(tmp_path / "h.csv"),
-                   "--max-iters", "2"])
-        assert rc == EXIT_CONVERGENCE
+        # both kinds of file: the solve's matrix is written all the same
+        for mode in ("random_entry", "vc"):
+            obs, done = tmp_path / mode, tmp_path / f"{mode}_done.csv"
+            main(["sample", "--input", str(hk_edges), "--mode", mode,
+                  "--fraction", "0.5", "--seed", "5", "--out", str(obs)])
+            rc = main(["complete", "--input", str(obs), "--out", str(done),
+                       "--max-iters", "2"])
+            assert rc == EXIT_CONVERGENCE
+            assert np.isfinite(np.loadtxt(done, delimiter=",")).all()
+            meta = json.loads(done.with_suffix(".meta.json").read_text())
+            assert meta["converged"] is False and meta["iterations"] == 2
 
     def test_tpm_non_convergence_exit(self, hk_edges, tmp_path):
         obs = tmp_path / "obs"

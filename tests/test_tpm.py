@@ -13,6 +13,7 @@ from hopmap.sampling import (
     vc_observations,
 )
 from hopmap import graph, tpm
+from hopmap.experiment import MODES
 from hopmap.tpm import (
     NEIGHBOUR_ROUNDS,
     NEIGHBOURS,
@@ -308,20 +309,46 @@ class TestNeighbourFill:
         assert short > 0
         assert np.array_equal(got, want)
 
-    def test_symmetric_observation_keeps_nuclear_norm_completion(self):
-        rng = np.random.default_rng(48)
-        h = all_pairs_hops(random_connected_graph(rng, 40))
-        o = random_entry_observations(h, 0.4, seed=49)
-        assert np.array_equal(complete_anchor_hops(o), complete_nuclear_norm(o).completed)
-
     def test_full_mask_returned_as_is(self):
         rng = np.random.default_rng(45)
         p = _vc(random_connected_graph(rng, 30), 6, seed=46)
         o = vc_observations(p, 0.0, seed=47)
-        assert np.array_equal(complete_anchor_hops(o), p.hops.astype(float))
+        assert np.array_equal(complete_anchor_hops(o).completed, p.hops.astype(float))
         lower, upper = geodesic_bounds(o)
         filled = fill_from_neighbours(o, np.zeros(o.shape), lower, upper)
         assert np.array_equal(filled, p.hops.astype(float))
+
+
+class TestModeCompleters:
+    def test_each_mode_completes_through_its_table_entry(self):
+        # random_entry's completer is the nuclear-norm solve alone, vc's
+        # adds the geodesic step; both carry the solve's diagnostics and
+        # fail the same way
+        rng = np.random.default_rng(48)
+        g = random_connected_graph(rng, 40)
+        observations = {
+            "random_entry": random_entry_observations(all_pairs_hops(g), 0.4, seed=49),
+            "vc": vc_observations(_vc(g, 8, seed=50), 0.4, seed=51),
+        }
+        assert set(observations) == set(MODES)
+        for name, o in observations.items():
+            solve = complete_nuclear_norm(o)
+            res = MODES[name].complete(o, CompletionConfig())
+            if name == "vc":
+                want = fill_from_neighbours(o, solve.completed, *geodesic_bounds(o))
+                assert not np.array_equal(want, solve.completed)
+            else:
+                want = solve.completed
+                assert np.array_equal(res.completed, res.completed.T)
+            assert np.array_equal(res.completed, want)
+            assert res.converged and res.iterations == solve.iterations > 0
+            assert res.final_residual == solve.final_residual
+            assert res.residual_trace == solve.residual_trace
+            assert res.nuclear_trace == solve.nuclear_trace
+            assert res.rank_trace == solve.rank_trace
+            with pytest.raises(CompletionFailure) as exc:
+                MODES[name].complete(o, CompletionConfig(max_iters=1))
+            assert exc.value.result.iterations == 1
 
 
 class TestAlignMaps:
