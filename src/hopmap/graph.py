@@ -15,7 +15,8 @@ from scipy.sparse import csgraph, csr_matrix
 
 UNREACHABLE = -1
 
-# cells of one node x source block in a level sweep (float64, a handful of
+# cells of one node x source block in a level sweep, and of one row x node
+# block of distances in tpm.fill_from_neighbours (float64, a handful of
 # arrays alive at once)
 BLOCK_CELLS = 1 << 16
 

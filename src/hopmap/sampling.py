@@ -277,10 +277,11 @@ def load_observed(base: str | Path) -> ObservedMatrix:
     naming the file, and for the CSV the line, when the header is not a
     JSON object with positive integer rows and cols and a general or
     symmetric mode, a row does not hold an integer cell and a finite
-    number, a cell lies outside the header's shape or is listed twice,
-    the file lists no cell, or the cells are not a valid ObservedMatrix
-    (a symmetric-mode matrix that is not square, whose mask or values do
-    not mirror, or whose diagonal is not observed)."""
+    number, a general-mode value is negative (those files hold node x
+    anchor hops), a cell lies outside the header's shape or is listed
+    twice, the file lists no cell, or the cells are not a valid
+    ObservedMatrix (a symmetric-mode matrix that is not square, whose mask
+    or values do not mirror, or whose diagonal is not observed)."""
     base = Path(base)
     json_path = base.with_suffix(".json")
     csv_path = base.with_suffix(".csv")
@@ -312,6 +313,8 @@ def load_observed(base: str | Path) -> ObservedMatrix:
                 ) from None
             if not np.isfinite(v):
                 raise ValueError(f"{where}: value {line[2]!r} is not finite")
+            if v < 0 and mode == "general":
+                raise ValueError(f"{where}: value {line[2]!r} is negative, not a hop count")
             if not (0 <= r < shape[0] and 0 <= c < shape[1]):
                 raise ValueError(f"{where}: cell ({r}, {c}) outside the {shape} matrix")
             if mask[r, c]:

@@ -41,14 +41,10 @@ def require_converged(res: CompletionResult) -> CompletionResult:
 
 # geodesic recovery: each missing hop becomes the mean over this many
 # best-matching nodes that observed it, re-estimated this many times. Each
-# round ranks the nearest nodes of every incomplete row a block of step
-# rows at a time, step x n distances a block, keeping the rows x n distances
-# for the entries that must rank all observers; it then estimates column by
-# column, gathering only for the rows that miss the column. The step is
-# graph.BLOCK_CELLS // max(n, k*m): the k*m term (k ranked nodes, m
-# columns) sizes no array and stays only to keep the row blocks where they
-# were, and with them every distance bit for bit: BLAS orders a product's
-# sums by its row count, and a distance one bit off can reorder tied nodes.
+# round ranks the nearest nodes of every incomplete row in blocks of
+# graph.BLOCK_CELLS // n rows, as the level sweep blocks its sources; it
+# then estimates column by column, gathering only for the rows that miss
+# the column.
 NEIGHBOURS = 5
 NEIGHBOUR_ROUNDS = 3
 
@@ -117,13 +113,13 @@ def fill_from_neighbours(
     # NEIGHBOURS observers of the sparsest column; an entry short of them
     # then ranks all observers of its column
     k = min(n, math.ceil(2 * NEIGHBOURS / mask.mean(axis=0).min()))
-    step = max(1, graph.BLOCK_CELLS // max(n, k * m))
+    step = max(1, graph.BLOCK_CELLS // n)
     rows_missing = np.flatnonzero(~mask.all(axis=1))
     # per round: the ranked nodes of each incomplete row, nearest first down
-    # a column, and the row's distances to every node for its short entries
+    # a column
     near = np.empty((k, rows_missing.size), dtype=np.intp)
-    dist = np.empty((rows_missing.size, n))
-    product = np.empty((min(step, rows_missing.size), n))
+    dist = np.empty((min(step, rows_missing.size), n))
+    product = np.empty_like(dist)
     observed_t, values_t = mask.T.copy(), v.T.copy()
     # for each column, the places in rows_missing of the rows that miss it
     missing_t = ~mask[rows_missing].T
@@ -134,8 +130,8 @@ def fill_from_neighbours(
             rows = rows_missing[start : start + step]
             # sum over node i's observed a of (h(l,a) - h(i,a))^2, less a per-row
             # constant: w[rows] @ sq_t - 2.0 * v[rows] @ h_t, the same products
-            # of the same operands, written into the table, not new arrays
-            d, p = dist[start : start + step], product[: rows.size]
+            # of the same operands, written into the buffers, not new arrays
+            d, p = dist[: rows.size], product[: rows.size]
             np.matmul(w[rows], sq_t, out=d)
             np.matmul(2.0 * v[rows], h_t, out=p)
             d -= p
@@ -153,8 +149,10 @@ def fill_from_neighbours(
             est /= np.maximum(got, 1)
             short = np.flatnonzero(got < take[j])
             if short.size:
+                # the short rows' distances to the column's observers alone
                 cand = np.flatnonzero(observed_t[j])
-                d = dist[np.ix_(at[j][short], cand)]
+                r = rows_missing[at[j][short]]
+                d = w[r] @ sq_t[:, cand] - 2.0 * v[r] @ h_t[:, cand]
                 nearest = cand[np.argpartition(d, take[j] - 1, axis=1)[:, : take[j]]]
                 est[short] = values_t[j][nearest].mean(axis=1)
             nxt[rows_missing[at[j]], j] = est

@@ -453,12 +453,14 @@ def blocked_neighbour_fill(
     """The neighbour fill as it was before its per-column gather: each row
     block gathers the observations of its k nearest nodes for every column
     (rows x k x m), and an entry short of observers there ranks all
-    observers of its column, one entry at a time.
+    observers of its column from its row's distances to them alone.
 
     It makes the same ranking calls on the same row blocks as
-    tpm.fill_from_neighbours, so tied distances resolve alike and the two
-    agree bit for bit. Returns the filled matrix and the number of entries
-    that went through the all-observers search, over all rounds.
+    tpm.fill_from_neighbours (block_cells // n rows), and computes the
+    short entries' distances with the same products over the same rows
+    (all short rows of a column at once), so tied distances resolve alike
+    and the two agree bit for bit. Returns the filled matrix and the number
+    of entries that went through the all-observers search, over all rounds.
     """
     h = np.where(mask, values, np.clip(estimate, lower, upper))
     if mask.all():
@@ -467,12 +469,13 @@ def blocked_neighbour_fill(
     w = mask.astype(float)
     take = np.minimum(neighbours, mask.sum(axis=0))
     k = min(n, math.ceil(2 * neighbours / mask.mean(axis=0).min()))
-    step = max(1, block_cells // max(n, k * m))
+    step = max(1, block_cells // n)
     rows_missing = np.flatnonzero(~mask.all(axis=1))
     short_entries = 0
     for _ in range(rounds):
         sq_t, h_t = (h * h).T, h.T
         nxt = h.copy()
+        short = np.zeros(h.shape, dtype=bool)
         for start in range(0, rows_missing.size, step):
             rows = rows_missing[start : start + step]
             d = w[rows] @ sq_t - 2.0 * values[rows] @ h_t
@@ -482,13 +485,18 @@ def blocked_neighbour_fill(
             seen = mask[near]  # rows x k x m, nearest first
             used = seen & (np.cumsum(seen, axis=1, dtype=np.int32) <= neighbours)
             got = used.sum(axis=1, dtype=np.int32)
-            est = np.where(used, values[near], 0.0).sum(axis=1) / np.maximum(got, 1)
-            for r, j in zip(*np.nonzero((got < take) & ~mask[rows])):
-                cand = np.flatnonzero(mask[:, j])
-                nearest = cand[np.argpartition(d[r, cand], take[j] - 1)[: take[j]]]
-                est[r, j] = values[nearest, j].mean()
+            nxt[rows] = np.where(used, values[near], 0.0).sum(axis=1) / np.maximum(got, 1)
+            short[rows] = (got < take) & ~mask[rows]
+        for j in range(m):
+            rs = np.flatnonzero(short[:, j])
+            if rs.size == 0:
+                continue
+            cand = np.flatnonzero(mask[:, j])
+            d = w[rs] @ sq_t[:, cand] - 2.0 * values[rs] @ h_t[:, cand]
+            for r, dr in zip(rs, d):
+                nearest = cand[np.argpartition(dr, take[j] - 1)[: take[j]]]
+                nxt[r, j] = values[nearest, j].mean()
                 short_entries += 1
-            nxt[rows] = est
         h = np.where(mask, values, np.clip(nxt, lower, upper))
     return h, short_entries
 

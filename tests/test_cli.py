@@ -222,19 +222,16 @@ class TestPipeline:
                 write_points(MAP_EXTRACTORS[procedure](hops, 2), ref)
                 assert mp.read_bytes() == ref.read_bytes()
 
-    def test_complete_trace_rows_are_the_result_traces(self, tmp_path):
-        rng = np.random.default_rng(12)
-        truth = rng.standard_normal((30, 2)) @ rng.standard_normal((2, 30))
-        mask = rng.random((30, 30)) < 0.7
-        mask[~mask.any(axis=1), 0] = True
-        mask[0, ~mask.any(axis=0)] = True
-        o = ObservedMatrix(values=np.where(mask, truth, 0.0), mask=mask)
-        save_observed(o, tmp_path / "obs")
+    def test_complete_trace_rows_are_the_result_traces(self, hk_edges, tmp_path):
+        # a vc file: its completer keeps the nuclear-norm solve's traces
+        obs = tmp_path / "obs"
+        main(["sample", "--input", str(hk_edges), "--mode", "vc", "--fraction", "0.3",
+              "--seed", "12", "--out", str(obs)])
         done, trace = tmp_path / "done.csv", tmp_path / "trace.csv"
-        rc = main(["complete", "--input", str(tmp_path / "obs"), "--out", str(done),
+        rc = main(["complete", "--input", str(obs), "--out", str(done),
                    "--trace", str(trace)])
         assert rc == EXIT_OK
-        res = complete_nuclear_norm(o)
+        res = complete_nuclear_norm(load_observed(obs))
         assert res.iterations > 0
         expected = ["iter,residual,nuclear_norm"] + [
             f"{it},{r!r},{nu!r}"
@@ -477,6 +474,19 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "obs.csv" in err
         assert not (tmp_path / "done.csv").exists()
+
+    @pytest.mark.parametrize("command", ["complete", "tpm"])
+    def test_negative_hop_is_data_error(self, tmp_path, capsys, command):
+        # a general file holds hops; a negative one would send the geodesic
+        # bounds down negative cycles
+        (tmp_path / "obs.json").write_text('{"rows": 4, "cols": 3, "mode": "general"}\n')
+        (tmp_path / "obs.csv").write_text("row,col,value\n0,0,1.0\n1,2,-2.0\n")
+        out = tmp_path / "out.csv"
+        rc = main([command, "--input", str(tmp_path / "obs"), "--out", str(out)])
+        assert rc == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "obs.csv line 3" in err and "negative" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "header, body, named",

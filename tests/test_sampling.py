@@ -436,6 +436,19 @@ class TestSerialization:
         with pytest.raises(ValueError, match=r"x\.csv line 3: .*not finite"):
             load_observed(base)
 
+    def test_negative_general_value_rejected(self, tmp_path):
+        # a general file holds node x anchor hops, which the geodesic
+        # bounds read as graph distances
+        base = self._write(tmp_path, "general", [(0, 0, 1.0), (1, 2, -0.5)])
+        with pytest.raises(ValueError, match=r"x\.csv line 3: .*-0\.5.*negative"):
+            load_observed(base)
+
+    def test_negative_symmetric_value_accepted(self, tmp_path):
+        # a symmetric file is completed by the nuclear-norm solve alone
+        rows = [(i, i, 0.0) for i in range(3)] + [(0, 1, -1.5), (1, 0, -1.5)]
+        back = load_observed(self._write(tmp_path, "symmetric", rows))
+        assert back.values[0, 1] == back.values[1, 0] == -1.5
+
     def test_unknown_mode_rejected(self, tmp_path):
         base = self._write(tmp_path, "symetric", [(0, 0, 1.0)])
         with pytest.raises(ValueError, match=r"x\.json.*'symetric'"):

@@ -1,4 +1,6 @@
 """Map extraction from full and partial anchor-distance matrices."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -295,19 +297,56 @@ class TestNeighbourFill:
         got, want, _ = self._blocked_reference(o)
         assert np.array_equal(got, want)
 
-    def test_short_entries_match_blocked_reference_bit_for_bit(self):
-        # anchor 0's hops observed only by the nodes nearest to it (and by
-        # nodes that observe nothing else): the far nodes find none of its
-        # observers among their nearest and rank all of them instead
+    @pytest.mark.parametrize("f", [0.6, 0.85])
+    def test_multi_row_blocks_match_blocked_reference_bit_for_bit(self, monkeypatch, f):
+        # blocks of 3 rows: a reference that blocked its rows by another
+        # rule ranks other nodes first among tied ones here
         g = grid_graph(12, 12)
-        p = _vc(g, 10, seed=60)
-        mask = vc_observations(p, 0.6, seed=61).mask.copy()
+        monkeypatch.setattr(graph, "BLOCK_CELLS", 3 * g.n)
+        o = vc_observations(_vc(g, 10, seed=60), f, seed=61)
+        got, want, _ = self._blocked_reference(o)
+        assert np.array_equal(got, want)
+
+    @staticmethod
+    def _far_from_anchor_zero(side: int, seed: int, f: float) -> ObservedMatrix:
+        """anchor 0's hops observed only by the nodes nearest to it (and by
+        nodes that observe nothing else): the far nodes find none of its
+        observers among their nearest and rank all of them instead."""
+        p = _vc(grid_graph(side, side), 10, seed=seed)
+        mask = vc_observations(p, f, seed=seed + 1).mask.copy()
         near_anchor = p.hops[:, 0] <= np.quantile(p.hops[:, 0], 0.3)
         mask[:, 0] &= near_anchor | (mask.sum(axis=1) == mask[:, 0])
-        o = ObservedMatrix(values=p.hops, mask=mask)
-        got, want, short = self._blocked_reference(o)
+        return ObservedMatrix(values=p.hops, mask=mask)
+
+    def test_short_entries_match_blocked_reference_bit_for_bit(self):
+        got, want, short = self._blocked_reference(self._far_from_anchor_zero(12, 60, 0.6))
         assert short > 0
         assert np.array_equal(got, want)
+
+    def test_short_entry_distances_match_blocked_reference_bit_for_bit(self):
+        # here the short rows' distances taken from their whole rows of
+        # distances, not from the products over the column's observers,
+        # tie other nodes
+        got, want, short = self._blocked_reference(self._far_from_anchor_zero(14, 2, 0.85))
+        assert short > 0
+        assert np.array_equal(got, want)
+
+    def test_memory_stays_below_one_rows_by_n_table(self):
+        # ranked a block of graph.BLOCK_CELLS // n rows at a time, with the
+        # short entries' distances taken over their column's observers only,
+        # the fill never holds a rows x n float64 table (20.5 MB here)
+        g = grid_graph(40, 40)
+        o = vc_observations(_vc(g, 20, seed=62), 0.6, seed=63)
+        estimate = complete_nuclear_norm(o).completed
+        lower, upper = geodesic_bounds(o)
+        rows = np.count_nonzero(~o.mask.all(axis=1))
+        tracemalloc.start()
+        try:
+            fill_from_neighbours(o, estimate, lower, upper)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < rows * g.n * 8
 
     def test_full_mask_returned_as_is(self):
         rng = np.random.default_rng(45)
