@@ -1,0 +1,48 @@
+#!/usr/bin/env bash
+# README's command-line walkthrough, line for line: the layout that
+# generate writes and the maps that tpm writes, read back by eval, then an
+# entry-mode observation completed and scored by E_m, whose 555 x 555
+# completion takes the randomized SVT path (about 15 s in all, 4-5 s of it
+# that completion, on a 2-core VM with one BLAS thread). It ends with the
+# exit codes of flags and configs that are refused.
+#
+# Run it from an empty directory, where it writes its files:
+#   bash path/to/scripts/walkthrough.sh
+# It exits non-zero at the first command that fails.
+set -e
+export PYTHONPATH="$(cd "$(dirname "$0")/.." && pwd)/src${PYTHONPATH:+:$PYTHONPATH}"
+hopmap() { python -m hopmap.cli "$@"; }
+hopmap generate --net concave --seed 0 --out net/
+hopmap spectrum --input net/concave_edges.txt --matrix-kind hdm --centered --out spec.csv
+hopmap sample   --input net/concave_edges.txt --mode vc --anchors 20 --fraction 0.6 \
+                --strategy random --seed 1 --out obs
+hopmap complete --input obs --out done --trace trace.csv
+hopmap tpm      --input obs --procedure p-completion --k 2 --out map.csv
+# complete writes the matrix that tpm --input maps
+python -c "import numpy as np; from hopmap.netgen import write_points; from hopmap.tpm import MAP_EXTRACTORS; write_points(MAP_EXTRACTORS['p-completion'](np.loadtxt('done', delimiter=','), 2), 'done_map.csv')"
+cmp done_map.csv map.csv
+hopmap tpm      --edges net/concave_edges.txt --procedure p-completion --k 2 \
+                --anchors 20 --seed 1 --out map0.csv
+hopmap eval     --metric E    --map map.csv --baseline map0.csv --anchor-ids obs.anchors.txt
+hopmap eval     --metric E_TP --map map.csv --layout net/concave_layout.csv
+hopmap sample --input net/concave_edges.txt --mode random_entry --fraction 0.8 --seed 1 --out ent
+hopmap complete --input ent --out ent_done.csv
+hopmap eval --metric E_m --est ent_done.csv --edges net/concave_edges.txt
+# an anchor flag that --input would ignore is a usage error (exit 1)
+rc=0; hopmap tpm --input obs --anchors 5 --out x.csv || rc=$?
+test "$rc" -eq 1
+# so is a completion flag with --edges, and another metric's flag
+rc=0; hopmap tpm --edges net/concave_edges.txt --tolerance 0.5 --out x.csv || rc=$?
+test "$rc" -eq 1
+rc=0; hopmap eval --metric E_m --est ent_done.csv --edges net/concave_edges.txt \
+                  --layout net/concave_layout.csv || rc=$?
+test "$rc" -eq 1
+# so is a holme-kim flag with a layout, whose size its geometry fixes
+rc=0; hopmap generate --net concave --n 100 --out x || rc=$?
+test "$rc" -eq 1
+# a config seed that no run reads is a data error (exit 2), refused
+# before the results directory is made
+echo '{"network": {"kind": "concave"}, "anchors": {"seed": 3}, "out_dir": "seeded"}' > seeded.json
+rc=0; hopmap experiment --config seeded.json || rc=$?
+test "$rc" -eq 2
+test ! -e seeded

@@ -27,7 +27,19 @@ from .metrics import (
     scan_lines,
     topology_preservation_error,
 )
-from .netgen import load_snap_edge_list, read_points, write_csv, write_edge_list, write_json, write_points
+from .netgen import (
+    load_snap_edge_list,
+    parse_ids,
+    read_ids,
+    read_matrix,
+    read_points,
+    write_csv,
+    write_edge_list,
+    write_ids,
+    write_json,
+    write_matrix,
+    write_points,
+)
 from .sampling import (
     STRATEGIES,
     AnchorSelection,
@@ -207,7 +219,7 @@ def _refuse_given(args, names, where: str) -> None:
 
 def _spectrum_matrix(args) -> np.ndarray:
     if args.format == "matrix":
-        return np.loadtxt(args.input, delimiter=",", ndmin=2)
+        return read_matrix(args.input)
     g, _ = load_snap_edge_list(args.input)
     if args.matrix_kind == "adjacency":
         return g.adjacency_matrix()
@@ -242,7 +254,7 @@ def _cmd_sample(args) -> int:
     if args.mode == "vc":
         # anchor node ids, needed later by `eval --metric E --anchor-ids`
         anchors_path = Path(args.out).with_suffix(".anchors.txt")
-        anchors_path.write_text(",".join(str(a) for a in truth.anchor_ids) + "\n")
+        write_ids(truth.anchor_ids, anchors_path)
         print(f"anchors: {anchors_path}")
     print(f"wrote {csv_path} and {json_path} ({o.n_observed} entries)")
     return EXIT_OK
@@ -265,7 +277,7 @@ def _cmd_complete(args) -> int:
     if args.trace is not None:
         trace = zip(range(1, res.iterations + 1), res.residual_trace, res.nuclear_trace)
         write_csv(["iter", "residual", "nuclear_norm"], trace, args.trace)
-    np.savetxt(args.out, res.completed, delimiter=",")
+    write_matrix(res.completed, args.out)
     meta = {
         "iterations": res.iterations,
         "final_residual": res.final_residual,
@@ -294,6 +306,17 @@ def _cmd_tpm(args) -> int:
     return EXIT_OK
 
 
+def _anchor_ids(spec: str) -> np.ndarray:
+    """The ids --anchor-ids gives: a file of them, such as the .anchors.txt
+    sidecar that `sample --mode vc` writes, or the comma-separated list."""
+    if Path(spec).is_file():
+        return read_ids(spec)
+    try:
+        return parse_ids(spec)
+    except ValueError as exc:
+        raise SystemExit_(EXIT_USAGE, f"hopmap eval: error: argument --anchor-ids: {exc}") from None
+
+
 def _cmd_eval(args) -> int:
     reads = EVAL_FLAGS[args.metric]
     unread = [n for n in dict.fromkeys(sum(EVAL_FLAGS.values(), ())) if n not in reads]
@@ -302,14 +325,8 @@ def _cmd_eval(args) -> int:
     if missing:
         raise SystemExit_(EXIT_USAGE, f"eval --metric {args.metric} needs " + ", ".join(missing))
     if args.metric == "E":
-        tm = read_points(args.map)
-        base = read_points(args.baseline)
-        spec = args.anchor_ids
-        if Path(spec).is_file():
-            # the .anchors.txt sidecar written by `sample --mode vc`
-            spec = Path(spec).read_text().strip()
-        ids = np.array([int(v) for v in spec.split(",")])
-        value = mean_distance_error(tm, base, ids)
+        ids = _anchor_ids(args.anchor_ids)
+        value = mean_distance_error(read_points(args.map), read_points(args.baseline), ids)
     elif args.metric == "E_TP":
         layout = read_points(args.layout)
         lines = scan_lines(layout, **_given(args, "bin_width"))
@@ -317,7 +334,7 @@ def _cmd_eval(args) -> int:
         oriented, _ = align_maps(read_points(args.map), layout)
         value = topology_preservation_error(lines, oriented)
     else:
-        est = np.loadtxt(args.est, delimiter=",", ndmin=2)
+        est = read_matrix(args.est)
         g, _ = load_snap_edge_list(args.edges)
         h = all_pairs_hops(g)
         fn = hdm_mean_error if args.metric == "E_m" else hdm_absolute_error

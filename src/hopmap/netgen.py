@@ -1,4 +1,5 @@
-"""Evaluation topologies: sensor layouts, power-law graphs, edge-list ingest."""
+"""Evaluation topologies (sensor layouts, power-law graphs) and every file
+format the program reads or writes."""
 from __future__ import annotations
 
 import csv
@@ -235,63 +236,121 @@ def gen_holme_kim(n: int = 500, m: int = 3, p_triad: float = 0.5, seed: int = 0)
     return Graph(n, [(a, b) for a, nbrs in enumerate(neighbors) for b in nbrs])
 
 
-_ID_MIN, _ID_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
+_INT64 = np.iinfo(np.int64)
+_DTYPES = {"i": np.int64, "f": np.float64}
 
-
-# the lines _edge_lines skips as comments (first non-whitespace character
-# '#'), with any blank lines before them
+# the lines a table without a header skips as comments (first
+# non-whitespace character '#'), with any blank lines before them
 _COMMENT_LINES = re.compile(r"^\s*#.*$", re.MULTILINE)
 
 
-def load_snap_edge_list(path: str | Path) -> tuple[Graph, np.ndarray]:
-    """Read a plain-text edge list ('# comment' lines skipped, one
-    whitespace-separated pair of int64 ids per line). Node ids are
-    remapped to a dense [0, n) range; returns the graph and the original
-    id of each new index.
+def read_table(
+    path: str | Path, types: str, sep: str | None = None, headers: tuple[str, ...] = ()
+) -> list[np.ndarray]:
+    """The columns of a text table: an int64 array for each 'i' in types
+    and a finite float64 array for each 'f'. Values are separated by sep,
+    or else by whitespace.
 
-    The file is parsed as one block (np.loadtxt over the text without its
-    comment lines). A file the block parse refuses is read again line by
-    line, which names the first bad line in the error."""
+    A table with headers opens with one of them, whose names set its width
+    and take the first codes of types; a value may be quoted as csv.writer
+    quotes it, and row i is line i + 2, so a blank line is an error. A
+    table without headers skips blank lines and '#' comment lines; its
+    width is len(types), or its first row's when types is one code.
+
+    The rows are parsed as one np.loadtxt block. Rows that it refuses, that
+    lack a line or that hold a value that is not finite are read again one
+    line at a time, which raises ValueError naming the file and first bad
+    line."""
     text = Path(path).read_text()
+    if headers:
+        head, _, text = text.partition("\n")
+        names = [_unquote(v) for v in head.split(sep)]
+        if names not in [h.split(sep) for h in headers]:
+            expected = " or ".join(map(repr, headers))
+            raise ValueError(f"{path}:1: expected the header {expected}, got {head!r}")
+        types = types[: len(names)]
+    width = len(types) if headers or len(types) > 1 else None
+    uniform = len(set(types)) == 1
+    dtype = _DTYPES[types[0]] if uniform else [(f"c{j}", _DTYPES[t]) for j, t in enumerate(types)]
     try:
         with warnings.catch_warnings():
             # older numpy reads "1.0" as an int with a DeprecationWarning,
             # and an empty block warns: both go to the line loop
             warnings.simplefilter("error")
-            pairs = np.loadtxt(
-                io.StringIO(_COMMENT_LINES.sub("", text)), dtype=np.int64, comments=None, ndmin=2
-            )
-        if pairs.shape[1] != 2:
-            raise ValueError("not two ids per line")
+            block = np.loadtxt(io.StringIO(text if headers else _COMMENT_LINES.sub("", text)), dtype=dtype,
+                               delimiter=sep, comments=None, quotechar='"' if headers else None,
+                               ndmin=2 if uniform else 1)
+        columns = list(block.T) if uniform else [block[name] for name in block.dtype.names]
+        # loadtxt skips blank lines, which a table with headers may not hold
+        lost = headers and len(block) != text.count("\n") + (not text.endswith("\n"))
+        if lost or width not in (None, len(columns)) or not all(np.isfinite(c).all() for c in columns):
+            raise ValueError("the block is not the table")
     except (ValueError, Warning):
-        pairs = _edge_lines(path)
+        columns = _read_lines(path, text, types, width, sep, bool(headers))
+    return columns
+
+
+def _read_lines(
+    path: str | Path, text: str, types: str, width: int | None, sep: str | None, headed: bool
+) -> list[np.ndarray]:
+    """read_table's columns, read one line at a time by int() and float()."""
+    lines, rows = text.split("\n"), []
+    if not lines[-1]:
+        lines.pop()
+    for lineno, line in enumerate(lines, start=2 if headed else 1):
+        if not headed and (not line.strip() or line.lstrip().startswith("#")):
+            continue
+        values = [_unquote(v) for v in line.split(sep)] if headed else line.split(sep)
+        width = width or len(values)
+        if len(values) != width:
+            raise ValueError(f"{path}:{lineno}: expected {width} values, got {line!r}")
+        types = types.ljust(width, types[-1])  # one code stands for every column
+        try:
+            rows.append([_value(v, t) for v, t in zip(values, types)])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+    columns = list(zip(*rows)) or [()] * len(types)
+    return [np.array(c, dtype=_DTYPES[t]) for c, t in zip(columns, types)]
+
+
+def _unquote(value: str) -> str:
+    # a quoted value, as csv.reader reads it; numbers hold no quotes
+    return value[1:-1] if len(value) > 1 and value[0] == value[-1] == '"' else value
+
+
+def _value(text: str, code: str) -> int | float:
+    """text read by int() for an 'i' code and by float() for an 'f' one;
+    ValueError when it is not an int64 or not a finite number."""
+    try:
+        value = int(text) if code == "i" else float(text)
+    except ValueError:
+        raise ValueError(f"non-{'integer' if code == 'i' else 'numeric'} value {text!r}") from None
+    if code == "i" and not _INT64.min <= value <= _INT64.max:
+        raise ValueError(f"value {text!r} outside the int64 range")
+    if code == "f" and not math.isfinite(value):
+        raise ValueError(f"non-finite value {text!r}")
+    return value
+
+
+def refuse_rows(path: str | Path, bad: np.ndarray, describe) -> None:
+    """Raise ValueError naming the line of the first row of a read_table
+    table with headers that bad marks, and saying describe(row)."""
+    if bad.any():
+        row = int(bad.argmax())
+        raise ValueError(f"{path}:{row + 2}: {describe(row)}")
+
+
+def load_snap_edge_list(path: str | Path) -> tuple[Graph, np.ndarray]:
+    """Read a plain-text edge list ('# comment' lines skipped, one
+    whitespace-separated pair of int64 ids per line; see read_table).
+    Node ids are remapped to a dense [0, n) range; returns the graph and
+    the original id of each new index."""
+    pairs = np.column_stack(read_table(path, "ii"))
     pairs = pairs[pairs[:, 0] != pairs[:, 1]]
     if not len(pairs):
         raise ValueError(f"{path}: no edges found")
     original_ids, index = np.unique(pairs, return_inverse=True)
     return Graph(len(original_ids), index.reshape(-1, 2)), original_ids
-
-
-def _edge_lines(path: str | Path) -> np.ndarray:
-    """The edge list's id pairs read one line at a time; raises ValueError
-    naming the first line that is not two int64 ids."""
-    raw_pairs = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected two ids, got {line!r}")
-            try:
-                a, b = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: non-integer id in {line!r}") from None
-            if not (_ID_MIN <= a <= _ID_MAX and _ID_MIN <= b <= _ID_MAX):
-                raise ValueError(f"{path}:{lineno}: id outside the int64 range in {line!r}")
-            raw_pairs.append((a, b))
-    return np.array(raw_pairs, dtype=np.int64).reshape(-1, 2)
 
 
 def write_edge_list(g: Graph, path: str | Path) -> None:
@@ -359,26 +418,48 @@ def write_points(pc: PointCloud, path: str | Path) -> None:
 
 def read_points(path: str | Path) -> PointCloud:
     """The points of a write_points file, in node order; rows may come in
-    any order but ids must cover 0..n-1. Every error names the file."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header not in (["node_id", "x", "y"], ["node_id", "x", "y", "z"]):
-            raise ValueError(f"{path}: bad point table header {header}")
-        rows = []
-        for line in reader:
-            try:
-                if len(line) != len(header):
-                    raise ValueError
-                rows.append((int(line[0]), [float(v) for v in line[1:]]))
-            except ValueError:
-                raise ValueError(f"{path}: malformed row {line}") from None
-    if not rows:
+    any order but ids must cover 0..n-1. Every error names the file, and
+    for a bad row its line (see read_table)."""
+    ids, *xyz = read_table(path, "ifff", ",", ("node_id,x,y", "node_id,x,y,z"))
+    if not len(ids):
         raise ValueError(f"{path}: no points")
-    rows.sort()
-    if [r[0] for r in rows] != list(range(len(rows))):
+    if not np.array_equal(np.sort(ids), np.arange(len(ids))):
         raise ValueError(f"{path}: node ids are not a dense 0..n-1 range")
+    coords = np.empty((len(ids), len(xyz)))
+    coords[ids] = np.column_stack(xyz)
+    return PointCloud(coords=coords)
+
+
+def write_matrix(a: np.ndarray, path: str | Path) -> None:
+    """Write a dense matrix as comma-separated rows, floats in %.18e form."""
+    np.savetxt(path, a, delimiter=",")
+
+
+def read_matrix(path: str | Path) -> np.ndarray:
+    """The matrix of a write_matrix file, or of any comma-separated table
+    of finite numbers (see read_table), as a float64 array. Every error
+    names the file, and for a bad row its line."""
+    columns = read_table(path, "f", ",")
+    if not len(columns[0]):
+        raise ValueError(f"{path}: no rows")
+    return np.column_stack(columns)
+
+
+def write_ids(ids, path: str | Path) -> None:
+    """Write node ids as one comma-separated line."""
+    Path(path).write_text(",".join(str(i) for i in ids) + "\n")
+
+
+def parse_ids(text: str) -> np.ndarray:
+    """The int64 ids of a comma-separated list. Raises ValueError naming
+    the first value that int() cannot read or that lies outside int64."""
+    return np.array([_value(v, "i") for v in text.split(",")], dtype=np.int64)
+
+
+def read_ids(path: str | Path) -> np.ndarray:
+    """The ids of a write_ids file; raises ValueError naming the file when
+    it does not hold one comma-separated list of ids."""
     try:
-        return PointCloud(coords=np.array([r[1] for r in rows]))
+        return parse_ids(Path(path).read_text().strip())
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

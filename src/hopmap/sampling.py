@@ -1,14 +1,13 @@
 """Partial observation of hop matrices: anchor selection, deletions, masks."""
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .graph import Graph, HopDistanceMatrix, all_pairs_hops, level_sweeps
-from .netgen import read_json_object, write_csv, write_json
+from .netgen import read_json_object, read_table, refuse_rows, write_csv, write_json
 from .seeding import spawn_rng
 
 # decimals kept of each centrality score, divided by the largest, before
@@ -294,35 +293,22 @@ def load_observed(base: str | Path) -> ObservedMatrix:
     if mode not in ("general", "symmetric"):
         raise ValueError(f"{json_path}: header mode must be general or symmetric, got {mode!r}")
     shape = (header["rows"], header["cols"])
-    values = np.zeros(shape)
+    r, c, v = read_table(csv_path, "iif", ",", ("row,col,value",))
+    if mode == "general":
+        refuse_rows(csv_path, v < 0, lambda i: f"value {v[i]} is negative, not a hop count")
+    outside = (r < 0) | (r >= shape[0]) | (c < 0) | (c >= shape[1])
+    refuse_rows(csv_path, outside, lambda i: f"cell ({r[i]}, {c[i]}) outside the {shape} matrix")
     mask = np.zeros(shape, dtype=bool)
-    with open(csv_path, newline="") as fh:
-        reader = csv.reader(fh)
-        head = next(reader, None)
-        if head != ["row", "col", "value"]:
-            raise ValueError(f"{csv_path}: bad observation CSV header: {head}")
-        for line in reader:
-            where = f"{csv_path} line {reader.line_num}"
-            if len(line) != 3:
-                raise ValueError(f"{where}: malformed observation row: {line}")
-            try:
-                r, c, v = int(line[0]), int(line[1]), float(line[2])
-            except ValueError:
-                raise ValueError(
-                    f"{where}: row and col must be integers and value a number, got {line}"
-                ) from None
-            if not np.isfinite(v):
-                raise ValueError(f"{where}: value {line[2]!r} is not finite")
-            if v < 0 and mode == "general":
-                raise ValueError(f"{where}: value {line[2]!r} is negative, not a hop count")
-            if not (0 <= r < shape[0] and 0 <= c < shape[1]):
-                raise ValueError(f"{where}: cell ({r}, {c}) outside the {shape} matrix")
-            if mask[r, c]:
-                raise ValueError(f"{where}: cell ({r}, {c}) listed twice")
-            values[r, c] = v
-            mask[r, c] = True
-    if not mask.any():
+    mask[r, c] = True
+    if np.count_nonzero(mask) < len(v):
+        twice = np.ones(len(v), dtype=bool)
+        twice[np.unique(r * shape[1] + c, return_index=True)[1]] = False
+        refuse_rows(csv_path, twice, lambda i: f"cell ({r[i]}, {c[i]}) listed twice")
+    if not len(v):
         raise ValueError(f"{csv_path}: observation file contains no entries")
+    values = np.zeros(shape)
+    values[r, c] = v
+    del r, c, v  # free the parsed table before ObservedMatrix copies the values
     try:
         return ObservedMatrix(
             values=values,

@@ -60,8 +60,14 @@ def geodesic_bounds(o: ObservedMatrix) -> tuple[np.ndarray, np.ndarray]:
     observes, |h(i,a) - h(a,j)| <= h(i,j) <= h(i,a) + h(a,j), with h(a,j)
     known only within its bounds. Both bounds equal the observation on
     observed entries; an entry that no observation reaches keeps the
-    bounds [0, inf).
+    bounds [0, inf). Raises ValueError naming the first negative observed
+    entry, which no hop count is and which would send the triangle closure
+    down negative cycles.
     """
+    negative = o.values < 0
+    if negative.any():
+        i, j = np.argwhere(negative)[0]
+        raise ValueError(f"observed hop ({i}, {j}) is negative: {o.values[i, j]}")
     mask = o.mask
     n, m = mask.shape
     # missing entries drop out of every maximum (below) and minimum (above)

@@ -463,7 +463,9 @@ class TestExitCodes:
         bad.write_text("0 1\n1 18446744073709551616\n")
         rc = main(["spectrum", "--input", str(bad), "--out", str(tmp_path / "s.csv")])
         assert rc == EXIT_DATA
-        assert capsys.readouterr().err.startswith(f"error: {bad}:2: id outside the int64 range")
+        assert capsys.readouterr().err.startswith(
+            f"error: {bad}:2: value '18446744073709551616' outside the int64 range"
+        )
 
     def test_out_of_range_observation_is_data_error(self, tmp_path, capsys):
         (tmp_path / "obs.json").write_text('{"rows": 3, "cols": 3, "mode": "general"}\n')
@@ -485,7 +487,7 @@ class TestExitCodes:
         rc = main([command, "--input", str(tmp_path / "obs"), "--out", str(out)])
         assert rc == EXIT_DATA
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "obs.csv line 3" in err and "negative" in err
+        assert err.startswith("error:") and "obs.csv:3" in err and "negative" in err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -493,9 +495,9 @@ class TestExitCodes:
         [
             ("[1, 2]", "0,0,1.0\n", "obs.json"),
             ('{"cols": 3, "mode": "general"}', "0,0,1.0\n", "obs.json"),
-            ('{"rows": 3, "cols": 3, "mode": "general"}', "0,0,1.0\n0.5,1,2.0\n", "obs.csv line 3"),
-            ('{"rows": 3, "cols": 3, "mode": "general"}', "0,0,1.0\n1,1,abc\n", "obs.csv line 3"),
-            ('{"rows": 3, "cols": 3, "mode": "general"}', "0,0,1.0\n1,1,nan\n", "obs.csv line 3"),
+            ('{"rows": 3, "cols": 3, "mode": "general"}', "0,0,1.0\n0.5,1,2.0\n", "obs.csv:3"),
+            ('{"rows": 3, "cols": 3, "mode": "general"}', "0,0,1.0\n1,1,abc\n", "obs.csv:3"),
+            ('{"rows": 3, "cols": 3, "mode": "general"}', "0,0,1.0\n1,1,nan\n", "obs.csv:3"),
             ('{"rows": 3, "cols": 3, "mode": "symetric"}', "0,0,1.0\n", "obs.json"),
         ],
         ids=["header-list", "no-rows", "index-0.5", "value-abc", "value-nan", "mode-typo"],
@@ -508,6 +510,37 @@ class TestExitCodes:
         assert rc == EXIT_DATA
         err = capsys.readouterr().err
         assert err.startswith("error:") and named in err
+
+    @pytest.mark.parametrize(
+        "spec, code, named",
+        [
+            ("1,,3", EXIT_USAGE, "argument --anchor-ids: non-integer value ''"),
+            ("{ids}", EXIT_DATA, "ids.txt: non-integer value 'x'"),
+        ],
+        ids=["inline", "file"],
+    )
+    def test_bad_anchor_id_names_its_source(self, tmp_path, capsys, spec, code, named):
+        # an inline list is a usage error, a bad sidecar file a data error
+        for name in ("map", "base"):
+            (tmp_path / f"{name}.csv").write_text("node_id,x,y\n0,0.0,0.0\n1,1.0,0.0\n2,2.0,1.0\n")
+        (tmp_path / "ids.txt").write_text("1,x,3\n")
+        rc = main(["eval", "--metric", "E", "--map", str(tmp_path / "map.csv"),
+                   "--baseline", str(tmp_path / "base.csv"),
+                   "--anchor-ids", spec.format(ids=tmp_path / "ids.txt")])
+        assert rc == code
+        assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "spectrum"])
+    def test_bad_matrix_cell_names_file_and_line(self, hk_edges, tmp_path, capsys, command):
+        est = tmp_path / "est.csv"
+        est.write_text("0.0,1.0\n1.0,x\n")
+        argv = {
+            "eval": ["eval", "--metric", "E_m", "--est", str(est), "--edges", str(hk_edges)],
+            "spectrum": ["spectrum", "--input", str(est), "--format", "matrix",
+                         "--out", str(tmp_path / "s.csv")],
+        }[command]
+        assert main(argv) == EXIT_DATA
+        assert capsys.readouterr().err.startswith(f"error: {est}:2: non-numeric value 'x'")
 
     def test_non_convergence_exit(self, hk_edges, tmp_path):
         # both kinds of file: the solve's matrix is written all the same

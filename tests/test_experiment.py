@@ -22,7 +22,7 @@ from hopmap.graph import anchor_hops
 from hopmap.lowrank import FULL_SVD_BELOW, CompletionConfig
 from hopmap.metrics import MetricReport
 from hopmap.netgen import read_points, write_edge_list
-from hopmap.sampling import AnchorSelection, select_anchors, vc_observations
+from hopmap.sampling import AnchorSelection, ObservedMatrix, select_anchors, vc_observations
 from hopmap.seeding import run_seed
 from hopmap.tpm import tpm_via_grammian, tpm_via_p_completion
 
@@ -419,6 +419,18 @@ class TestModeTable:
         cfg = _tiny_vc_config(tmp_path / "entry", mode="random_entry", fractions=(0.5,), repeats=3)
         assert not run_experiment(cfg).failures
         assert calls == ["all_pairs_hops"] + ["random_entry_observations"] * 3
+
+    def test_vc_completer_refuses_negative_values(self):
+        # no hop count is negative: with one, the geodesic bounds' triangle
+        # closure runs down negative cycles, and this rank-2 Gaussian matrix
+        # was completed with a mean miss of about 1e9
+        rng = np.random.default_rng(12)
+        truth = rng.standard_normal((30, 2)) @ rng.standard_normal((2, 30))
+        mask = rng.random((30, 30)) < 0.7
+        o = ObservedMatrix(values=truth, mask=mask)
+        i, j = np.argwhere(mask & (truth < 0))[0]
+        with pytest.raises(ValueError, match=rf"observed hop \({i}, {j}\) is negative"):
+            experiment.MODES["vc"].complete(o, CompletionConfig())
 
 
 class TestFailureAccounting:

@@ -1,6 +1,10 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import hopmap
 from hopmap import netgen
 from hopmap.graph import all_pairs_hops, is_connected
 from hopmap.netgen import (
@@ -12,15 +16,20 @@ from hopmap.netgen import (
     gen_holme_kim,
     gen_t_cylinder_3d,
     load_snap_edge_list,
+    read_ids,
     read_json_object,
+    read_matrix,
     read_points,
     subgraph_bfs,
     unit_disk_connect,
     write_csv,
     write_edge_list,
+    write_ids,
     write_json,
+    write_matrix,
     write_points,
 )
+from hopmap.sampling import load_observed
 from oracles import cycle_graph, random_connected_graph
 
 
@@ -214,11 +223,11 @@ class TestSnapEdgeList:
     @pytest.mark.parametrize(
         "body, message",
         [
-            ("0 1\n1 2 3\n", r"edges\.txt:5: expected two ids, got '1 2 3'"),
-            ("0 1\n7\n", r"edges\.txt:5: expected two ids, got '7'"),
-            ("0 1\n1 2 # trailing\n", r"edges\.txt:5: expected two ids"),
-            ("0 1\n1.0 2\n", r"edges\.txt:5: non-integer id in '1\.0 2'"),
-            ("0 1\na b\n", r"edges\.txt:5: non-integer id in 'a b'"),
+            ("0 1\n1 2 3\n", r"edges\.txt:5: expected 2 values, got '1 2 3'"),
+            ("0 1\n7\n", r"edges\.txt:5: expected 2 values, got '7'"),
+            ("0 1\n1 2 # trailing\n", r"edges\.txt:5: expected 2 values"),
+            ("0 1\n1.0 2\n", r"edges\.txt:5: non-integer value '1\.0'"),
+            ("0 1\na b\n", r"edges\.txt:5: non-integer value 'a'"),
         ],
     )
     def test_error_names_the_file_line(self, tmp_path, body, message):
@@ -228,19 +237,6 @@ class TestSnapEdgeList:
         p.write_text("# header\n\n  # indented comment\n" + body)
         with pytest.raises(ValueError, match=message):
             load_snap_edge_list(p)
-
-    def test_well_formed_file_is_parsed_as_one_block(self, tmp_path, monkeypatch):
-        # comments, blank lines, tabs, padding, signs and a self-loop, none
-        # of which sends the file to the line loop
-        def no_line_loop(path):
-            raise AssertionError("read line by line")
-
-        monkeypatch.setattr(netgen, "_edge_lines", no_line_loop)
-        p = tmp_path / "edges.txt"
-        p.write_text("# FromNodeId\tToNodeId\n\n 10\t30 \n\n  # note\n+30 -20\n5 5\n")
-        g, ids = load_snap_edge_list(p)
-        assert ids.tolist() == [-20, 10, 30]
-        assert g.edges.tolist() == [[0, 2], [1, 2]]
 
     def test_line_loop_reads_what_the_block_parse_refuses(self, tmp_path):
         # ids that int() reads and numpy does not are still accepted
@@ -260,7 +256,7 @@ class TestSnapEdgeList:
         p = tmp_path / "edges.txt"
         for big in (2**63, -(2**63) - 1, 2**64):
             p.write_text(f"0 1\n1 {big}\n")
-            with pytest.raises(ValueError, match=r"edges\.txt:2: id outside the int64 range"):
+            with pytest.raises(ValueError, match=r"edges\.txt:2: value .* outside the int64 range"):
                 load_snap_edge_list(p)
 
     def test_int64_extreme_ids_accepted(self, tmp_path):
@@ -283,6 +279,136 @@ class TestSnapEdgeList:
         back, ids = load_snap_edge_list(p)
         assert np.array_equal(back.edges, g.edges)
         assert ids.tolist() == list(range(60))
+
+
+def _read_back(tmp_path, fmt, text):
+    """text written as a file of the format, read back as arrays."""
+    if fmt == "edge-list":
+        (tmp_path / "t.txt").write_text(text)
+        g, ids = load_snap_edge_list(tmp_path / "t.txt")
+        return ids, g.edges
+    (tmp_path / "t.csv").write_text(text)
+    if fmt == "point-table":
+        return (read_points(tmp_path / "t.csv").coords,)
+    (tmp_path / "t.json").write_text('{"rows": 3, "cols": 2, "mode": "general"}\n')
+    o = load_observed(tmp_path / "t")
+    return o.values, o.mask
+
+
+class TestReadTable:
+    """read_table, the one reader of edge lists, point tables and
+    observation files: one block parse, and a line loop that names the
+    first bad line."""
+
+    @pytest.mark.parametrize(
+        "fmt, text, want",
+        [
+            # comments, blank lines, tabs, padding, signs and a self-loop
+            ("edge-list", "# FromNodeId\tToNodeId\n\n 10\t30 \n\n  # note\n+30 -20\n5 5\n",
+             ([-20, 10, 30], [[0, 2], [1, 2]])),
+            # rows out of order, padding, a quoted value and \r\n line ends
+            ("point-table", 'node_id,x,y\r\n1, 0.5 ,-2\r\n0,"1e-20",+3\r\n',
+             ([[1e-20, 3.0], [0.5, -2.0]],)),
+            ("observation", 'row,col,value\r\n2,1,4.0\r\n 0 ,0,"1"\r\n',
+             ([[1.0, 0.0], [0.0, 0.0], [0.0, 4.0]], [[True, False], [False, False], [False, True]])),
+        ],
+        ids=["edge-list", "point-table", "observation"],
+    )
+    def test_well_formed_file_is_parsed_as_one_block(self, tmp_path, monkeypatch, fmt, text, want):
+        def no_line_loop(*args):
+            raise AssertionError("read line by line")
+
+        monkeypatch.setattr(netgen, "_read_lines", no_line_loop)
+        got = _read_back(tmp_path, fmt, text)
+        assert tuple(a.tolist() for a in got) == want
+
+    @pytest.mark.parametrize(
+        "fmt, text, want",
+        [
+            ("point-table", '"node_id",x,y\n0_1,"1_0.5",2\n0,3,4\n', ([[3.0, 4.0], [10.5, 2.0]],)),
+            ("observation", "row,col,value\n0_2,1,1_0\n",
+             ([[0.0, 0.0], [0.0, 0.0], [0.0, 10.0]], [[False, False], [False, False], [False, True]])),
+        ],
+        ids=["point-table", "observation"],
+    )
+    def test_int_only_values_are_read_by_the_line_loop(self, tmp_path, fmt, text, want):
+        # as the edge list's ids are (see TestSnapEdgeList): values that
+        # int() and float() read and numpy does not are still accepted,
+        # quoted as csv.reader reads them
+        got = _read_back(tmp_path, fmt, text)
+        assert tuple(a.tolist() for a in got) == want
+
+    @pytest.mark.parametrize(
+        "fmt, text, message",
+        [
+            ("point-table", "node_id,x,y\n0,1,2\n\n1,3,4\n", r"t\.csv:3: expected 3 values, got ''"),
+            ("point-table", "node_id,x,y\n0,1,2\n1,3,4\n\n", r"t\.csv:4: expected 3 values, got ''"),
+            ("observation", "row,col,value\n0,0,1\n   \n1,1,2\n", r"t\.csv:3: expected 3 values, got '   '"),
+        ],
+        ids=["point-table", "point-table-last", "observation"],
+    )
+    def test_blank_line_in_a_csv_table_is_refused(self, tmp_path, fmt, text, message):
+        # np.loadtxt skips blank lines, which these tables may not hold
+        with pytest.raises(ValueError, match=message):
+            _read_back(tmp_path, fmt, text)
+
+    def test_only_netgen_imports_csv_or_json(self):
+        # netgen holds every file format
+        importers = set()
+        for path in Path(hopmap.__file__).parent.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [a.name for a in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                if {"csv", "json"} & {n.split(".")[0] for n in names}:
+                    importers.add(path.stem)
+        assert importers == {"netgen"}
+
+
+class TestMatrixTable:
+    """write_matrix and read_matrix: the completed matrix that complete writes."""
+
+    def test_round_trip_is_exact(self, tmp_path):
+        a = np.random.default_rng(3).normal(size=(4, 6)) * 1e3
+        write_matrix(a, tmp_path / "m.csv")
+        back = read_matrix(tmp_path / "m.csv")
+        assert back.shape == (4, 6) and np.array_equal(back, a)
+
+    def test_comment_and_blank_lines_skipped(self, tmp_path):
+        (tmp_path / "m.csv").write_text("# a header\n1,2\n\n3,4.5\n")
+        assert read_matrix(tmp_path / "m.csv").tolist() == [[1.0, 2.0], [3.0, 4.5]]
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("0.0,1.0\n1.0,x\n", r"m\.csv:2: non-numeric value 'x'"),
+            ("0.0,1.0\n1.0\n", r"m\.csv:2: expected 2 values, got '1\.0'"),
+            ("0.0,nan\n", r"m\.csv:1: non-finite value 'nan'"),
+            ("# nothing\n", r"m\.csv: no rows"),
+        ],
+        ids=["cell", "width", "nan", "empty"],
+    )
+    def test_error_names_the_file_line(self, tmp_path, text, message):
+        (tmp_path / "m.csv").write_text(text)
+        with pytest.raises(ValueError, match=message):
+            read_matrix(tmp_path / "m.csv")
+
+
+class TestIdList:
+    """write_ids and read_ids: the anchors sidecar of a vc observation."""
+
+    def test_round_trip(self, tmp_path):
+        write_ids(np.array([3, 0, 17]), tmp_path / "a.txt")
+        assert (tmp_path / "a.txt").read_text() == "3,0,17\n"
+        assert read_ids(tmp_path / "a.txt").tolist() == [3, 0, 17]
+
+    def test_error_names_the_file(self, tmp_path):
+        (tmp_path / "a.txt").write_text("1,x,3\n")
+        with pytest.raises(ValueError, match=r"a\.txt: non-integer value 'x'"):
+            read_ids(tmp_path / "a.txt")
 
 
 class TestSubgraphBfs:

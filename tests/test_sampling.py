@@ -421,26 +421,26 @@ class TestSerialization:
 
     def test_non_integer_index_rejected(self, tmp_path):
         base = self._write(tmp_path, "general", [(0, 0, 1.0), (0.5, 1, 2.0)])
-        with pytest.raises(ValueError, match=r"x\.csv line 3: .*0\.5"):
+        with pytest.raises(ValueError, match=r"x\.csv:3: .*0\.5"):
             load_observed(base)
 
     def test_non_numeric_value_rejected(self, tmp_path):
         base = self._write(tmp_path, "general", [(0, 0, 1.0)])
         with open(tmp_path / "x.csv", "a") as fh:
             fh.write("1,1,abc\n")
-        with pytest.raises(ValueError, match=r"x\.csv line 3: .*abc"):
+        with pytest.raises(ValueError, match=r"x\.csv:3: .*abc"):
             load_observed(base)
 
     def test_non_finite_value_rejected(self, tmp_path):
         base = self._write(tmp_path, "general", [(0, 0, 1.0), (1, 1, float("nan"))])
-        with pytest.raises(ValueError, match=r"x\.csv line 3: .*not finite"):
+        with pytest.raises(ValueError, match=r"x\.csv:3: .*non-finite"):
             load_observed(base)
 
     def test_negative_general_value_rejected(self, tmp_path):
         # a general file holds node x anchor hops, which the geodesic
         # bounds read as graph distances
         base = self._write(tmp_path, "general", [(0, 0, 1.0), (1, 2, -0.5)])
-        with pytest.raises(ValueError, match=r"x\.csv line 3: .*-0\.5.*negative"):
+        with pytest.raises(ValueError, match=r"x\.csv:3: .*-0\.5.*negative"):
             load_observed(base)
 
     def test_negative_symmetric_value_accepted(self, tmp_path):
