@@ -18,8 +18,8 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from hopmap.graph import all_pairs_hops, anchor_hops
-from hopmap.lowrank import normalized_spectrum, write_spectrum
-from hopmap.netgen import gen_holme_kim
+from hopmap.lowrank import normalized_spectrum
+from hopmap.netgen import gen_holme_kim, write_spectrum
 from hopmap.sampling import STRATEGIES, AnchorSelection, select_anchors
 
 

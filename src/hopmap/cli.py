@@ -19,7 +19,7 @@ from .experiment import (
     summarize,
 )
 from .graph import all_pairs_hops
-from .lowrank import CompletionConfig, CompletionResult, normalized_spectrum, write_spectrum
+from .lowrank import CompletionConfig, CompletionResult, normalized_spectrum
 from .metrics import (
     hdm_absolute_error,
     hdm_mean_error,
@@ -39,6 +39,7 @@ from .netgen import (
     write_json,
     write_matrix,
     write_points,
+    write_spectrum,
 )
 from .sampling import (
     STRATEGIES,

@@ -177,13 +177,11 @@ class ExperimentConfig:
     mode: str = "vc"
     procedures: tuple[str, ...] = ("p-completion",)
     fractions: tuple[float, ...] = (0.1, 0.2, 0.4, 0.6, 0.8)
-    k: int = 2
     repeats: int = 100
     seed: int = 0
     out_dir: str = "results"
     jobs: int = 1
     completion: CompletionConfig = field(default_factory=CompletionConfig)
-    bin_width: float = 1.0
 
     def __post_init__(self):
         if self.repeats < 1:
@@ -205,12 +203,8 @@ class ExperimentConfig:
             repeated = [v for v, count in Counter(getattr(self, key)).items() if count > 1]
             if repeated:
                 raise ValueError(f"{key} lists {repeated[0]!r} more than once")
-        if self.k not in (2, 3):
-            raise ValueError("map dimension k must be 2 or 3")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
-        if not self.bin_width > 0:
-            raise ValueError("bin_width must be positive")
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -266,7 +260,9 @@ class Mode:
     Each calls the pipeline through this module's names at call time:
     those are the bindings perfbench's spans patch. keys are the config
     keys that this mode reads and some other mode does not; load_config
-    refuses a config file that gives one of another mode's keys."""
+    refuses a config file that gives one of another mode's keys. A vc
+    map's dimension and its E_TP scan lines are no keys: both follow the
+    network's layout and pitch."""
 
     truth: Callable[[Graph, AnchorSelection], HopDistanceMatrix]
     observe: Callable[[HopDistanceMatrix, float, int], ObservedMatrix]
@@ -276,17 +272,19 @@ class Mode:
 
 
 def _vc_scoring(cfg, truth, layout, out):
-    """One label per procedure: its map of each completion, scored by E
-    against its map of the full anchor matrix and, on 2-D layouts, by
-    E_TP; the first repeat's maps are written."""
-    baselines = {p: MAP_EXTRACTORS[p](truth.as_float(), cfg.k) for p in cfg.procedures}
+    """One label per procedure: its map of each completion in the
+    layout's dimension (2 without a layout), scored by E against its map
+    of the full anchor matrix and, on 2-D layouts, by E_TP over the grid
+    rows one generator pitch apart; the first repeat's maps are written."""
+    k = 2 if layout is None else layout.dim
+    baselines = {p: MAP_EXTRACTORS[p](truth.as_float(), k) for p in cfg.procedures}
     lines = None
-    if layout is not None and layout.dim == 2 and cfg.k == 2:
+    if layout is not None and layout.dim == 2:
         # one layout for every run: pair up its scan lines once
-        lines = scan_lines(layout, cfg.bin_width)
+        lines = scan_lines(layout, cfg.network.params.get("pitch", GeneratorConfig.pitch))
 
     def score(procedure, f, rep, hops):
-        tm = MAP_EXTRACTORS[procedure](hops, cfg.k)
+        tm = MAP_EXTRACTORS[procedure](hops, k)
         if rep == 0:
             write_tpm(tm, out / f"tpm_{procedure}_f{int(round(100 * f))}.csv")
         yield "E", mean_distance_error(tm, baselines[procedure], truth.anchor_ids)
@@ -321,7 +319,7 @@ MODES = {
         observe=lambda truth, f, seed: vc_observations(truth, f, seed=seed),
         complete=lambda o, cfg: complete_anchor_hops(o, cfg),
         scoring=_vc_scoring,
-        keys=("anchors", "procedures", "k", "bin_width"),
+        keys=("anchors", "procedures"),
     ),
     "random_entry": Mode(
         truth=lambda g, sel: all_pairs_hops(g),

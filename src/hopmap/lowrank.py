@@ -3,12 +3,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.linalg import lu
 
-from .netgen import write_csv
 from .sampling import ObservedMatrix
 
 RANK_TOLERANCE = 1e-10
@@ -105,12 +103,6 @@ def normalized_spectrum(m: np.ndarray, center: bool = False) -> np.ndarray:
     if s[0] <= 0.0:
         raise ValueError("all-zero matrix has no normalized spectrum")
     return s / s[0]
-
-
-def write_spectrum(values: np.ndarray, path: str | Path) -> None:
-    """Write a spectrum as CSV rows index,value: 1-based indices, floats
-    in repr form."""
-    write_csv(["index", "value"], enumerate(values, start=1), path)
 
 
 def double_center_full(sq: np.ndarray) -> np.ndarray:
@@ -256,19 +248,15 @@ def _svt(g, thresh, rank_guess, rng, start=None):
     as columns (None when none is kept), the next call's range-finder start.
     """
     min_dim = min(g.shape)
-    if min_dim <= FULL_SVD_BELOW:
-        u, s, vt = _gram_svd(g, thresh)
+    k = max(rank_guess, 1)
+    while min_dim > FULL_SVD_BELOW and k < min_dim // 2:
+        u, s, vt = _randomized_svd(g, k, rng, thresh, start)
+        if s[-1] <= thresh:
+            break
+        k = 2 * k + 5
     else:
-        k = max(rank_guess, 1)
-        while True:
-            if k >= min_dim // 2:
-                # partial SVD no longer pays off at this rank
-                u, s, vt = _gram_svd(g, thresh)
-                break
-            u, s, vt = _randomized_svd(g, k, rng, thresh, start)
-            if s.size >= min_dim or s[-1] <= thresh:
-                break
-            k = 2 * k + 5
+        # a small matrix, or a rank at which partial SVD no longer pays off
+        u, s, vt = _gram_svd(g, thresh)
     # s is descending, so the kept vectors lead u's columns and vt's rows
     r = int(np.count_nonzero(s > thresh))
     if r == 0:

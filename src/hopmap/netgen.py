@@ -445,6 +445,12 @@ def read_matrix(path: str | Path) -> np.ndarray:
     return np.column_stack(columns)
 
 
+def write_spectrum(values: np.ndarray, path: str | Path) -> None:
+    """Write a spectrum as CSV rows index,value: 1-based indices, floats
+    in repr form."""
+    write_csv(["index", "value"], enumerate(values, start=1), path)
+
+
 def write_ids(ids, path: str | Path) -> None:
     """Write node ids as one comma-separated line."""
     Path(path).write_text(",".join(str(i) for i in ids) + "\n")

@@ -278,9 +278,10 @@ def load_observed(base: str | Path) -> ObservedMatrix:
     symmetric mode, a row does not hold an integer cell and a finite
     number, a general-mode value is negative (those files hold node x
     anchor hops), a cell lies outside the header's shape or is listed
-    twice, the file lists no cell, or the cells are not a valid
-    ObservedMatrix (a symmetric-mode matrix that is not square, whose mask
-    or values do not mirror, or whose diagonal is not observed)."""
+    twice, the file lists no cell, the header's shape does not fit in
+    memory, or the cells are not a valid ObservedMatrix (a symmetric-mode
+    matrix that is not square, whose mask or values do not mirror, or
+    whose diagonal is not observed)."""
     base = Path(base)
     json_path = base.with_suffix(".json")
     csv_path = base.with_suffix(".csv")
@@ -298,7 +299,12 @@ def load_observed(base: str | Path) -> ObservedMatrix:
         refuse_rows(csv_path, v < 0, lambda i: f"value {v[i]} is negative, not a hop count")
     outside = (r < 0) | (r >= shape[0]) | (c < 0) | (c >= shape[1])
     refuse_rows(csv_path, outside, lambda i: f"cell ({r[i]}, {c[i]}) outside the {shape} matrix")
-    mask = np.zeros(shape, dtype=bool)
+    try:
+        mask, values = np.zeros(shape, dtype=bool), np.zeros(shape)
+    except (MemoryError, ValueError):  # numpy's ValueError: beyond the address space
+        raise ValueError(
+            f"{json_path}: a {shape[0]} x {shape[1]} matrix does not fit in memory"
+        ) from None
     mask[r, c] = True
     if np.count_nonzero(mask) < len(v):
         twice = np.ones(len(v), dtype=bool)
@@ -306,7 +312,6 @@ def load_observed(base: str | Path) -> ObservedMatrix:
         refuse_rows(csv_path, twice, lambda i: f"cell ({r[i]}, {c[i]}) listed twice")
     if not len(v):
         raise ValueError(f"{csv_path}: observation file contains no entries")
-    values = np.zeros(shape)
     values[r, c] = v
     del r, c, v  # free the parsed table before ObservedMatrix copies the values
     try:

@@ -490,6 +490,18 @@ class TestExitCodes:
         assert err.startswith("error:") and "obs.csv:3" in err and "negative" in err
         assert not out.exists()
 
+    def test_shape_beyond_memory_is_data_error(self, tmp_path, capsys):
+        # its 2**31 x 2**31 mask is 2**62 bytes, more than any address space
+        side = 2**31
+        (tmp_path / "obs.json").write_text(f'{{"rows": {side}, "cols": {side}, "mode": "general"}}\n')
+        (tmp_path / "obs.csv").write_text("row,col,value\n0,0,1.0\n")
+        out = tmp_path / "out.csv"
+        rc = main(["complete", "--input", str(tmp_path / "obs"), "--out", str(out)])
+        assert rc == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err == f"error: {tmp_path / 'obs.json'}: a {side} x {side} matrix does not fit in memory\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "header, body, named",
         [
@@ -691,14 +703,22 @@ class TestConfigKeys:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("anchors", {"strategy": "degree", "m": 5}), ("procedures", ["grammian"]),
-         ("k", 3), ("bin_width", 7.0)],
+        [("anchors", {"strategy": "degree", "m": 5}), ("procedures", ["grammian"])],
     )
     def test_entry_mode_refuses_vc_keys(self, tmp_path, capsys, key, value):
         # every node is an anchor and no map is made in random_entry mode
         rc, err = self._run(tmp_path, capsys, {"mode": "random_entry", key: value})
         assert rc == EXIT_DATA
         assert err.strip() == f"error: config key(s) ['{key}'] not read in random_entry mode"
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("mode", ["vc", "random_entry"])
+    @pytest.mark.parametrize("key, value", [("k", 3), ("bin_width", 2.0)])
+    def test_map_dimension_and_scan_width_are_no_keys(self, tmp_path, capsys, mode, key, value):
+        # a map takes its layout's dimension, E_TP its generator's pitch
+        rc, err = self._run(tmp_path, capsys, {"mode": mode, key: value})
+        assert rc == EXIT_DATA
+        assert err.startswith(f"error: unknown config key(s) ['{key}']; accepted keys: [")
         assert not (tmp_path / "r").exists()
 
     def test_anchor_seed_is_data_error(self, tmp_path, capsys):
@@ -795,13 +815,6 @@ class TestConfigKeys:
         assert err.strip() == f"error: {message}"
         assert not (tmp_path / "r").exists()
 
-    def test_non_positive_bin_width_is_data_error(self, tmp_path, capsys):
-        # checked when the config loads, for a network without a layout too
-        rc, err = self._run(tmp_path, capsys, {"bin_width": -1})
-        assert rc == EXIT_DATA
-        assert err.strip() == "error: bin_width must be positive"
-        assert not (tmp_path / "r").exists()
-
     def test_integer_accepted_for_float_field(self, tmp_path, capsys):
-        rc, _ = self._run(tmp_path, capsys, {"bin_width": 1, "completion": {"tolerance": 1}})
+        rc, _ = self._run(tmp_path, capsys, {"completion": {"tolerance": 1}})
         assert rc == EXIT_OK

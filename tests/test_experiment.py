@@ -34,7 +34,6 @@ def _tiny_vc_config(out_dir, **over):
         mode="vc",
         procedures=("p-completion",),
         fractions=(0.0, 0.3),
-        k=2,
         repeats=2,
         seed=9,
         out_dir=str(out_dir),
@@ -134,10 +133,6 @@ class TestConfigLoading:
             _tiny_vc_config("x", mode="other")
         with pytest.raises(ValueError):
             _tiny_vc_config("x", jobs=0)
-        with pytest.raises(ValueError):
-            _tiny_vc_config("x", k=4)
-        with pytest.raises(ValueError, match="bin_width must be positive"):
-            _tiny_vc_config("x", bin_width=0.0)
 
     @pytest.mark.parametrize(
         "over, named",
@@ -263,6 +258,39 @@ class TestVcSweep:
         metrics = {r.metric for r in res.reports}
         assert metrics == {"E", "E_TP"}
 
+    @pytest.mark.parametrize(
+        "kind, params, dim",
+        [("cube", {"side": 6}, 3), ("concave", {"width": 12, "height": 10}, 2)],
+    )
+    def test_maps_take_the_layout_dimension(self, tmp_path, kind, params, dim):
+        # E_TP scans 2-D layouts only
+        cfg = _tiny_vc_config(
+            tmp_path / "r", network=NetworkSpec(kind, params=params), fractions=(0.2,)
+        )
+        res = run_experiment(cfg)
+        n = build_network(cfg.network)[0].n
+        for name in ("baseline", "f20"):
+            assert read_points(tmp_path / "r" / f"tpm_p-completion_{name}.csv").coords.shape == (n, dim)
+        assert {r.metric for r in res.reports} == ({"E"} if dim == 3 else {"E", "E_TP"})
+
+    def test_scan_lines_follow_the_pitch(self, tmp_path):
+        # a wider pitch scales the layout and the radio range alike: the
+        # graph, the maps and the grid rows stay, so every value does
+        def runs(name, params):
+            cfg = _tiny_vc_config(
+                tmp_path / name,
+                network=NetworkSpec("concave", params=params),
+                procedures=("grammian", "p-completion"),
+                fractions=(0.2, 0.6),
+                seed=3,
+            )
+            run_experiment(cfg)
+            return (tmp_path / name / "runs.csv").read_bytes()
+
+        default = runs("default", {})
+        assert b",E_TP," in default
+        assert runs("wide", {"pitch": 2.0}) == default
+
     def test_both_procedures(self, tmp_path):
         cfg = _tiny_vc_config(
             tmp_path / "r", procedures=("grammian", "p-completion"), fractions=(0.2,)
@@ -291,7 +319,7 @@ class TestVcSweep:
                 ("p-completion", tpm_via_p_completion),
             ):
                 written = read_points(tmp_path / "r" / f"tpm_{procedure}_f{int(round(100 * f))}.csv")
-                assert np.array_equal(written.coords, fn(o, cfg.k, cfg.completion).coords)
+                assert np.array_equal(written.coords, fn(o, 2, cfg.completion).coords)
 
         # rows stay grouped by procedure, then fraction, then repeat
         keys = [(r.procedure, r.f) for r in res.reports]

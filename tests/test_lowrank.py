@@ -482,6 +482,12 @@ class TestRandomizedSvt:
             assert np.linalg.norm(start @ (start.T @ true_v) - true_v) > 1e-3
         _assert_step_matches_full_svd(g, 5.0, 8, start)
 
+    def test_high_rank_falls_back_to_the_whole_matrix(self):
+        # 300 kept values: the range finder doubles its rank from 10 until
+        # half the side, then the whole matrix is factored
+        g = _with_spectrum(np.linspace(100.0, 10.0, 300), 1e-3, seed=28)
+        _assert_step_matches_full_svd(g, 5.0, 300)
+
     def test_small_threshold_falls_back_to_plain_svd(self):
         # kept values span 1e8 and the threshold lies far below
         # GRAM_MIN_RATIO * sigma_max; through the Gram matrix of the

@@ -419,6 +419,13 @@ class TestSerialization:
         with pytest.raises(ValueError, match=r"x\.json.*'rows'"):
             load_observed(base)
 
+    def test_shape_beyond_memory_rejected(self, tmp_path):
+        # the mask alone is 2**62 bytes, which no address space maps, so
+        # the allocation fails at once
+        base = self._write(tmp_path, "general", [(0, 0, 1.0)], shape=(2**31, 2**31))
+        with pytest.raises(ValueError, match=r"x\.json: a 2147483648 x 2147483648 matrix"):
+            load_observed(base)
+
     def test_non_integer_index_rejected(self, tmp_path):
         base = self._write(tmp_path, "general", [(0, 0, 1.0), (0.5, 1, 2.0)])
         with pytest.raises(ValueError, match=r"x\.csv:3: .*0\.5"):
