@@ -357,8 +357,9 @@ def _cmd_experiment(args) -> int:
         f"{result.total_runs} runs, {len(result.failures)} failures, "
         f"results in {cfg.out_dir}"
     )
-    for key, (mean, std) in sorted(summarize(result).items(), key=str):
-        net, procedure, f, metric = key
+    for (net, procedure, _, f, metric), (mean, std, _) in sorted(
+        summarize(result).items(), key=str
+    ):
         print(f"  {net} {procedure} f={f:g} {metric}: mean={mean:.4f} std={std:.4f}")
     if not result.acceptable:
         print("more than 10% of runs failed", file=sys.stderr)
@@ -389,7 +390,7 @@ def main(argv=None) -> int:
     except CompletionFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

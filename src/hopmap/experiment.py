@@ -375,7 +375,10 @@ def _run(task: tuple) -> tuple:
 
 
 def _map_tasks(fn, tasks, payload, jobs):
-    if jobs <= 1:
+    # at most one worker per task: under fork the pool starts every worker
+    # at its first task
+    workers = min(jobs, len(tasks))
+    if workers <= 1:
         _init_worker(payload)
         try:
             for task in tasks:
@@ -384,7 +387,7 @@ def _map_tasks(fn, tasks, payload, jobs):
             _WORK.clear()
         return
     with ProcessPoolExecutor(
-        max_workers=jobs, initializer=_init_worker, initargs=(payload,)
+        max_workers=workers, initializer=_init_worker, initargs=(payload,)
     ) as pool:
         for task, outcome in zip(tasks, pool.map(partial(_call_guarded, fn), tasks)):
             yield task, outcome
@@ -460,7 +463,7 @@ def _write_outputs(cfg, result, out, net_name, labels, elapsed):
         ([r.network, r.procedure, r.m, r.f, r.seed, r.metric, r.value] for r in result.reports),
         out / "runs.csv",
     )
-    cells = _summary_cells(result)
+    cells = summarize(result)
     write_csv(
         ["network", "procedure", "M", "f", "metric", "mean", "std", "n_runs"],
         ([*key, *cells[key]] for key in sorted(cells, key=str)),
@@ -494,7 +497,7 @@ def _write_outputs(cfg, result, out, net_name, labels, elapsed):
     write_json(meta, out / "meta.json")
 
 
-def _summary_cells(result: ExperimentResult) -> dict[tuple, tuple[float, float, int]]:
+def summarize(result: ExperimentResult) -> dict[tuple, tuple[float, float, int]]:
     """(network, procedure, M, f, metric) -> (mean, std, run count) over
     repeats, in order of first report."""
     cells: dict[tuple, list[float]] = {}
@@ -502,13 +505,4 @@ def _summary_cells(result: ExperimentResult) -> dict[tuple, tuple[float, float, 
         cells.setdefault((r.network, r.procedure, r.m, r.f, r.metric), []).append(r.value)
     return {
         key: (float(np.mean(v)), float(np.std(v)), len(v)) for key, v in cells.items()
-    }
-
-
-def summarize(result: ExperimentResult) -> dict[tuple, tuple[float, float]]:
-    """(network, procedure, f, metric) -> (mean, std) over repeats; M is
-    fixed within one experiment."""
-    return {
-        (net, procedure, f, metric): (mean, std)
-        for (net, procedure, _, f, metric), (mean, std, _) in _summary_cells(result).items()
     }

@@ -49,26 +49,21 @@ def mean_distance_error(
     return float(np.abs(d_f - d_0).sum() / denom)
 
 
-def _binned_lines(values: np.ndarray, bin_width: float) -> list[np.ndarray]:
-    """Group node indices into lines by binning one coordinate."""
-    bins = np.rint(values / bin_width).astype(np.int64)
-    lines = []
-    for b in np.unique(bins):
-        idx = np.flatnonzero(bins == b)
-        if idx.size >= 2:
-            lines.append(idx)
-    return lines
-
-
-def _line_pairs(lines: list[np.ndarray], order_coord: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Node pairs (i, j) on a common line with i before j in the stable
-    order of order_coord along that line."""
+def _line_pairs(
+    cross: np.ndarray, along: np.ndarray, bin_width: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Node pairs (i, j) on a common line, the nodes whose cross
+    coordinate rounds to one multiple of bin_width, with i before j in
+    the stable order of along on that line."""
+    bins = np.rint(cross / bin_width).astype(np.int64)
+    # one stable sort: the runs of equal bins are the lines, each already
+    # in order along the line with ties broken by node index
+    order = np.lexsort((along, bins))
     firsts, seconds = [], []
-    for line in lines:
-        idx = line[np.argsort(order_coord[line], kind="stable")]
-        i, j = np.triu_indices(idx.size, k=1)
-        firsts.append(idx[i])
-        seconds.append(idx[j])
+    for line in np.split(order, np.flatnonzero(np.diff(bins[order])) + 1):
+        i, j = np.triu_indices(line.size, k=1)
+        firsts.append(line[i])
+        seconds.append(line[j])
     return np.concatenate(firsts), np.concatenate(seconds)
 
 
@@ -95,9 +90,9 @@ def scan_lines(layout: PointCloud, bin_width: float = 1.0) -> ScanLines:
     # vertical lines bin x, run along y and are read on map axis 1
     groups = []
     for axis in (0, 1):
-        lines = _binned_lines(layout.coords[:, 1 - axis], bin_width)
-        if lines:
-            groups.append((axis, *_line_pairs(lines, layout.coords[:, axis])))
+        i, j = _line_pairs(layout.coords[:, 1 - axis], layout.coords[:, axis], bin_width)
+        if i.size:
+            groups.append((axis, i, j))
     if not groups:
         raise ValueError("no scan line holds two or more nodes")
     return ScanLines(n=layout.n, groups=tuple(groups))

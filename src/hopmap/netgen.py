@@ -162,19 +162,15 @@ def gen_t_cylinder_3d(
     """Two hollow cylinder surfaces joined in a T. Roughly 1245 nodes
     with the defaults."""
     theta = 2.0 * np.pi * np.arange(ring_points) / ring_points
-    # bar along the x axis
-    bar = []
-    for x in range(bar_length + 1):
-        for t in theta:
-            bar.append((float(x), radius * math.cos(t), radius * math.sin(t)))
-    bar = np.array(bar)
+    ring = radius * np.array([[math.cos(t), math.sin(t)] for t in theta])
+    # bar along the x axis, one ring per unit step
+    bar = np.column_stack(
+        [np.repeat(np.arange(bar_length + 1.0), ring_points), np.tile(ring, (bar_length + 1, 1))]
+    )
     # stem along the z axis, centered over the bar middle
     xc = bar_length / 2.0
-    stem = []
-    for z in range(stem_length + 1):
-        for t in theta:
-            stem.append((xc + radius * math.cos(t), radius * math.sin(t), float(z)))
-    stem = np.array(stem)
+    cos, sin = np.tile(ring, (stem_length + 1, 1)).T
+    stem = np.column_stack([xc + cos, sin, np.repeat(np.arange(stem_length + 1.0), ring_points)])
     # drop stem points buried inside the bar, and open a hole in the bar
     # wall where the stem attaches
     stem = stem[stem[:, 1] ** 2 + stem[:, 2] ** 2 > radius ** 2]

@@ -543,3 +543,25 @@ def naive_topology_preservation_error(
                 score = bad / pairs
                 best = score if best is None else min(best, score)
     return best
+
+
+def naive_t_cylinder_points(
+    radius: float = 3.0, bar_length: int = 40, stem_length: int = 26, ring_points: int = 19
+) -> np.ndarray:
+    """gen_t_cylinder_3d's clean points at pitch 1, built point by point:
+    the bar's rings along x, then the stem's along z over the bar's middle,
+    less the stem points inside the bar and the bar points in the hole."""
+    theta = 2.0 * np.pi * np.arange(ring_points) / ring_points
+    xc = bar_length / 2.0
+    bar, stem = [], []
+    for x in range(bar_length + 1):
+        for t in theta:
+            y, z = radius * math.cos(t), radius * math.sin(t)
+            if not ((x - xc) ** 2 + y ** 2 < radius ** 2 and z > 0):
+                bar.append((float(x), y, z))
+    for z in range(stem_length + 1):
+        for t in theta:
+            x, y = xc + radius * math.cos(t), radius * math.sin(t)
+            if y ** 2 + z ** 2 > radius ** 2:
+                stem.append((x, y, float(z)))
+    return np.array(bar + stem)

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from hopmap import experiment
+from hopmap import cli, experiment
 from hopmap.cli import EXIT_CONVERGENCE, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from hopmap.lowrank import CompletionConfig, complete_nuclear_norm
 from hopmap.netgen import PointCloud, read_points, write_points
@@ -306,6 +306,16 @@ class TestExitCodes:
 
     def test_no_subcommand(self):
         assert main([]) == EXIT_USAGE
+
+    def test_key_error_is_a_bug_not_a_data_error(self, monkeypatch):
+        # every data path validates before it indexes, so a KeyError keeps
+        # its traceback instead of becoming exit 2
+        def handler(args):
+            raise KeyError("x")
+
+        monkeypatch.setitem(cli._HANDLERS, "generate", handler)
+        with pytest.raises(KeyError, match="x"):
+            main(["generate", "--net", "concave", "--out", "unused"])
 
     @pytest.mark.parametrize(
         "extra, flag",

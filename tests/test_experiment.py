@@ -225,7 +225,7 @@ class TestVcSweep:
         cfg = _tiny_vc_config(tmp_path / "r", fractions=(0.3,), repeats=3)
         res = run_experiment(cfg)
         values = [r.value for r in res.reports if r.f == 0.3]
-        mean, std = summarize(res)[("holme-kim-50", "p-completion", 0.3, "E")]
+        mean, std, _ = summarize(res)[("holme-kim-50", "p-completion", 8, 0.3, "E")]
         assert abs(mean - np.mean(values)) < 1e-15
         assert abs(std - np.std(values)) < 1e-15
 
@@ -519,6 +519,34 @@ class TestFailureAccounting:
         assert next(gen) == (1, (True, 1))
         assert experiment._WORK == {"seed": 0}
         gen.close()
+        assert experiment._WORK == {}
+
+    def test_pool_starts_at_most_one_worker_per_task(self, monkeypatch):
+        started = []
+
+        class InlinePool:
+            def __init__(self, max_workers, initializer, initargs):
+                started.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                experiment._WORK.clear()
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", InlinePool)
+        got = list(experiment._map_tasks(lambda task: -task, [1, 2, 3], {"seed": 0}, jobs=8))
+        assert got == [(1, (True, -1)), (2, (True, -2)), (3, (True, -3))]
+        assert started == [3]
+        # one task runs in process: no pool is built
+        assert list(experiment._map_tasks(lambda task: -task, [1], {"seed": 0}, jobs=8)) == [
+            (1, (True, -1))
+        ]
+        assert started == [3]
         assert experiment._WORK == {}
 
     def test_acceptable_threshold(self):

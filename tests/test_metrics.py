@@ -192,7 +192,7 @@ class TestTopologyPreservation:
         noise = rng.standard_normal((60, 2)) * (0.5 * seed)
         map_coords = np.round(layout_coords @ np.linalg.qr(rng.standard_normal((2, 2)))[0] + noise)
         layout, tm = _points(layout_coords), _points(map_coords)
-        for bin_width in (1.0, 0.5):
+        for bin_width in (1.0, 0.5, 2.0):
             expected = naive_topology_preservation_error(layout_coords, map_coords, bin_width)
             assert topology_preservation_error(scan_lines(layout, bin_width), tm) == expected
 

@@ -30,7 +30,7 @@ from hopmap.netgen import (
     write_points,
 )
 from hopmap.sampling import load_observed
-from oracles import cycle_graph, random_connected_graph
+from oracles import cycle_graph, naive_t_cylinder_points, random_connected_graph
 
 
 def brute_unit_disk_edges(coords, radius):
@@ -151,6 +151,30 @@ class TestLayoutGenerators:
         radial = np.hypot(pc.coords[:, 0] - c, pc.coords[:, 1] - c)
         cone = 2.5 * np.abs(pc.coords[:, 2] - c) / c
         assert np.all(radial > cone)
+
+    def test_t_cylinder_surfaces_and_hole(self):
+        # radius 3, bar along x over [0, 40], stem along z from x = 20
+        pc, _ = gen_t_cylinder_3d(GeneratorConfig(seed=1, jitter=0.0))
+        _, y, z = pc.coords.T
+        on_bar = np.abs(y ** 2 + z ** 2 - 9.0) < 1e-9
+        bar, stem = pc.coords[on_bar], pc.coords[~on_bar]
+        assert len(bar) and len(stem)
+        assert np.all((bar[:, 0] >= 0) & (bar[:, 0] <= 40))
+        # every other point is on the stem's cylinder, above the bar's axis
+        # and outside the bar
+        assert np.allclose((stem[:, 0] - 20.0) ** 2 + stem[:, 1] ** 2, 9.0, rtol=0, atol=1e-9)
+        assert np.all((stem[:, 2] > 0) & (stem[:, 2] <= 26))
+        assert np.all(stem[:, 1] ** 2 + stem[:, 2] ** 2 > 9.0)
+        # the bar wall is open where the stem attaches
+        hole = ((bar[:, 0] - 20.0) ** 2 + bar[:, 1] ** 2 < 9.0) & (bar[:, 2] > 0)
+        assert not np.any(hole)
+
+    @pytest.mark.parametrize(
+        "geometry", [{}, {"radius": 2.5, "bar_length": 12, "stem_length": 9, "ring_points": 13}]
+    )
+    def test_t_cylinder_matches_point_by_point_oracle(self, geometry):
+        pc, _ = gen_t_cylinder_3d(GeneratorConfig(seed=2, jitter=0.0), **geometry)
+        assert pc.coords.tobytes() == naive_t_cylinder_points(**geometry).tobytes()
 
     def test_retry_exhaustion_errors(self):
         # two far-apart clusters can never connect within 5 radius bumps
