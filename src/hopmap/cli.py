@@ -120,7 +120,7 @@ def _build_parser() -> _Parser:
     )
     s.add_argument("--centered", action="store_true")
     s.add_argument("--top", type=_positive_int, default=None, help="keep first K >= 1 values")
-    s.add_argument("--seed", type=int, default=None, help="vc anchor seed (default 0)")
+    s.add_argument("--seed", type=int, default=None, help=f"vc anchor seed (default {AnchorSelection.seed})")
     s.add_argument("--out", required=True, help="output CSV path")
 
     p = sub.add_parser("sample", help="draw a partial observation of P or H")
@@ -141,19 +141,19 @@ def _build_parser() -> _Parser:
     source.add_argument("--edges", help="edge list for the full-VC map")
     t.add_argument("--procedure", choices=PROCEDURES, default="p-completion")
     t.add_argument("--k", type=int, default=2, choices=[2, 3])
-    t.add_argument("--seed", type=int, default=None, help="anchor seed (default 0)")
+    t.add_argument("--seed", type=int, default=None, help=f"anchor seed (default {AnchorSelection.seed})")
     t.add_argument("--out", required=True, help="map CSV path")
 
     # generate's holme-kim flags and the anchor, completion and --bin-width
     # flags default to None, so that a command can refuse one it would
-    # ignore; _selection fills in the anchor defaults, and the library's own
-    # defaults apply to the others
+    # ignore; a flag not given takes the library's default, which its help
+    # text reads from the library type
     for anchored in (s, p, t):
-        anchored.add_argument("--anchors", type=_positive_int, default=None, help="anchor count (default 20)")
-        anchored.add_argument("--strategy", choices=STRATEGIES, default=None, help="anchor strategy (default random)")
+        anchored.add_argument("--anchors", type=_positive_int, default=None, help=f"anchor count (default {AnchorSelection.m})")
+        anchored.add_argument("--strategy", choices=STRATEGIES, default=None, help=f"anchor strategy (default {AnchorSelection.strategy})")
     for completing in (c, t):
-        completing.add_argument("--tolerance", type=_positive_float, default=None, help="default 1e-6")
-        completing.add_argument("--max-iters", type=_positive_int, default=None, help="default 500")
+        completing.add_argument("--tolerance", type=_positive_float, default=None, help=f"default {CompletionConfig.tolerance:g}")
+        completing.add_argument("--max-iters", type=_positive_int, default=None, help=f"default {CompletionConfig.max_iters}")
 
     e = sub.add_parser("eval", help="score a map or completed matrix")
     e.add_argument("--metric", required=True, choices=list(EVAL_FLAGS))
@@ -197,8 +197,9 @@ def _cmd_generate(args) -> int:
 
 
 def _selection(args) -> AnchorSelection:
-    """The anchors that --anchors, --strategy and --seed (default 20, random, 0) select."""
-    return AnchorSelection(args.strategy or "random", args.anchors or 20, seed=args.seed or 0)
+    """The anchors that --anchors, --strategy and --seed select, at AnchorSelection's defaults."""
+    sel = AnchorSelection(**_given(args, "strategy", "seed"))
+    return sel if args.anchors is None else replace(sel, m=args.anchors)
 
 
 def _given(args, *names) -> dict:
@@ -357,9 +358,7 @@ def _cmd_experiment(args) -> int:
         f"{result.total_runs} runs, {len(result.failures)} failures, "
         f"results in {cfg.out_dir}"
     )
-    for (net, procedure, _, f, metric), (mean, std, _) in sorted(
-        summarize(result).items(), key=str
-    ):
+    for (net, procedure, _, f, metric), (mean, std, _) in summarize(result).items():
         print(f"  {net} {procedure} f={f:g} {metric}: mean={mean:.4f} std={std:.4f}")
     if not result.acceptable:
         print("more than 10% of runs failed", file=sys.stderr)

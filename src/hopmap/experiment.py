@@ -173,7 +173,7 @@ class NetworkSpec:
 @dataclass(frozen=True)
 class ExperimentConfig:
     network: NetworkSpec
-    anchors: AnchorSelection = AnchorSelection("random", 20)
+    anchors: AnchorSelection = AnchorSelection()
     mode: str = "vc"
     procedures: tuple[str, ...] = ("p-completion",)
     fractions: tuple[float, ...] = (0.1, 0.2, 0.4, 0.6, 0.8)
@@ -236,11 +236,9 @@ def build_network(spec: NetworkSpec) -> tuple[Graph, PointCloud | None, str]:
     if spec.kind in GENERATORS:
         # placement params (pitch, jitter, ...) go to the generator config,
         # geometry params (extents, voids, ...) to the generator itself
-        cfg_fields = {f.name for f in dataclasses.fields(GeneratorConfig)}
-        cfg_params = {k: v for k, v in params.items() if k in cfg_fields}
-        geo_params = {k: v for k, v in params.items() if k not in cfg_fields}
-        cfg = GeneratorConfig(seed=spec.seed, **cfg_params)
-        pc, g = GENERATORS[spec.kind](cfg, **geo_params)
+        placement = _declared(GeneratorConfig, "seed")
+        cfg = GeneratorConfig(seed=spec.seed, **{k: v for k, v in params.items() if k in placement})
+        pc, g = GENERATORS[spec.kind](cfg, **{k: v for k, v in params.items() if k not in placement})
         return g, pc, f"{spec.kind}-{g.n}"
     if spec.kind == "holme-kim":
         g = gen_holme_kim(**params, seed=spec.seed)
@@ -463,10 +461,9 @@ def _write_outputs(cfg, result, out, net_name, labels, elapsed):
         ([r.network, r.procedure, r.m, r.f, r.seed, r.metric, r.value] for r in result.reports),
         out / "runs.csv",
     )
-    cells = summarize(result)
     write_csv(
         ["network", "procedure", "M", "f", "metric", "mean", "std", "n_runs"],
-        ([*key, *cells[key]] for key in sorted(cells, key=str)),
+        ([*key, *cell] for key, cell in summarize(result).items()),
         out / "summary.csv",
     )
     write_csv(
@@ -499,10 +496,10 @@ def _write_outputs(cfg, result, out, net_name, labels, elapsed):
 
 def summarize(result: ExperimentResult) -> dict[tuple, tuple[float, float, int]]:
     """(network, procedure, M, f, metric) -> (mean, std, run count) over
-    repeats, in order of first report."""
+    repeats, sorted by key: summary.csv and the printed table keep this order."""
     cells: dict[tuple, list[float]] = {}
     for r in result.reports:
         cells.setdefault((r.network, r.procedure, r.m, r.f, r.metric), []).append(r.value)
     return {
-        key: (float(np.mean(v)), float(np.std(v)), len(v)) for key, v in cells.items()
+        key: (float(np.mean(v)), float(np.std(v)), len(v)) for key, v in sorted(cells.items())
     }

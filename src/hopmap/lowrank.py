@@ -176,14 +176,16 @@ class CompletionResult:
 
 
 def _spectral_norm(a: np.ndarray, iters: int = 100, tol: float = 1e-9) -> float:
-    """Largest singular value by alternating power iteration."""
+    """Largest singular value by alternating power iteration from the
+    all-ones vector, or exactly (np.linalg.norm(a, 2)) when a maps that
+    start to zero: only the first step can land in the null space."""
     v = np.ones(a.shape[1]) / math.sqrt(a.shape[1])
     sigma = 0.0
     for _ in range(iters):
         u = a @ v
         nu = np.linalg.norm(u)
         if nu == 0.0:
-            return 0.0
+            return float(np.linalg.norm(a, 2))
         v = a.T @ (u / nu)
         nv = np.linalg.norm(v)
         if nv == 0.0:

@@ -10,7 +10,7 @@ from hopmap import cli, experiment
 from hopmap.cli import EXIT_CONVERGENCE, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from hopmap.lowrank import CompletionConfig, complete_nuclear_norm
 from hopmap.netgen import PointCloud, read_points, write_points
-from hopmap.sampling import ObservedMatrix, load_observed, save_observed
+from hopmap.sampling import AnchorSelection, ObservedMatrix, load_observed, save_observed
 from hopmap.tpm import MAP_EXTRACTORS
 
 
@@ -251,6 +251,20 @@ class TestPipeline:
         assert rc == EXIT_OK
         assert trace.read_text() == "iter,residual,nuclear_norm\n"
 
+    def test_complete_symmetric_observation_with_zero_row_sums(self, tmp_path, capsys):
+        # the all-ones vector lies in the observations' null space, where
+        # the power iteration for mu_0 starts
+        values = np.array([[1.0, 0.0, -1.0], [0.0, 1.0, -1.0], [-1.0, -1.0, 2.0]])
+        mask = np.ones((3, 3), dtype=bool)
+        mask[0, 1] = mask[1, 0] = False
+        o = ObservedMatrix(values=np.where(mask, values, 0.0), mask=mask, symmetric=True)
+        save_observed(o, tmp_path / "obs")
+        done = tmp_path / "done.csv"
+        assert main(["complete", "--input", str(tmp_path / "obs"), "--out", str(done)]) == EXIT_OK
+        assert "converged=True" in capsys.readouterr().out
+        completed = np.loadtxt(done, delimiter=",")
+        assert np.allclose(completed[mask], values[mask])
+
     def test_entry_mode_hop_metrics(self, hk_edges, tmp_path):
         ent = tmp_path / "ent"
         rc = main(["sample", "--input", str(hk_edges), "--mode", "random_entry",
@@ -306,6 +320,35 @@ class TestExitCodes:
 
     def test_no_subcommand(self):
         assert main([]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("command", list(cli._HANDLERS))
+    def test_help_renders(self, capsys, command):
+        # argparse %-formats help text only when it prints it
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert f"usage: hopmap {command}" in capsys.readouterr().out
+
+    def test_help_reads_the_library_defaults(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["tpm", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        sel, done = AnchorSelection(), CompletionConfig()
+        for default in (f"anchor seed (default {sel.seed})", f"anchor count (default {sel.m})",
+                        f"anchor strategy (default {sel.strategy})",
+                        f"default {done.tolerance:g}", f"default {done.max_iters}"):
+            assert default in text
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["spectrum", "--input", "e.txt", "--matrix-kind", "vc", "--out", "s.csv"],
+            ["sample", "--input", "e.txt", "--fraction", "0.5", "--out", "obs"],
+            ["tpm", "--edges", "e.txt", "--out", "m.csv"],
+        ],
+    )
+    def test_selection_without_anchor_flags_is_the_library_default(self, argv):
+        assert cli._selection(cli._build_parser().parse_args(argv)) == AnchorSelection()
 
     def test_key_error_is_a_bug_not_a_data_error(self, monkeypatch):
         # every data path validates before it indexes, so a KeyError keeps
@@ -621,6 +664,15 @@ class TestExperimentCommand:
         except TypeError:  # numpy < 1.26: show_config takes no mode
             simd = None
         assert env["simd"] == simd
+
+    def test_summary_lists_fractions_by_value(self, tmp_path, capsys):
+        # 1e-05 sorts after 0.5 as text
+        cfg = self._config(tmp_path, fractions=[0.00001, 0.1, 0.5], repeats=1)
+        assert main(["experiment", "--config", str(cfg)]) == EXIT_OK
+        printed = [w for w in capsys.readouterr().out.split() if w.startswith("f=")]
+        assert printed == ["f=1e-05", "f=0.1", "f=0.5"]
+        with open(tmp_path / "results" / "summary.csv", newline="") as fh:
+            assert [float(r["f"]) for r in csv.DictReader(fh)] == [0.00001, 0.1, 0.5]
 
     def test_out_and_seed_overrides(self, tmp_path):
         cfg = self._config(tmp_path)

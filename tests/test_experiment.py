@@ -134,6 +134,9 @@ class TestConfigLoading:
         with pytest.raises(ValueError):
             _tiny_vc_config("x", jobs=0)
 
+    def test_anchor_default_is_the_library_default(self):
+        assert ExperimentConfig(network=NetworkSpec("concave")).anchors == AnchorSelection()
+
     @pytest.mark.parametrize(
         "over, named",
         [
@@ -342,6 +345,15 @@ class TestEntrySweep:
         assert all(r.m == 50 for r in res.reports)
         for r in res.reports:
             assert r.value >= 0.0
+
+    def test_summary_is_in_value_order(self, tmp_path):
+        # by value, not by first report: f ascending, then E_a before E_m
+        cfg = _tiny_vc_config(tmp_path / "r", mode="random_entry", fractions=(0.6, 0.2), repeats=1)
+        res = run_experiment(cfg)
+        order = [(0.2, "E_a"), (0.2, "E_m"), (0.6, "E_a"), (0.6, "E_m")]
+        assert [(f, metric) for _, _, _, f, metric in summarize(res)] == order
+        with open(tmp_path / "r" / "summary.csv", newline="") as fh:
+            assert [(float(r["f"]), r["metric"]) for r in csv.DictReader(fh)] == order
 
     def test_meta_names_the_scored_label(self, tmp_path):
         # the config's procedures play no part in entry mode, so meta.json

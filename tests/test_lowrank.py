@@ -18,6 +18,7 @@ from hopmap.lowrank import (
     normalized_spectrum,
     singular_rank,
     svd,
+    _spectral_norm,
     _svt,
 )
 from hopmap.sampling import (
@@ -222,6 +223,19 @@ class TestCentering:
 
 
 class TestCompletion:
+    def test_observations_that_null_the_all_ones_vector(self):
+        # every observed row sums to zero, so the power iteration for mu_0
+        # lands at zero on its first step and takes the exact spectral norm
+        values = np.array([[1.0, 0.0, -1.0], [0.0, 1.0, -1.0], [-1.0, -1.0, 2.0]])
+        mask = np.ones((3, 3), dtype=bool)
+        mask[0, 1] = mask[1, 0] = False
+        d = np.where(mask, values, 0.0)
+        assert np.array_equal(d @ np.ones(3), np.zeros(3))
+        assert _spectral_norm(d) == np.linalg.norm(d, 2)
+        res = complete_nuclear_norm(ObservedMatrix(values=d, mask=mask, symmetric=True))
+        assert res.converged
+        assert np.allclose(res.completed[mask], values[mask])
+
     def test_full_mask_returns_input_exactly(self):
         values = np.random.default_rng(6).standard_normal((9, 9))
         o = ObservedMatrix(values=values.copy(), mask=np.ones((9, 9), dtype=bool))
