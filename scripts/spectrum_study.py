@@ -73,9 +73,15 @@ if __name__ == "__main__":
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--out", default="results/spectra")
     args = ap.parse_args()
-    # the hop and adjacency spectra hold n values each, and every strategy
-    # picks its anchors from the n nodes; both are checked before any curve
-    # is written
+    # the graph needs n > m >= 1 and p_triad in [0, 1], the hop and
+    # adjacency spectra hold n values each, and every strategy picks its
+    # anchors from the n nodes; all are checked before --out is made
+    if args.m < 1:
+        ap.error(f"--m must be at least 1, got {args.m}")
+    if args.n <= args.m:
+        ap.error(f"--n must exceed --m={args.m}, got {args.n}")
+    if not 0.0 <= args.p_triad <= 1.0:
+        ap.error(f"--p-triad must be in [0, 1], got {args.p_triad}")
     if not 1 <= args.probe_index <= args.n:
         ap.error(f"--probe-index must be in [1, --n={args.n}], got {args.probe_index}")
     if not 1 <= args.anchors <= args.n:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -28,6 +29,7 @@ from .metrics import (
     topology_preservation_error,
 )
 from .netgen import (
+    gen_holme_kim,
     load_snap_edge_list,
     parse_ids,
     read_ids,
@@ -88,12 +90,14 @@ _positive_float = _checked(float, lambda v: v > 0.0, "positive")
 _fraction = _checked(float, lambda v: 0.0 <= v < 1.0, "in [0, 1)")
 _probability = _checked(float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
 
+# the parameters of gen_holme_kim, whose defaults `generate` takes and shows
+_HOLME_KIM = inspect.signature(gen_holme_kim).parameters
 
-# the input flags each metric reads; it needs every one but --bin-width
-# and refuses the others
+
+# the input flags each metric reads; it needs every one and refuses the others
 EVAL_FLAGS = {
     "E": ("map", "baseline", "anchor_ids"),
-    "E_TP": ("map", "layout", "bin_width"),
+    "E_TP": ("map", "layout"),
     "E_m": ("est", "edges"),
     "E_a": ("est", "edges"),
 }
@@ -107,9 +111,9 @@ def _build_parser() -> _Parser:
     g.add_argument("--net", required=True, choices=sorted(GENERATORS) + ["holme-kim"])
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", default=".", help="output directory")
-    g.add_argument("--n", type=int, default=None, help="holme-kim node count, above --m (default 500)")
-    g.add_argument("--m", type=_positive_int, default=None, help="holme-kim edges per node (default 3)")
-    g.add_argument("--p-triad", type=_probability, default=None, help="holme-kim (default 0.5)")
+    g.add_argument("--n", type=int, default=None, help=f"holme-kim node count, above --m (default {_HOLME_KIM['n'].default})")
+    g.add_argument("--m", type=_positive_int, default=None, help=f"holme-kim edges per node (default {_HOLME_KIM['m'].default})")
+    g.add_argument("--p-triad", type=_probability, default=None, help=f"holme-kim (default {_HOLME_KIM['p_triad'].default})")
 
     s = sub.add_parser("spectrum", help="normalized singular values as CSV")
     s.add_argument("--input", required=True, help="edge list or dense matrix CSV")
@@ -144,8 +148,8 @@ def _build_parser() -> _Parser:
     t.add_argument("--seed", type=int, default=None, help=f"anchor seed (default {AnchorSelection.seed})")
     t.add_argument("--out", required=True, help="map CSV path")
 
-    # generate's holme-kim flags and the anchor, completion and --bin-width
-    # flags default to None, so that a command can refuse one it would
+    # generate's holme-kim flags and the anchor and completion flags
+    # default to None, so that a command can refuse one it would
     # ignore; a flag not given takes the library's default, which its help
     # text reads from the library type
     for anchored in (s, p, t):
@@ -161,7 +165,6 @@ def _build_parser() -> _Parser:
     e.add_argument("--baseline", default=None, help="reference map CSV (metric E)")
     e.add_argument("--anchor-ids", default=None, help="comma-separated ids or a file of them (metric E)")
     e.add_argument("--layout", default=None, help="layout CSV (metric E_TP)")
-    e.add_argument("--bin-width", type=_positive_float, default=None, help="metric E_TP (default 1)")
     e.add_argument("--est", default=None, help="completed matrix CSV (E_m, E_a)")
     e.add_argument("--edges", default=None, help="edge list of the true graph")
     e.add_argument("--out", default=None, help="optional single-row CSV")
@@ -178,7 +181,7 @@ def _cmd_generate(args) -> int:
     params = _given(args, "n", "m", "p_triad")
     if args.net != "holme-kim":
         _refuse_given(args, params, f"with --net {args.net}, a layout of fixed size")
-    n, m = params.get("n", 500), params.get("m", 3)  # gen_holme_kim's defaults
+    n, m = (params.get(k, _HOLME_KIM[k].default) for k in ("n", "m"))
     if n <= m:
         raise SystemExit_(
             EXIT_USAGE, f"hopmap generate: error: argument --n: must exceed --m ({m}), got {n}"
@@ -323,7 +326,7 @@ def _cmd_eval(args) -> int:
     reads = EVAL_FLAGS[args.metric]
     unread = [n for n in dict.fromkeys(sum(EVAL_FLAGS.values(), ())) if n not in reads]
     _refuse_given(args, unread, f"with --metric {args.metric}, which does not read it")
-    missing = [_flag(n) for n in reads if n != "bin_width" and getattr(args, n) is None]
+    missing = [_flag(n) for n in reads if getattr(args, n) is None]
     if missing:
         raise SystemExit_(EXIT_USAGE, f"eval --metric {args.metric} needs " + ", ".join(missing))
     if args.metric == "E":
@@ -331,7 +334,7 @@ def _cmd_eval(args) -> int:
         value = mean_distance_error(read_points(args.map), read_points(args.baseline), ids)
     elif args.metric == "E_TP":
         layout = read_points(args.layout)
-        lines = scan_lines(layout, **_given(args, "bin_width"))
+        lines = scan_lines(layout)
         # SVD maps are rotated arbitrarily; match axes before scanning, as the sweep does
         oriented, _ = align_maps(read_points(args.map), layout)
         value = topology_preservation_error(lines, oriented)

@@ -151,10 +151,8 @@ def _read_block(block: dict, keys: dict[str, tuple[object, bool]], where: str) -
 
 def _network_params(kind: str) -> dict[str, tuple[object, bool]]:
     """The params a network of this kind takes; its seed is NetworkSpec.seed."""
-    if kind in GENERATORS:
-        # placement fields of GeneratorConfig, then the generator's geometry
-        return {**_declared(GeneratorConfig, "seed"), **_declared(GENERATORS[kind], "cfg")}
-    return _declared(gen_holme_kim if kind == "holme-kim" else _edge_network, "seed")
+    build = GENERATORS.get(kind) or (gen_holme_kim if kind == "holme-kim" else _edge_network)
+    return _declared(build, "cfg", "seed")
 
 
 @dataclass(frozen=True)
@@ -234,11 +232,7 @@ def build_network(spec: NetworkSpec) -> tuple[Graph, PointCloud | None, str]:
     a short display name."""
     params = spec.params
     if spec.kind in GENERATORS:
-        # placement params (pitch, jitter, ...) go to the generator config,
-        # geometry params (extents, voids, ...) to the generator itself
-        placement = _declared(GeneratorConfig, "seed")
-        cfg = GeneratorConfig(seed=spec.seed, **{k: v for k, v in params.items() if k in placement})
-        pc, g = GENERATORS[spec.kind](cfg, **{k: v for k, v in params.items() if k not in placement})
+        pc, g = GENERATORS[spec.kind](GeneratorConfig(seed=spec.seed), **params)
         return g, pc, f"{spec.kind}-{g.n}"
     if spec.kind == "holme-kim":
         g = gen_holme_kim(**params, seed=spec.seed)
@@ -259,8 +253,7 @@ class Mode:
     those are the bindings perfbench's spans patch. keys are the config
     keys that this mode reads and some other mode does not; load_config
     refuses a config file that gives one of another mode's keys. A vc
-    map's dimension and its E_TP scan lines are no keys: both follow the
-    network's layout and pitch."""
+    map's dimension is no key: it follows the network's layout."""
 
     truth: Callable[[Graph, AnchorSelection], HopDistanceMatrix]
     observe: Callable[[HopDistanceMatrix, float, int], ObservedMatrix]
@@ -273,13 +266,13 @@ def _vc_scoring(cfg, truth, layout, out):
     """One label per procedure: its map of each completion in the
     layout's dimension (2 without a layout), scored by E against its map
     of the full anchor matrix and, on 2-D layouts, by E_TP over the grid
-    rows one generator pitch apart; the first repeat's maps are written."""
+    rows one unit apart; the first repeat's maps are written."""
     k = 2 if layout is None else layout.dim
     baselines = {p: MAP_EXTRACTORS[p](truth.as_float(), k) for p in cfg.procedures}
     lines = None
     if layout is not None and layout.dim == 2:
         # one layout for every run: pair up its scan lines once
-        lines = scan_lines(layout, cfg.network.params.get("pitch", GeneratorConfig.pitch))
+        lines = scan_lines(layout)
 
     def score(procedure, f, rep, hops):
         tm = MAP_EXTRACTORS[procedure](hops, k)

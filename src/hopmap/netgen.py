@@ -42,25 +42,19 @@ class PointCloud:
         return self.coords.shape[1]
 
 
+# the placement every layout shares: clean points one unit apart (a unit
+# grid, or rings one unit apart), each coordinate moved by a uniform draw
+# in [-JITTER, JITTER], and a link between every two nodes within RADIUS,
+# widened by 10% up to MAX_RETRIES times until the graph connects; hop
+# counts, and so every result, do not depend on the physical scale
+JITTER = 0.3
+RADIUS = 1.8
+MAX_RETRIES = 5
+
+
 @dataclass(frozen=True)
 class GeneratorConfig:
-    seed: int = 0
-    pitch: float = 1.0
-    jitter: float = 0.3          # uniform placement noise, fraction of pitch
-    comm_radius: float | None = None  # defaults to 1.8 * pitch
-    max_retries: int = 5
-
-    def __post_init__(self):
-        if self.pitch <= 0:
-            raise ValueError("pitch must be positive")
-        if self.comm_radius is not None and self.comm_radius <= 0:
-            raise ValueError("comm_radius must be positive")
-        if not 0 <= self.jitter < 0.5:
-            raise ValueError("jitter must be in [0, 0.5)")
-
-    @property
-    def radius(self) -> float:
-        return self.comm_radius if self.comm_radius is not None else 1.8 * self.pitch
+    seed: int = 0  # of the placement noise
 
 
 def unit_disk_connect(pc: PointCloud, radius: float) -> Graph:
@@ -71,24 +65,20 @@ def unit_disk_connect(pc: PointCloud, radius: float) -> Graph:
     return Graph(pc.n, pairs)
 
 
-def _connect_with_retries(pc: PointCloud, cfg: GeneratorConfig) -> Graph:
-    # disconnected placements get +10% radius, a bounded number of times
-    radius = cfg.radius
-    for _ in range(cfg.max_retries + 1):
+def _connect_with_retries(pc: PointCloud) -> Graph:
+    radius = RADIUS
+    for _ in range(MAX_RETRIES + 1):
         g = unit_disk_connect(pc, radius)
         if is_connected(g):
             return g
         radius *= 1.1
-    raise ValueError(
-        f"layout stayed disconnected after {cfg.max_retries} radius increases"
-    )
+    raise ValueError(f"layout stayed disconnected after {MAX_RETRIES} radius increases")
 
 
 def _perturbed_points(clean: np.ndarray, cfg: GeneratorConfig, label: str) -> PointCloud:
     # membership is decided on the clean grid, so node count ignores the seed
     rng = spawn_rng(cfg.seed, label)
-    jitter = rng.uniform(-cfg.jitter, cfg.jitter, size=clean.shape) * cfg.pitch
-    return PointCloud(coords=clean + jitter)
+    return PointCloud(coords=clean + rng.uniform(-JITTER, JITTER, size=clean.shape))
 
 
 def gen_concave_2d(
@@ -98,15 +88,13 @@ def gen_concave_2d(
     notch: tuple[float, float, float] = (8.5, 21.5, 9.5),
 ) -> tuple[PointCloud, Graph]:
     """U-shaped deployment: a rectangle with a rectangular notch cut from
-    the top edge. Roughly 550 nodes with the default extents."""
+    the top edge. 555 nodes with the default extents, at any seed."""
     xs, ys = np.meshgrid(np.arange(width), np.arange(height), indexing="ij")
-    pts = np.column_stack([xs.ravel(), ys.ravel()]).astype(float) * cfg.pitch
+    pts = np.column_stack([xs.ravel(), ys.ravel()]).astype(float)
     x0, x1, y0 = notch
-    inside_notch = (pts[:, 0] > x0 * cfg.pitch) & (pts[:, 0] < x1 * cfg.pitch) & (
-        pts[:, 1] > y0 * cfg.pitch
-    )
+    inside_notch = (pts[:, 0] > x0) & (pts[:, 0] < x1) & (pts[:, 1] > y0)
     pc = _perturbed_points(pts[~inside_notch], cfg, "concave-2d")
-    return pc, _connect_with_retries(pc, cfg)
+    return pc, _connect_with_retries(pc)
 
 
 def gen_circular_voids_2d(
@@ -118,8 +106,8 @@ def gen_circular_voids_2d(
         (1.5, 8.0, 1.6),
     ),
 ) -> tuple[PointCloud, Graph]:
-    """Disk-shaped deployment with interior circular holes. Roughly 496
-    nodes with the default extents."""
+    """Disk-shaped deployment with interior circular holes. 496 nodes
+    with the default extents, at any seed."""
     if len(voids) < 2:
         raise ValueError("need at least two interior voids")
     r = int(math.ceil(outer_radius))
@@ -128,8 +116,8 @@ def gen_circular_voids_2d(
     keep = (pts ** 2).sum(axis=1) <= outer_radius ** 2
     for cx, cy, vr in voids:
         keep &= (pts[:, 0] - cx) ** 2 + (pts[:, 1] - cy) ** 2 > vr ** 2
-    pc = _perturbed_points(pts[keep] * cfg.pitch, cfg, "circular-voids-2d")
-    return pc, _connect_with_retries(pc, cfg)
+    pc = _perturbed_points(pts[keep], cfg, "circular-voids-2d")
+    return pc, _connect_with_retries(pc)
 
 
 def gen_cube_void_3d(
@@ -138,7 +126,7 @@ def gen_cube_void_3d(
     waist_radius: float = 2.5,
 ) -> tuple[PointCloud, Graph]:
     """Cube-filling deployment with an hourglass (double cone) hollow
-    around the vertical axis. Roughly 1640 nodes with the defaults."""
+    around the vertical axis. 1640 nodes with the defaults, at any seed."""
     ax = np.arange(side, dtype=float)
     xs, ys, zs = np.meshgrid(ax, ax, ax, indexing="ij")
     pts = np.column_stack([xs.ravel(), ys.ravel(), zs.ravel()])
@@ -148,8 +136,8 @@ def gen_cube_void_3d(
     cone_r = waist_radius * np.abs(pts[:, 2] - c) / half
     radial = np.hypot(pts[:, 0] - c, pts[:, 1] - c)
     keep = radial > cone_r
-    pc = _perturbed_points(pts[keep] * cfg.pitch, cfg, "cube-void-3d")
-    return pc, _connect_with_retries(pc, cfg)
+    pc = _perturbed_points(pts[keep], cfg, "cube-void-3d")
+    return pc, _connect_with_retries(pc)
 
 
 def gen_t_cylinder_3d(
@@ -159,8 +147,8 @@ def gen_t_cylinder_3d(
     stem_length: int = 26,
     ring_points: int = 19,
 ) -> tuple[PointCloud, Graph]:
-    """Two hollow cylinder surfaces joined in a T. Roughly 1245 nodes
-    with the defaults."""
+    """Two hollow cylinder surfaces joined in a T. 1213 nodes with the
+    defaults, at any seed."""
     theta = 2.0 * np.pi * np.arange(ring_points) / ring_points
     ring = radius * np.array([[math.cos(t), math.sin(t)] for t in theta])
     # bar along the x axis, one ring per unit step
@@ -178,9 +166,9 @@ def gen_t_cylinder_3d(
         ((bar[:, 0] - xc) ** 2 + bar[:, 1] ** 2 < radius ** 2)
         & (bar[:, 2] > 0)
     )
-    pts = np.vstack([bar[~hole], stem]) * cfg.pitch
+    pts = np.vstack([bar[~hole], stem])
     pc = _perturbed_points(pts, cfg, "t-cylinder-3d")
-    return pc, _connect_with_retries(pc, cfg)
+    return pc, _connect_with_retries(pc)
 
 
 def gen_holme_kim(n: int = 500, m: int = 3, p_triad: float = 0.5, seed: int = 0) -> Graph:

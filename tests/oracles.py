@@ -548,7 +548,7 @@ def naive_topology_preservation_error(
 def naive_t_cylinder_points(
     radius: float = 3.0, bar_length: int = 40, stem_length: int = 26, ring_points: int = 19
 ) -> np.ndarray:
-    """gen_t_cylinder_3d's clean points at pitch 1, built point by point:
+    """gen_t_cylinder_3d's points before their noise, built point by point:
     the bar's rings along x, then the stem's along z over the bar's middle,
     less the stem points inside the bar and the bar points in the hole."""
     theta = 2.0 * np.pi * np.arange(ring_points) / ring_points

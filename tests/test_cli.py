@@ -1,7 +1,9 @@
 """Command-line interface: subcommand wiring, file formats, exit codes."""
 import csv
+import inspect
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ import pytest
 from hopmap import cli, experiment
 from hopmap.cli import EXIT_CONVERGENCE, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from hopmap.lowrank import CompletionConfig, complete_nuclear_norm
-from hopmap.netgen import PointCloud, read_points, write_points
+from hopmap.netgen import PointCloud, gen_holme_kim, read_points, write_points
 from hopmap.sampling import AnchorSelection, ObservedMatrix, load_observed, save_observed
 from hopmap.tpm import MAP_EXTRACTORS
 
@@ -338,6 +340,12 @@ class TestExitCodes:
                         f"anchor strategy (default {sel.strategy})",
                         f"default {done.tolerance:g}", f"default {done.max_iters}"):
             assert default in text
+        with pytest.raises(SystemExit):
+            main(["generate", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        hk = inspect.signature(gen_holme_kim).parameters
+        for flag, name in (("--n N", "n"), ("--m M", "m"), ("--p-triad P_TRIAD", "p_triad")):
+            assert re.search(rf"{flag} holme-kim .*?\(default {hk[name].default}\)", text)
 
     @pytest.mark.parametrize(
         "argv",
@@ -427,17 +435,14 @@ class TestExitCodes:
         "metric, extra, flag",
         [
             (["E_m", "--est", "e.csv", "--edges", "g.txt"], ["--layout", "l.csv"], "--layout"),
-            (["E_a", "--est", "e.csv", "--edges", "g.txt"], ["--bin-width", "7"], "--bin-width"),
             (["E_m", "--est", "e.csv", "--edges", "g.txt"], ["--map", "m.csv"], "--map"),
-            (["E", "--map", "m.csv", "--baseline", "b.csv", "--anchor-ids", "1,2"],
-             ["--bin-width", "7"], "--bin-width"),
             (["E", "--map", "m.csv", "--baseline", "b.csv", "--anchor-ids", "1,2"],
              ["--edges", "g.txt"], "--edges"),
             (["E_TP", "--map", "m.csv", "--layout", "l.csv"], ["--baseline", "b.csv"], "--baseline"),
             (["E_TP", "--map", "m.csv", "--layout", "l.csv"], ["--anchor-ids", "1,2"], "--anchor-ids"),
             (["E_TP", "--map", "m.csv", "--layout", "l.csv"], ["--est", "e.csv"], "--est"),
         ],
-        ids=["em-layout", "ea-bin-width", "em-map", "e-bin-width", "e-edges", "etp-baseline",
+        ids=["em-layout", "em-map", "e-edges", "etp-baseline",
              "etp-anchor-ids", "etp-est"],
     )
     def test_eval_refuses_other_metrics_flags(self, tmp_path, capsys, metric, extra, flag):
@@ -446,6 +451,15 @@ class TestExitCodes:
         rc = main(["eval", "--metric", *metric, *extra, "--out", str(out)])
         assert rc == EXIT_USAGE
         assert f"argument {flag}: not allowed with --metric {metric[0]}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_eval_bin_width_is_no_flag(self, tmp_path, capsys):
+        # E_TP's scan lines lie one grid unit apart, as in the sweep
+        out = tmp_path / "score.csv"
+        rc = main(["eval", "--metric", "E_TP", "--map", "m.csv", "--layout", "l.csv",
+                   "--bin-width", "2", "--out", str(out)])
+        assert rc == EXIT_USAGE
+        assert "unrecognized arguments: --bin-width 2" in capsys.readouterr().err
         assert not out.exists()
 
     def test_tpm_requires_one_source(self, tmp_path):
@@ -471,12 +485,10 @@ class TestExitCodes:
             (["complete", "--input", "{obs}", "--tolerance", "-1"], "--tolerance"),
             (["tpm", "--input", "{obs}", "--tolerance", "0"], "--tolerance"),
             (["complete", "--input", "{obs}", "--max-iters", "0"], "--max-iters"),
-            (["eval", "--metric", "E_TP", "--map", "{obs}.csv", "--layout", "{obs}.csv",
-              "--bin-width", "0"], "--bin-width"),
         ],
         ids=["spectrum-anchors", "sample-anchors", "tpm-anchors", "fraction-above",
              "fraction-below", "fraction-one", "complete-tolerance", "tpm-tolerance",
-             "max-iters", "bin-width"],
+             "max-iters"],
     )
     def test_out_of_range_number_is_usage_error(self, hk_edges, tmp_path, capsys, argv, flag):
         # refused by the parser, before any input is read or output written
@@ -777,7 +789,8 @@ class TestConfigKeys:
     @pytest.mark.parametrize("mode", ["vc", "random_entry"])
     @pytest.mark.parametrize("key, value", [("k", 3), ("bin_width", 2.0)])
     def test_map_dimension_and_scan_width_are_no_keys(self, tmp_path, capsys, mode, key, value):
-        # a map takes its layout's dimension, E_TP its generator's pitch
+        # a map takes its layout's dimension, and E_TP's scan lines lie one
+        # grid unit apart
         rc, err = self._run(tmp_path, capsys, {"mode": mode, key: value})
         assert rc == EXIT_DATA
         assert err.startswith(f"error: unknown config key(s) ['{key}']; accepted keys: [")
@@ -801,6 +814,16 @@ class TestConfigKeys:
         rc, err = self._run(tmp_path, capsys, {"network": {"kind": "concave", "widht": 20}})
         assert rc == EXIT_DATA
         assert err.startswith("error:") and "widht" in err
+
+    @pytest.mark.parametrize("key", ["pitch", "jitter", "comm_radius", "max_retries"])
+    def test_placement_is_no_param(self, tmp_path, capsys, key):
+        # every layout shares one placement: a unit grid, netgen's JITTER,
+        # RADIUS and MAX_RETRIES
+        network = {"kind": "concave", "params": {key: 1}}
+        rc, err = self._run(tmp_path, capsys, {"network": network})
+        assert rc == EXIT_DATA
+        assert err.startswith(f"error: unknown concave network key(s) ['{key}']; accepted keys: [")
+        assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize(
         "network, message",

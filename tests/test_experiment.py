@@ -79,7 +79,7 @@ class TestConfigLoading:
     def test_inline_params_and_procedures_list(self, tmp_path):
         # network params go under "params" only; inline they are unknown keys
         raw = {
-            "network": {"kind": "concave", "seed": 2, "params": {"pitch": 2.0}},
+            "network": {"kind": "concave", "seed": 2, "params": {"width": 12}},
             "anchors": {"strategy": "degree", "m": 10},
             "procedures": ["grammian", "p-completion"],
             "completion": {"tolerance": 1e-4, "max_iters": 100},
@@ -88,24 +88,23 @@ class TestConfigLoading:
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(raw))
         cfg = load_config(p)
-        assert cfg.network.params == {"pitch": 2.0}
+        assert cfg.network.params == {"width": 12}
         assert cfg.anchors.strategy == "degree" and cfg.anchors.m == 10
         assert cfg.procedures == ("grammian", "p-completion")
         assert cfg.completion.tolerance == 1e-4
         assert cfg.fractions == (0.1, 0.2, 0.4, 0.6, 0.8)
         assert cfg.repeats == 100
-        raw["network"] = {"kind": "concave", "seed": 2, "pitch": 2.0}
+        raw["network"] = {"kind": "concave", "seed": 2, "width": 12}
         p.write_text(json.dumps(raw))
-        with pytest.raises(ValueError, match=r"unknown network key\(s\) \['pitch'\]"):
+        with pytest.raises(ValueError, match=r"unknown network key\(s\) \['width'\]"):
             load_config(p)
 
     def test_optional_params_take_null(self, tmp_path):
         p = tmp_path / "cfg.json"
-        voids = [[-5, 4.5, 2.1], [5, -3, 2.1]]
         p.write_text(json.dumps({
-            "network": {"kind": "circular", "params": {"comm_radius": None, "voids": voids}},
+            "network": {"kind": "edges", "params": {"path": "net.txt", "target_n": None}},
         }))
-        assert load_config(p).network.params == {"comm_radius": None, "voids": voids}
+        assert load_config(p).network.params == {"path": "net.txt", "target_n": None}
         with pytest.raises(ValueError, match="'target_n' must be int or null, got 1.5"):
             NetworkSpec("edges", params={"path": "net.txt", "target_n": 1.5})
         # typing.Optional and the X | None union read alike
@@ -166,15 +165,6 @@ class TestBuildNetwork:
         assert layout is not None and layout.dim == 2
         assert layout.n == g.n
         assert name == f"circular-{g.n}"
-
-    def test_placement_params_split_from_geometry(self):
-        small = build_network(
-            NetworkSpec("concave", seed=1, params={"width": 8, "height": 7, "jitter": 0.0})
-        )
-        g, layout, _ = small
-        assert layout.n == g.n
-        # jitter 0 leaves points exactly on the integer grid
-        assert np.allclose(layout.coords, np.round(layout.coords))
 
     def test_edge_list_with_bfs_ball(self, tmp_path):
         g0, _, _ = build_network(
@@ -275,24 +265,6 @@ class TestVcSweep:
         for name in ("baseline", "f20"):
             assert read_points(tmp_path / "r" / f"tpm_p-completion_{name}.csv").coords.shape == (n, dim)
         assert {r.metric for r in res.reports} == ({"E"} if dim == 3 else {"E", "E_TP"})
-
-    def test_scan_lines_follow_the_pitch(self, tmp_path):
-        # a wider pitch scales the layout and the radio range alike: the
-        # graph, the maps and the grid rows stay, so every value does
-        def runs(name, params):
-            cfg = _tiny_vc_config(
-                tmp_path / name,
-                network=NetworkSpec("concave", params=params),
-                procedures=("grammian", "p-completion"),
-                fractions=(0.2, 0.6),
-                seed=3,
-            )
-            run_experiment(cfg)
-            return (tmp_path / name / "runs.csv").read_bytes()
-
-        default = runs("default", {})
-        assert b",E_TP," in default
-        assert runs("wide", {"pitch": 2.0}) == default
 
     def test_both_procedures(self, tmp_path):
         cfg = _tiny_vc_config(

@@ -108,6 +108,12 @@ LAYOUTS = [
 ]
 
 
+@pytest.fixture
+def clean_grid(monkeypatch):
+    """Layouts placed without noise, exactly on their grid."""
+    monkeypatch.setattr(netgen, "JITTER", 0.0)
+
+
 class TestLayoutGenerators:
     @pytest.mark.parametrize("fn,target,dim", LAYOUTS)
     def test_count_band_connectivity_dim(self, fn, target, dim):
@@ -128,14 +134,24 @@ class TestLayoutGenerators:
         counts = {gen_concave_2d(GeneratorConfig(seed=s))[0].n for s in range(3)}
         assert len(counts) == 1
 
-    def test_concave_region_is_notched(self):
-        pc, _ = gen_concave_2d(GeneratorConfig(seed=1, jitter=0.0))
+    @pytest.mark.parametrize(
+        "fn, n",
+        [(gen_concave_2d, 555), (gen_circular_voids_2d, 496), (gen_cube_void_3d, 1640),
+         (gen_t_cylinder_3d, 1213)],
+    )
+    def test_exact_node_counts(self, fn, n):
+        # the counts each generator's docstring gives
+        assert {fn(GeneratorConfig(seed=s))[0].n for s in (0, 5)} == {n}
+        assert f"{n} nodes" in " ".join(fn.__doc__.split())
+
+    def test_concave_region_is_notched(self, clean_grid):
+        pc, _ = gen_concave_2d(GeneratorConfig(seed=1))
         x, y = pc.coords[:, 0], pc.coords[:, 1]
         assert not np.any((x > 8.5) & (x < 21.5) & (y > 9.5))
         assert np.any((x < 8.5) & (y > 20))  # left arm of the U survives
 
-    def test_circular_voids_cut_out(self):
-        pc, _ = gen_circular_voids_2d(GeneratorConfig(seed=1, jitter=0.0))
+    def test_circular_voids_cut_out(self, clean_grid):
+        pc, _ = gen_circular_voids_2d(GeneratorConfig(seed=1))
         r2 = (pc.coords ** 2).sum(axis=1)
         assert np.all(r2 <= 13.0 ** 2)
         d2 = (pc.coords[:, 0] + 5.5) ** 2 + (pc.coords[:, 1] - 4.5) ** 2
@@ -145,16 +161,16 @@ class TestLayoutGenerators:
         with pytest.raises(ValueError):
             gen_circular_voids_2d(GeneratorConfig(seed=0), voids=((0.0, 0.0, 2.0),))
 
-    def test_hourglass_waist_removed(self):
-        pc, _ = gen_cube_void_3d(GeneratorConfig(seed=1, jitter=0.0))
+    def test_hourglass_waist_removed(self, clean_grid):
+        pc, _ = gen_cube_void_3d(GeneratorConfig(seed=1))
         c = 5.5
         radial = np.hypot(pc.coords[:, 0] - c, pc.coords[:, 1] - c)
         cone = 2.5 * np.abs(pc.coords[:, 2] - c) / c
         assert np.all(radial > cone)
 
-    def test_t_cylinder_surfaces_and_hole(self):
+    def test_t_cylinder_surfaces_and_hole(self, clean_grid):
         # radius 3, bar along x over [0, 40], stem along z from x = 20
-        pc, _ = gen_t_cylinder_3d(GeneratorConfig(seed=1, jitter=0.0))
+        pc, _ = gen_t_cylinder_3d(GeneratorConfig(seed=1))
         _, y, z = pc.coords.T
         on_bar = np.abs(y ** 2 + z ** 2 - 9.0) < 1e-9
         bar, stem = pc.coords[on_bar], pc.coords[~on_bar]
@@ -172,15 +188,32 @@ class TestLayoutGenerators:
     @pytest.mark.parametrize(
         "geometry", [{}, {"radius": 2.5, "bar_length": 12, "stem_length": 9, "ring_points": 13}]
     )
-    def test_t_cylinder_matches_point_by_point_oracle(self, geometry):
-        pc, _ = gen_t_cylinder_3d(GeneratorConfig(seed=2, jitter=0.0), **geometry)
+    def test_t_cylinder_matches_point_by_point_oracle(self, clean_grid, geometry):
+        pc, _ = gen_t_cylinder_3d(GeneratorConfig(seed=2), **geometry)
         assert pc.coords.tobytes() == naive_t_cylinder_points(**geometry).tobytes()
 
     def test_retry_exhaustion_errors(self):
-        # two far-apart clusters can never connect within 5 radius bumps
-        cfg = GeneratorConfig(seed=0, comm_radius=0.4, max_retries=2)
-        with pytest.raises(ValueError):
-            gen_concave_2d(cfg)
+        # a notch through every row splits the grid into two blocks 16 apart,
+        # which no radius up to 1.8 * 1.1**5 can bridge
+        with pytest.raises(ValueError, match="stayed disconnected after 5 radius increases"):
+            gen_concave_2d(GeneratorConfig(seed=0), notch=(5.5, 20.5, -1.0))
+
+    def test_retry_connects_at_a_wider_radius(self, monkeypatch):
+        # a thin t-cylinder whose seed-0 placement connects only on the
+        # fourth attempt, each radius 10% wider than the last
+        radii = []
+
+        def connect(pc, radius):
+            radii.append(radius)
+            return unit_disk_connect(pc, radius)
+
+        monkeypatch.setattr(netgen, "unit_disk_connect", connect)
+        pc, g = gen_t_cylinder_3d(
+            GeneratorConfig(seed=0), ring_points=7, bar_length=6, stem_length=4
+        )
+        assert radii == [1.8, 1.8 * 1.1, 1.8 * 1.1 * 1.1, 1.8 * 1.1 * 1.1 * 1.1]
+        assert is_connected(g)
+        assert np.array_equal(g.edges, unit_disk_connect(pc, radii[-1]).edges)
 
 
 class TestHolmeKim:

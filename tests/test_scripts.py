@@ -66,3 +66,19 @@ def test_spectrum_study_anchor_count_out_of_range(tmp_path, anchors):
     assert proc.returncode == 2
     assert "--anchors" in proc.stderr and "Traceback" not in proc.stderr
     assert not out.exists()
+
+
+
+@pytest.mark.parametrize(
+    "graph, flag",
+    [(("--n", "80", "--m", "0"), "--m"), (("--n", "80", "--p-triad", "2"), "--p-triad"),
+     (("--n", "80", "--p-triad", "-0.5"), "--p-triad"), (("--n", "3", "--m", "3"), "--n")],
+    ids=["m-zero", "p-triad-above", "p-triad-below", "n-not-above-m"],
+)
+def test_spectrum_study_graph_out_of_range(tmp_path, graph, flag):
+    # refused before the graph is drawn or --out is made
+    out = tmp_path / "study"
+    proc = _spectrum_study(*graph, "--anchors", "2", "--probe-index", "2", "--out", str(out))
+    assert proc.returncode == 2
+    assert f"error: {flag} must" in proc.stderr and "Traceback" not in proc.stderr
+    assert not out.exists()
