@@ -23,10 +23,9 @@ from hopmap.netgen import gen_holme_kim, write_spectrum
 from hopmap.sampling import STRATEGIES, AnchorSelection, select_anchors
 
 
-def run(args):
+def run(args, g):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    g = gen_holme_kim(args.n, args.m, args.p_triad, seed=args.seed)
     h = all_pairs_hops(g)
     h.require_finite()
 
@@ -73,17 +72,15 @@ if __name__ == "__main__":
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--out", default="results/spectra")
     args = ap.parse_args()
-    # the graph needs n > m >= 1 and p_triad in [0, 1], the hop and
-    # adjacency spectra hold n values each, and every strategy picks its
-    # anchors from the n nodes; all are checked before --out is made
-    if args.m < 1:
-        ap.error(f"--m must be at least 1, got {args.m}")
-    if args.n <= args.m:
-        ap.error(f"--n must exceed --m={args.m}, got {args.n}")
-    if not 0.0 <= args.p_triad <= 1.0:
-        ap.error(f"--p-triad must be in [0, 1], got {args.p_triad}")
+    # the hop and adjacency spectra hold n values each, every strategy
+    # picks its anchors from the n nodes, and gen_holme_kim refuses an
+    # out-of-range --n, --m or --p-triad; all before --out is made
     if not 1 <= args.probe_index <= args.n:
         ap.error(f"--probe-index must be in [1, --n={args.n}], got {args.probe_index}")
     if not 1 <= args.anchors <= args.n:
         ap.error(f"--anchors must be in [1, --n={args.n}], got {args.anchors}")
-    run(args)
+    try:
+        g = gen_holme_kim(args.n, args.m, args.p_triad, seed=args.seed)
+    except ValueError as e:
+        ap.error(f"--n {args.n}, --m {args.m}, --p-triad {args.p_triad}: {e}")
+    run(args, g)

@@ -101,6 +101,11 @@ class TestConfigLoading:
 
     def test_optional_params_take_null(self, tmp_path):
         p = tmp_path / "cfg.json"
+        voids = [[-5, 4.5, 2.1], [5, -3, 2.1]]
+        p.write_text(json.dumps({
+            "network": {"kind": "circular", "params": {"voids": voids}},
+        }))
+        assert load_config(p).network.params == {"voids": voids}
         p.write_text(json.dumps({
             "network": {"kind": "edges", "params": {"path": "net.txt", "target_n": None}},
         }))
