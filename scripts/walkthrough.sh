@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# README's command-line walkthrough, line for line: the layout that
-# generate writes and the maps that tpm writes, read back by eval, then an
-# entry-mode observation completed and scored by E_m, whose 555 x 555
+# README's command-line walkthrough, command for command (a test pins
+# this): the layout that generate writes and the maps that tpm writes from
+# complete's matrix, read back by eval, then an entry-mode observation
+# completed and scored by E_m, whose 555 x 555
 # completion takes the randomized SVT path (about 15 s in all, 4-5 s of it
 # that completion, on a 2-core VM with one BLAS thread), and a one-repeat
 # sweep on a 12 x 10 layout whose printed table must list its fractions by
@@ -18,10 +19,7 @@ hopmap spectrum --input net/concave_edges.txt --matrix-kind hdm --centered --out
 hopmap sample   --input net/concave_edges.txt --mode vc --anchors 20 --fraction 0.6 \
                 --strategy random --seed 1 --out obs
 hopmap complete --input obs --out done --trace trace.csv
-hopmap tpm      --input obs --procedure p-completion --k 2 --out map.csv
-# complete writes the matrix that tpm --input maps
-python -c "import numpy as np; from hopmap.netgen import write_points; from hopmap.tpm import MAP_EXTRACTORS; write_points(MAP_EXTRACTORS['p-completion'](np.loadtxt('done', delimiter=','), 2), 'done_map.csv')"
-cmp done_map.csv map.csv
+hopmap tpm      --matrix done --procedure p-completion --k 2 --out map.csv
 hopmap tpm      --edges net/concave_edges.txt --procedure p-completion --k 2 \
                 --anchors 20 --seed 1 --out map0.csv
 hopmap eval     --metric E    --map map.csv --baseline map0.csv --anchor-ids obs.anchors.txt
@@ -34,10 +32,20 @@ hopmap experiment --config sweep.json > sweep.log
 cat sweep.log
 # the table lists the fractions by value (as text, 1e-05 would come last)
 test "$(grep -o 'f=[^ ]*' sweep.log | uniq | tr '\n' ' ')" = "f=1e-05 f=0.1 "
-# an anchor flag that --input would ignore is a usage error (exit 1)
-rc=0; hopmap tpm --input obs --anchors 5 --out x.csv || rc=$?
+# an anchor flag that --matrix would ignore is a usage error (exit 1)
+rc=0; hopmap tpm --matrix done --anchors 5 --out x.csv || rc=$?
 test "$rc" -eq 1
-# so is a completion flag with --edges, and another metric's flag
+# so is an anchor seed that a centrality strategy would ignore
+rc=0; hopmap tpm --edges net/concave_edges.txt --strategy degree --seed 5 --out x.csv || rc=$?
+test "$rc" -eq 1
+# and so are the second forms of an input: tpm maps only a completed
+# matrix, and spectrum reads a matrix file as --matrix-kind file
+rc=0; hopmap tpm --input obs --out x.csv || rc=$?
+test "$rc" -eq 1
+rc=0; hopmap spectrum --input done --format matrix --out x.csv || rc=$?
+test "$rc" -eq 1
+test ! -e x.csv
+# so is a completion flag outside complete, and another metric's flag
 rc=0; hopmap tpm --edges net/concave_edges.txt --tolerance 0.5 --out x.csv || rc=$?
 test "$rc" -eq 1
 rc=0; hopmap eval --metric E_m --est ent_done.csv --edges net/concave_edges.txt \

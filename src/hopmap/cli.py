@@ -20,7 +20,7 @@ from .experiment import (
     summarize,
 )
 from .graph import all_pairs_hops
-from .lowrank import CompletionConfig, CompletionResult, normalized_spectrum
+from .lowrank import CompletionConfig, normalized_spectrum
 from .metrics import (
     hdm_absolute_error,
     hdm_mean_error,
@@ -31,7 +31,6 @@ from .metrics import (
 from .netgen import (
     gen_holme_kim,
     load_snap_edge_list,
-    parse_ids,
     read_ids,
     read_matrix,
     read_points,
@@ -88,7 +87,7 @@ def _checked(convert, ok, rule: str):
 _positive_int = _checked(int, lambda v: v >= 1, "at least 1")
 _positive_float = _checked(float, lambda v: v > 0.0, "positive")
 _fraction = _checked(float, lambda v: 0.0 <= v < 1.0, "in [0, 1)")
-_probability = _checked(float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
+_seed = _checked(int, lambda v: v >= 0, "at least 0")
 
 # the parameters of gen_holme_kim, whose defaults `generate` takes and shows
 _HOLME_KIM = inspect.signature(gen_holme_kim).parameters
@@ -109,43 +108,44 @@ def _build_parser() -> _Parser:
 
     g = sub.add_parser("generate", help="emit a network edge list (+ layout)")
     g.add_argument("--net", required=True, choices=sorted(GENERATORS) + ["holme-kim"])
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=_seed, default=0)
     g.add_argument("--out", default=".", help="output directory")
     g.add_argument("--n", type=int, default=None, help=f"holme-kim node count, above --m (default {_HOLME_KIM['n'].default})")
-    g.add_argument("--m", type=_positive_int, default=None, help=f"holme-kim edges per node (default {_HOLME_KIM['m'].default})")
-    g.add_argument("--p-triad", type=_probability, default=None, help=f"holme-kim (default {_HOLME_KIM['p_triad'].default})")
+    g.add_argument("--m", type=int, default=None, help=f"holme-kim edges per node (default {_HOLME_KIM['m'].default})")
+    g.add_argument("--p-triad", type=float, default=None, help=f"holme-kim (default {_HOLME_KIM['p_triad'].default})")
 
     s = sub.add_parser("spectrum", help="normalized singular values as CSV")
-    s.add_argument("--input", required=True, help="edge list or dense matrix CSV")
-    s.add_argument("--format", choices=["edges", "matrix"], default="edges")
+    s.add_argument("--input", required=True, help="edge list, or a matrix CSV with --matrix-kind file")
     s.add_argument(
-        "--matrix-kind", choices=["hdm", "adjacency", "vc"], default=None,
-        help="what to build from an edge list (default hdm)",
+        "--matrix-kind", choices=["hdm", "adjacency", "vc", "file"], default="hdm",
+        help="what to build from the edge list, or file: the input is the matrix (default hdm)",
     )
     s.add_argument("--centered", action="store_true")
     s.add_argument("--top", type=_positive_int, default=None, help="keep first K >= 1 values")
-    s.add_argument("--seed", type=int, default=None, help=f"vc anchor seed (default {AnchorSelection.seed})")
+    s.add_argument("--seed", type=_seed, default=None, help=f"vc anchor seed (default {AnchorSelection.seed})")
     s.add_argument("--out", required=True, help="output CSV path")
 
     p = sub.add_parser("sample", help="draw a partial observation of P or H")
     p.add_argument("--input", required=True, help="edge list path")
     p.add_argument("--mode", choices=MODES, default="vc")
     p.add_argument("--fraction", type=_fraction, required=True, help="missing fraction in [0, 1)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True, help="observation base path (no suffix)")
 
     c = sub.add_parser("complete", help="complete an observation as the sweep of its mode does")
     c.add_argument("--input", required=True, help="observation base path")
     c.add_argument("--out", required=True, help="completed matrix CSV path")
     c.add_argument("--trace", default=None, help="iteration trace CSV path")
+    c.add_argument("--tolerance", type=_positive_float, default=None, help=f"default {CompletionConfig.tolerance:g}")
+    c.add_argument("--max-iters", type=_positive_int, default=None, help=f"default {CompletionConfig.max_iters}")
 
-    t = sub.add_parser("tpm", help="topology map from observations or full VCs")
+    t = sub.add_parser("tpm", help="topology map from a completed matrix or full VCs")
     source = t.add_mutually_exclusive_group(required=True)
-    source.add_argument("--input", help="observation base path")
+    source.add_argument("--matrix", help="completed hop-matrix CSV, as complete writes it")
     source.add_argument("--edges", help="edge list for the full-VC map")
     t.add_argument("--procedure", choices=PROCEDURES, default="p-completion")
     t.add_argument("--k", type=int, default=2, choices=[2, 3])
-    t.add_argument("--seed", type=int, default=None, help=f"anchor seed (default {AnchorSelection.seed})")
+    t.add_argument("--seed", type=_seed, default=None, help=f"anchor seed (default {AnchorSelection.seed})")
     t.add_argument("--out", required=True, help="map CSV path")
 
     # generate's holme-kim flags and the anchor and completion flags
@@ -155,15 +155,12 @@ def _build_parser() -> _Parser:
     for anchored in (s, p, t):
         anchored.add_argument("--anchors", type=_positive_int, default=None, help=f"anchor count (default {AnchorSelection.m})")
         anchored.add_argument("--strategy", choices=STRATEGIES, default=None, help=f"anchor strategy (default {AnchorSelection.strategy})")
-    for completing in (c, t):
-        completing.add_argument("--tolerance", type=_positive_float, default=None, help=f"default {CompletionConfig.tolerance:g}")
-        completing.add_argument("--max-iters", type=_positive_int, default=None, help=f"default {CompletionConfig.max_iters}")
 
     e = sub.add_parser("eval", help="score a map or completed matrix")
     e.add_argument("--metric", required=True, choices=list(EVAL_FLAGS))
     e.add_argument("--map", default=None)
     e.add_argument("--baseline", default=None, help="reference map CSV (metric E)")
-    e.add_argument("--anchor-ids", default=None, help="comma-separated ids or a file of them (metric E)")
+    e.add_argument("--anchor-ids", default=None, help="anchor ids file, as sample writes it (metric E)")
     e.add_argument("--layout", default=None, help="layout CSV (metric E_TP)")
     e.add_argument("--est", default=None, help="completed matrix CSV (E_m, E_a)")
     e.add_argument("--edges", default=None, help="edge list of the true graph")
@@ -172,7 +169,7 @@ def _build_parser() -> _Parser:
     x = sub.add_parser("experiment", help="Monte-Carlo sweep from a JSON config")
     x.add_argument("--config", required=True)
     x.add_argument("--out", default=None, help="override output directory")
-    x.add_argument("--seed", type=int, default=None, help="override seed")
+    x.add_argument("--seed", type=_seed, default=None, help="override seed")
 
     return parser
 
@@ -181,12 +178,14 @@ def _cmd_generate(args) -> int:
     params = _given(args, "n", "m", "p_triad")
     if args.net != "holme-kim":
         _refuse_given(args, params, f"with --net {args.net}, a layout of fixed size")
-    n, m = (params.get(k, _HOLME_KIM[k].default) for k in ("n", "m"))
-    if n <= m:
-        raise SystemExit_(
-            EXIT_USAGE, f"hopmap generate: error: argument --n: must exceed --m ({m}), got {n}"
-        )
-    g, layout, _ = build_network(NetworkSpec(kind=args.net, seed=args.seed, params=params))
+    try:
+        g, layout, _ = build_network(NetworkSpec(kind=args.net, seed=args.seed, params=params))
+    except ValueError as exc:
+        if args.net != "holme-kim":
+            raise
+        # generate reads no file: gen_holme_kim refused the flags' values
+        given = ", ".join(f"{_flag(k)} {params.get(k, _HOLME_KIM[k].default)}" for k in ("n", "m", "p_triad"))
+        raise SystemExit_(EXIT_USAGE, f"hopmap generate: error: {given}: {exc}") from None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     edges = out / f"{args.net}_edges.txt"
@@ -203,6 +202,12 @@ def _selection(args) -> AnchorSelection:
     """The anchors that --anchors, --strategy and --seed select, at AnchorSelection's defaults."""
     sel = AnchorSelection(**_given(args, "strategy", "seed"))
     return sel if args.anchors is None else replace(sel, m=args.anchors)
+
+
+def _refuse_unseeded(args) -> None:
+    """Refuse --seed with a --strategy that ranks by centrality and draws nothing."""
+    if args.strategy not in (None, "random"):
+        _refuse_given(args, ("seed",), f"with --strategy {args.strategy}, which draws no anchors at random")
 
 
 def _given(args, *names) -> dict:
@@ -223,7 +228,7 @@ def _refuse_given(args, names, where: str) -> None:
 
 
 def _spectrum_matrix(args) -> np.ndarray:
-    if args.format == "matrix":
+    if args.matrix_kind == "file":
         return read_matrix(args.input)
     g, _ = load_snap_edge_list(args.input)
     if args.matrix_kind == "adjacency":
@@ -234,11 +239,10 @@ def _spectrum_matrix(args) -> np.ndarray:
 
 
 def _cmd_spectrum(args) -> int:
-    if args.format == "matrix":
-        _refuse_given(args, ("matrix_kind",), "with --format matrix, which is read as given")
-    if args.format == "matrix" or args.matrix_kind != "vc":
-        kind = "--format matrix" if args.format == "matrix" else f"--matrix-kind {args.matrix_kind or 'hdm'}"
-        _refuse_given(args, ("anchors", "strategy", "seed"), f"with {kind}, which selects no anchors")
+    if args.matrix_kind != "vc":
+        where = f"with --matrix-kind {args.matrix_kind}, which selects no anchors"
+        _refuse_given(args, ("anchors", "strategy", "seed"), where)
+    _refuse_unseeded(args)
     m = _spectrum_matrix(args)
     values = normalized_spectrum(m, center=args.centered)
     if args.top is not None:
@@ -265,17 +269,13 @@ def _cmd_sample(args) -> int:
     return EXIT_OK
 
 
-def _complete(args) -> CompletionResult:
-    """The completion of the observation at --input by its mode's
-    completer: random_entry's for a symmetric header, vc's for a general one."""
+def _cmd_complete(args) -> int:
+    # each kind of file by its mode's completer: random_entry's for a
+    # symmetric header, vc's for a general one
     o = load_observed(args.input)
     cfg = CompletionConfig(**_given(args, "tolerance", "max_iters"))
-    return MODES["random_entry" if o.symmetric else "vc"].complete(o, cfg)
-
-
-def _cmd_complete(args) -> int:
     try:
-        res = _complete(args)
+        res = MODES["random_entry" if o.symmetric else "vc"].complete(o, cfg)
     except CompletionFailure as exc:
         # still written, with converged false in its meta file
         res = exc.result
@@ -299,27 +299,16 @@ def _cmd_complete(args) -> int:
 
 def _cmd_tpm(args) -> int:
     if args.edges is not None:
-        _refuse_given(args, ("tolerance", "max_iters"), "with --edges, which completes nothing")
+        _refuse_unseeded(args)
         g, _ = load_snap_edge_list(args.edges)
         hops = MODES["vc"].truth(g, _selection(args)).as_float()
     else:
-        _refuse_given(args, ("anchors", "strategy", "seed"), "with --input, which selects no anchors")
-        hops = _complete(args).completed
+        _refuse_given(args, ("anchors", "strategy", "seed"), "with --matrix, which selects no anchors")
+        hops = read_matrix(args.matrix)
     tm = MAP_EXTRACTORS[args.procedure](hops, args.k)
     write_points(tm, args.out)
     print(f"wrote {args.out} ({tm.n} points, k={tm.dim})")
     return EXIT_OK
-
-
-def _anchor_ids(spec: str) -> np.ndarray:
-    """The ids --anchor-ids gives: a file of them, such as the .anchors.txt
-    sidecar that `sample --mode vc` writes, or the comma-separated list."""
-    if Path(spec).is_file():
-        return read_ids(spec)
-    try:
-        return parse_ids(spec)
-    except ValueError as exc:
-        raise SystemExit_(EXIT_USAGE, f"hopmap eval: error: argument --anchor-ids: {exc}") from None
 
 
 def _cmd_eval(args) -> int:
@@ -330,7 +319,7 @@ def _cmd_eval(args) -> int:
     if missing:
         raise SystemExit_(EXIT_USAGE, f"eval --metric {args.metric} needs " + ", ".join(missing))
     if args.metric == "E":
-        ids = _anchor_ids(args.anchor_ids)
+        ids = read_ids(args.anchor_ids)
         value = mean_distance_error(read_points(args.map), read_points(args.baseline), ids)
     elif args.metric == "E_TP":
         layout = read_points(args.layout)

@@ -166,6 +166,8 @@ class NetworkSpec:
         if self.kind not in known:
             raise ValueError(f"unknown network kind {self.kind!r}; choose from {known}")
         _read_block(self.params, _network_params(self.kind), f"{self.kind} network")
+        if self.seed < 0:
+            raise ValueError(f"network.seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -184,6 +186,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not self.fractions:
             raise ValueError("fractions must list at least one fraction")
         for f in self.fractions:
@@ -267,6 +271,15 @@ def _vc_scoring(cfg, truth, layout, out):
     layout's dimension (2 without a layout), scored by E against its map
     of the full anchor matrix and, on 2-D layouts, by E_TP over the grid
     rows one unit apart; the first repeat's maps are written."""
+    # a fraction's maps are named by its percent, which two fractions may round to
+    names = {f: f"f{int(round(100 * f))}" for f in cfg.fractions}
+    first = {}
+    for f, name in names.items():
+        other = first.setdefault(name, f)
+        if other != f:
+            raise ValueError(
+                f"fractions {other!r} and {f!r} would both write tpm_{cfg.procedures[0]}_{name}.csv"
+            )
     k = 2 if layout is None else layout.dim
     baselines = {p: MAP_EXTRACTORS[p](truth.as_float(), k) for p in cfg.procedures}
     lines = None
@@ -277,7 +290,7 @@ def _vc_scoring(cfg, truth, layout, out):
     def score(procedure, f, rep, hops):
         tm = MAP_EXTRACTORS[procedure](hops, k)
         if rep == 0:
-            write_tpm(tm, out / f"tpm_{procedure}_f{int(round(100 * f))}.csv")
+            write_tpm(tm, out / f"tpm_{procedure}_{names[f]}.csv")
         yield "E", mean_distance_error(tm, baselines[procedure], truth.anchor_ids)
         if lines is not None:
             # SVD maps are rotated arbitrarily; match axes before scanning

@@ -440,16 +440,11 @@ def write_ids(ids, path: str | Path) -> None:
     Path(path).write_text(",".join(str(i) for i in ids) + "\n")
 
 
-def parse_ids(text: str) -> np.ndarray:
-    """The int64 ids of a comma-separated list. Raises ValueError naming
-    the first value that int() cannot read or that lies outside int64."""
-    return np.array([_value(v, "i") for v in text.split(",")], dtype=np.int64)
-
-
 def read_ids(path: str | Path) -> np.ndarray:
-    """The ids of a write_ids file; raises ValueError naming the file when
-    it does not hold one comma-separated list of ids."""
+    """The int64 ids of a write_ids file; raises ValueError naming the file
+    and the first value that int() cannot read or that lies outside int64."""
+    values = Path(path).read_text().strip().split(",")
     try:
-        return parse_ids(Path(path).read_text().strip())
+        return np.array([_value(v, "i") for v in values], dtype=np.int64)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

@@ -54,20 +54,24 @@ class TestGenerate:
         assert main(["generate", "--net", "dodecahedron", "--out", str(tmp_path)]) == EXIT_USAGE
 
     @pytest.mark.parametrize(
-        "flags, flag",
+        "flags, message",
         [
-            (["--n", "-5"], "--n"),
-            (["--n", "2"], "--n"),
-            (["--m", "0"], "--m"),
-            (["--p-triad", "2"], "--p-triad"),
+            (["--n", "-5"], "--n -5, --m 3, --p-triad 0.5: need n > m >= 1"),
+            (["--n", "2"], "--n 2, --m 3, --p-triad 0.5: need n > m >= 1"),
+            (["--m", "0"], "--n 500, --m 0, --p-triad 0.5: need n > m >= 1"),
+            (["--p-triad", "2"], "--n 500, --m 3, --p-triad 2.0: p_triad must be in [0, 1]"),
+            (["--n", "3", "--m", "3"], "--n 3, --m 3, --p-triad 0.5: need n > m >= 1"),
+            (["--p-triad", "nan"], "--n 500, --m 3, --p-triad nan: p_triad must be in [0, 1]"),
         ],
-        ids=["n-negative", "n-not-above-m", "m-zero", "p-triad-above-one"],
+        ids=["n-negative", "n-not-above-m", "m-zero", "p-triad-above-one", "n-equals-m",
+             "p-triad-nan"],
     )
-    def test_out_of_range_holme_kim_flag_is_usage_error(self, tmp_path, capsys, flags, flag):
+    def test_out_of_range_holme_kim_flag_is_usage_error(self, tmp_path, capsys, flags, message):
+        # gen_holme_kim's rule, with the value of each of its flags
         out = tmp_path / "net"
         rc = main(["generate", "--net", "holme-kim", *flags, "--out", str(out)])
         assert rc == EXIT_USAGE
-        assert f"argument {flag}" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"hopmap generate: error: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("flags", [["--n", "100"], ["--m", "7"], ["--p-triad", "0.9"]])
@@ -92,7 +96,7 @@ class TestSpectrum:
         m = tmp_path / "m.csv"
         np.savetxt(m, np.eye(6), delimiter=",")
         out = tmp_path / "s.csv"
-        rc = main(["spectrum", "--input", str(m), "--format", "matrix", "--out", str(out)])
+        rc = main(["spectrum", "--input", str(m), "--matrix-kind", "file", "--out", str(out)])
         assert rc == EXIT_OK
         with open(out, newline="") as fh:
             rows = list(csv.DictReader(fh))
@@ -172,7 +176,7 @@ class TestPipeline:
         assert len(trace) == meta["iterations"] + 1
 
         mp = tmp_path / "map.csv"
-        rc = main(["tpm", "--input", str(obs), "--procedure", "p-completion",
+        rc = main(["tpm", "--matrix", str(done), "--procedure", "p-completion",
                    "--k", "2", "--out", str(mp)])
         assert rc == EXIT_OK
 
@@ -182,7 +186,7 @@ class TestPipeline:
         assert rc == EXIT_OK
 
         rc = main(["eval", "--metric", "E", "--map", str(mp), "--baseline", str(base),
-                   "--anchor-ids", ids, "--out", str(tmp_path / "e.csv")])
+                   "--anchor-ids", str(anchors_file), "--out", str(tmp_path / "e.csv")])
         assert rc == EXIT_OK
         with open(tmp_path / "e.csv", newline="") as fh:
             row = list(csv.DictReader(fh))[0]
@@ -192,14 +196,16 @@ class TestPipeline:
         obs = tmp_path / "obs"
         main(["sample", "--input", str(hk_edges), "--mode", "vc", "--fraction", "0.0",
               "--anchors", "10", "--strategy", "degree", "--seed", "3", "--out", str(obs)])
+        done = tmp_path / "done.csv"
+        assert main(["complete", "--input", str(obs), "--out", str(done)]) == EXIT_OK
         maps = {}
         for procedure in ("p-completion", "grammian"):
             mp = tmp_path / f"map_{procedure}.csv"
-            main(["tpm", "--input", str(obs), "--procedure", procedure,
+            main(["tpm", "--matrix", str(done), "--procedure", procedure,
                   "--k", "2", "--out", str(mp)])
             base = tmp_path / f"base_{procedure}.csv"
             main(["tpm", "--edges", str(hk_edges), "--procedure", procedure, "--k", "2",
-                  "--anchors", "10", "--strategy", "degree", "--seed", "3", "--out", str(base)])
+                  "--anchors", "10", "--strategy", "degree", "--out", str(base)])
             assert mp.read_bytes() == base.read_bytes()
             maps[procedure] = mp.read_bytes()
         # --edges honours --procedure: the two maps differ
@@ -207,7 +213,7 @@ class TestPipeline:
 
     def test_complete_writes_the_matrix_tpm_maps(self, hk_edges, tmp_path):
         # each kind of file is completed by its mode's completer, and tpm
-        # --input maps that matrix; np.savetxt's %.18e reads back to the
+        # --matrix maps that matrix; np.savetxt's %.18e reads back to the
         # same float64 values
         for mode, completer in experiment.MODES.items():
             obs, done = tmp_path / mode, tmp_path / f"{mode}_done.csv"
@@ -219,7 +225,7 @@ class TestPipeline:
             assert np.array_equal(hops, want)
             for procedure in experiment.PROCEDURES:
                 mp, ref = tmp_path / f"{mode}_{procedure}.csv", tmp_path / f"{mode}_{procedure}_ref.csv"
-                rc = main(["tpm", "--input", str(obs), "--procedure", procedure, "--out", str(mp)])
+                rc = main(["tpm", "--matrix", str(done), "--procedure", procedure, "--out", str(mp)])
                 assert rc == EXIT_OK
                 write_points(MAP_EXTRACTORS[procedure](hops, 2), ref)
                 assert mp.read_bytes() == ref.read_bytes()
@@ -286,8 +292,9 @@ class TestPipeline:
         obs = tmp_path / "obs"
         main(["sample", "--input", str(edges), "--mode", "vc", "--fraction", "0.1",
               "--anchors", "20", "--seed", "2", "--out", str(obs)])
-        mp = tmp_path / "map.csv"
-        main(["tpm", "--input", str(obs), "--procedure", "grammian", "--out", str(mp)])
+        done, mp = tmp_path / "done.csv", tmp_path / "map.csv"
+        assert main(["complete", "--input", str(obs), "--out", str(done)]) == EXIT_OK
+        main(["tpm", "--matrix", str(done), "--procedure", "grammian", "--out", str(mp)])
         rc = main(["eval", "--metric", "E_TP", "--map", str(mp),
                    "--layout", str(tmp_path / "concave_layout.csv")])
         assert rc == EXIT_OK
@@ -298,8 +305,9 @@ class TestPipeline:
         obs = tmp_path / "obs"
         main(["sample", "--input", str(tmp_path / "concave_edges.txt"), "--mode", "vc",
               "--fraction", "0.4", "--seed", "2", "--out", str(obs)])
-        mp = tmp_path / "map.csv"
-        main(["tpm", "--input", str(obs), "--out", str(mp)])
+        done, mp = tmp_path / "done.csv", tmp_path / "map.csv"
+        assert main(["complete", "--input", str(obs), "--out", str(done)]) == EXIT_OK
+        main(["tpm", "--matrix", str(done), "--out", str(mp)])
         turn = np.radians(37.0)
         rotation = np.array([[np.cos(turn), -np.sin(turn)], [np.sin(turn), np.cos(turn)]])
         write_points(PointCloud(coords=read_points(mp).coords @ rotation), tmp_path / "rot.csv")
@@ -337,8 +345,12 @@ class TestExitCodes:
         text = " ".join(capsys.readouterr().out.split())
         sel, done = AnchorSelection(), CompletionConfig()
         for default in (f"anchor seed (default {sel.seed})", f"anchor count (default {sel.m})",
-                        f"anchor strategy (default {sel.strategy})",
-                        f"default {done.tolerance:g}", f"default {done.max_iters}"):
+                        f"anchor strategy (default {sel.strategy})"):
+            assert default in text
+        with pytest.raises(SystemExit):
+            main(["complete", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        for default in (f"default {done.tolerance:g}", f"default {done.max_iters}"):
             assert default in text
         with pytest.raises(SystemExit):
             main(["generate", "--help"])
@@ -386,17 +398,16 @@ class TestExitCodes:
         [
             (["--matrix-kind", "hdm"], ["--anchors", "5"], "--anchors"),
             (["--matrix-kind", "adjacency"], ["--strategy", "degree"], "--strategy"),
-            (["--format", "matrix"], ["--seed", "3"], "--seed"),
-            (["--format", "matrix"], ["--matrix-kind", "adjacency"], "--matrix-kind"),
+            (["--matrix-kind", "file"], ["--seed", "3"], "--seed"),
         ],
-        ids=["hdm", "adjacency", "matrix-file", "matrix-kind"],
+        ids=["hdm", "adjacency", "matrix-file"],
     )
     def test_spectrum_without_anchors_refuses_anchor_flags(
         self, hk_edges, tmp_path, capsys, source, extra, flag
     ):
         # only an edge list read as vc selects anchors; the refusal comes
         # before the input is read, so a missing matrix file is not reached
-        path = tmp_path / "m.csv" if "matrix" in source else hk_edges
+        path = tmp_path / "m.csv" if "file" in source else hk_edges
         out = tmp_path / "spec.csv"
         rc = main(["spectrum", "--input", str(path), *source, *extra, "--out", str(out)])
         assert rc == EXIT_USAGE
@@ -409,14 +420,12 @@ class TestExitCodes:
          (["--seed", "9"], "--seed")],
     )
     def test_tpm_input_refuses_anchor_flags(self, hk_edges, tmp_path, capsys, extra, flag):
-        # the observation file fixes the matrix; only --edges selects anchors
-        obs = tmp_path / "obs"
-        rc = main(["sample", "--input", str(hk_edges), "--fraction", "0.3", "--out", str(obs)])
-        assert rc == EXIT_OK
+        # tpm's input matrix file fixes the anchors; only --edges selects
+        # them. The refusal comes before the file is read
         out = tmp_path / "map.csv"
-        rc = main(["tpm", "--input", str(obs), *extra, "--out", str(out)])
+        rc = main(["tpm", "--matrix", str(tmp_path / "done.csv"), *extra, "--out", str(out)])
         assert rc == EXIT_USAGE
-        assert f"argument {flag}: not allowed with --input" in capsys.readouterr().err
+        assert f"argument {flag}: not allowed with --matrix" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -424,22 +433,77 @@ class TestExitCodes:
         [(["--tolerance", "0.5"], "--tolerance"), (["--max-iters", "1"], "--max-iters")],
     )
     def test_tpm_edges_refuses_completion_flags(self, hk_edges, tmp_path, capsys, extra, flag):
-        # the full-VC map completes nothing
+        # tpm completes nothing, from --edges or --matrix: only complete
+        # takes the completion flags
         out = tmp_path / "map.csv"
-        rc = main(["tpm", "--edges", str(hk_edges), *extra, "--out", str(out)])
-        assert rc == EXIT_USAGE
-        assert f"argument {flag}: not allowed with --edges" in capsys.readouterr().err
+        for source in (["--edges", str(hk_edges)], ["--matrix", str(tmp_path / "done.csv")]):
+            rc = main(["tpm", *source, *extra, "--out", str(out)])
+            assert rc == EXIT_USAGE
+            assert f"unrecognized arguments: {' '.join(extra)}" in capsys.readouterr().err
+            assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["tpm", "--input", "{obs}"],
+            ["spectrum", "--input", "{done}", "--format", "matrix"],
+            ["spectrum", "--input", "{edges}", "--format", "edges"],
+        ],
+        ids=["tpm-input", "spectrum-format-matrix", "spectrum-format-edges"],
+    )
+    def test_second_input_forms_are_usage_errors(self, hk_edges, tmp_path, capsys, argv):
+        # tpm maps the matrix that complete writes, and spectrum reads a
+        # matrix file as --matrix-kind file: neither completes or reads
+        # its input another way
+        obs, done = tmp_path / "obs", tmp_path / "done.csv"
+        main(["sample", "--input", str(hk_edges), "--fraction", "0.3", "--out", str(obs)])
+        main(["complete", "--input", str(obs), "--out", str(done)])
+        capsys.readouterr()
+        out = tmp_path / "out.csv"
+        argv = [a.format(obs=obs, done=done, edges=hk_edges) for a in argv]
+        assert main([*argv, "--out", str(out)]) == EXIT_USAGE
+        assert "error:" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["tpm", "--edges", "{edges}", "--strategy", "degree"],
+            ["tpm", "--edges", "{edges}", "--strategy", "closeness"],
+            ["spectrum", "--input", "{edges}", "--matrix-kind", "vc", "--strategy", "betweenness"],
+        ],
+        ids=["tpm-degree", "tpm-closeness", "spectrum-betweenness"],
+    )
+    def test_centrality_strategy_refuses_anchor_seed(self, hk_edges, tmp_path, capsys, argv):
+        # a centrality strategy takes the most central nodes and draws
+        # nothing, so the seed would change nothing
+        out = tmp_path / "out.csv"
+        argv = [a.format(edges=hk_edges) for a in argv]
+        assert main([*argv, "--seed", "5", "--out", str(out)]) == EXIT_USAGE
+        strategy = argv[argv.index("--strategy") + 1]
+        assert f"argument --seed: not allowed with --strategy {strategy}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sample_keeps_seed_with_centrality_strategy(self, hk_edges, tmp_path):
+        # sample's --seed also draws the deleted entries
+        masks = []
+        for seed in ("5", "6"):
+            obs = tmp_path / f"obs{seed}"
+            rc = main(["sample", "--input", str(hk_edges), "--strategy", "degree", "--anchors", "8",
+                       "--fraction", "0.5", "--seed", seed, "--out", str(obs)])
+            assert rc == EXIT_OK
+            masks.append(load_observed(obs).mask)
+        assert not np.array_equal(*masks)
 
     @pytest.mark.parametrize(
         "metric, extra, flag",
         [
             (["E_m", "--est", "e.csv", "--edges", "g.txt"], ["--layout", "l.csv"], "--layout"),
             (["E_m", "--est", "e.csv", "--edges", "g.txt"], ["--map", "m.csv"], "--map"),
-            (["E", "--map", "m.csv", "--baseline", "b.csv", "--anchor-ids", "1,2"],
+            (["E", "--map", "m.csv", "--baseline", "b.csv", "--anchor-ids", "ids.txt"],
              ["--edges", "g.txt"], "--edges"),
             (["E_TP", "--map", "m.csv", "--layout", "l.csv"], ["--baseline", "b.csv"], "--baseline"),
-            (["E_TP", "--map", "m.csv", "--layout", "l.csv"], ["--anchor-ids", "1,2"], "--anchor-ids"),
+            (["E_TP", "--map", "m.csv", "--layout", "l.csv"], ["--anchor-ids", "ids.txt"], "--anchor-ids"),
             (["E_TP", "--map", "m.csv", "--layout", "l.csv"], ["--est", "e.csv"], "--est"),
         ],
         ids=["em-layout", "em-map", "e-edges", "etp-baseline",
@@ -465,7 +529,7 @@ class TestExitCodes:
     def test_tpm_requires_one_source(self, tmp_path):
         rc = main(["tpm", "--out", str(tmp_path / "m.csv")])
         assert rc == EXIT_USAGE
-        rc = main(["tpm", "--input", "a", "--edges", "b", "--out", str(tmp_path / "m.csv")])
+        rc = main(["tpm", "--matrix", "a", "--edges", "b", "--out", str(tmp_path / "m.csv")])
         assert rc == EXIT_USAGE
 
     def test_eval_missing_companions(self, tmp_path):
@@ -483,12 +547,16 @@ class TestExitCodes:
             (["sample", "--fraction", "-0.1"], "--fraction"),
             (["sample", "--fraction", "1"], "--fraction"),
             (["complete", "--input", "{obs}", "--tolerance", "-1"], "--tolerance"),
-            (["tpm", "--input", "{obs}", "--tolerance", "0"], "--tolerance"),
             (["complete", "--input", "{obs}", "--max-iters", "0"], "--max-iters"),
+            (["generate", "--net", "concave", "--seed", "-1"], "--seed"),
+            (["spectrum", "--matrix-kind", "vc", "--seed", "-1"], "--seed"),
+            (["sample", "--fraction", "0.3", "--seed", "-2"], "--seed"),
+            (["tpm", "--edges", "{edges}", "--seed", "-1"], "--seed"),
+            (["experiment", "--config", "cfg.json", "--seed", "-1"], "--seed"),
         ],
         ids=["spectrum-anchors", "sample-anchors", "tpm-anchors", "fraction-above",
-             "fraction-below", "fraction-one", "complete-tolerance", "tpm-tolerance",
-             "max-iters"],
+             "fraction-below", "fraction-one", "complete-tolerance", "max-iters",
+             "generate-seed", "spectrum-seed", "sample-seed", "tpm-seed", "experiment-seed"],
     )
     def test_out_of_range_number_is_usage_error(self, hk_edges, tmp_path, capsys, argv, flag):
         # refused by the parser, before any input is read or output written
@@ -542,7 +610,7 @@ class TestExitCodes:
         assert err.startswith("error:") and "obs.csv" in err
         assert not (tmp_path / "done.csv").exists()
 
-    @pytest.mark.parametrize("command", ["complete", "tpm"])
+    @pytest.mark.parametrize("command", ["complete"])
     def test_negative_hop_is_data_error(self, tmp_path, capsys, command):
         # a general file holds hops; a negative one would send the geodesic
         # bounds down negative cycles
@@ -591,13 +659,14 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "spec, code, named",
         [
-            ("1,,3", EXIT_USAGE, "argument --anchor-ids: non-integer value ''"),
             ("{ids}", EXIT_DATA, "ids.txt: non-integer value 'x'"),
+            ("1,2", EXIT_DATA, "No such file or directory: '1,2'"),
         ],
-        ids=["inline", "file"],
+        ids=["file", "inline-list-is-no-file"],
     )
     def test_bad_anchor_id_names_its_source(self, tmp_path, capsys, spec, code, named):
-        # an inline list is a usage error, a bad sidecar file a data error
+        # --anchor-ids reads only the ids file that sample writes: a bad id
+        # in it is a data error naming the file, and a list is a file name
         for name in ("map", "base"):
             (tmp_path / f"{name}.csv").write_text("node_id,x,y\n0,0.0,0.0\n1,1.0,0.0\n2,2.0,1.0\n")
         (tmp_path / "ids.txt").write_text("1,x,3\n")
@@ -607,14 +676,15 @@ class TestExitCodes:
         assert rc == code
         assert named in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["eval", "spectrum"])
+    @pytest.mark.parametrize("command", ["eval", "spectrum", "tpm"])
     def test_bad_matrix_cell_names_file_and_line(self, hk_edges, tmp_path, capsys, command):
         est = tmp_path / "est.csv"
         est.write_text("0.0,1.0\n1.0,x\n")
         argv = {
             "eval": ["eval", "--metric", "E_m", "--est", str(est), "--edges", str(hk_edges)],
-            "spectrum": ["spectrum", "--input", str(est), "--format", "matrix",
+            "spectrum": ["spectrum", "--input", str(est), "--matrix-kind", "file",
                          "--out", str(tmp_path / "s.csv")],
+            "tpm": ["tpm", "--matrix", str(est), "--out", str(tmp_path / "m.csv")],
         }[command]
         assert main(argv) == EXIT_DATA
         assert capsys.readouterr().err.startswith(f"error: {est}:2: non-numeric value 'x'")
@@ -633,12 +703,16 @@ class TestExitCodes:
             assert meta["converged"] is False and meta["iterations"] == 2
 
     def test_tpm_non_convergence_exit(self, hk_edges, tmp_path):
-        obs = tmp_path / "obs"
+        # complete exits 3 and records converged false; mapping its matrix
+        # all the same is the user's choice, and tpm maps it
+        obs, done, mp = tmp_path / "obs", tmp_path / "done.csv", tmp_path / "m.csv"
         main(["sample", "--input", str(hk_edges), "--mode", "vc", "--fraction", "0.5",
               "--anchors", "10", "--seed", "3", "--out", str(obs)])
-        rc = main(["tpm", "--input", str(obs), "--procedure", "p-completion",
-                   "--max-iters", "1", "--out", str(tmp_path / "m.csv")])
+        rc = main(["complete", "--input", str(obs), "--max-iters", "1", "--out", str(done)])
         assert rc == EXIT_CONVERGENCE
+        assert json.loads((tmp_path / "done.meta.json").read_text())["converged"] is False
+        rc = main(["tpm", "--matrix", str(done), "--procedure", "p-completion", "--out", str(mp)])
+        assert rc == EXIT_OK and read_points(mp).n == 70
 
 
 class TestExperimentCommand:
@@ -745,6 +819,24 @@ class TestExperimentCommand:
         assert f"error: {key} lists {values[0]!r} more than once" in capsys.readouterr().err
         assert not (tmp_path / "results").exists()
 
+    def test_fractions_that_share_a_map_name_are_data_error(self, tmp_path, capsys):
+        # a vc sweep names its maps by percent: 0.1% and 0.4% both round to f0
+        cfg = self._config(tmp_path, fractions=[0.001, 0.25, 0.004])
+        assert main(["experiment", "--config", str(cfg)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err == "error: fractions 0.001 and 0.004 would both write tpm_p-completion_f0.csv\n"
+        assert not (tmp_path / "results").exists()
+
+    def test_entry_sweep_takes_fractions_of_one_percent(self, tmp_path):
+        # an entry sweep writes no maps, so two fractions may round to one percent
+        cfg = self._config(tmp_path, mode="random_entry", fractions=[0.001, 0.004], repeats=1)
+        raw = json.loads(cfg.read_text())
+        del raw["anchors"], raw["procedures"]
+        cfg.write_text(json.dumps(raw))
+        assert main(["experiment", "--config", str(cfg)]) == EXIT_OK
+        with open(tmp_path / "results" / "summary.csv", newline="") as fh:
+            assert sorted({float(r["f"]) for r in csv.DictReader(fh)}) == [0.001, 0.004]
+
 
 class TestConfigKeys:
     """Unknown keys in any config block are a data error naming the key."""
@@ -808,6 +900,19 @@ class TestConfigKeys:
         rc, err = self._run(tmp_path, capsys, {"network": network, "anchors": {"seed": 0}})
         assert rc == EXIT_DATA
         assert err.startswith("error: config key(s) ['anchors.seed', 'network.seed'] never read")
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [({"seed": -3}, "seed must be >= 0, got -3"),
+         ({"network": {"kind": "holme-kim", "seed": -1, "params": {"n": 40}}},
+          "network.seed must be >= 0, got -1")],
+        ids=["seed", "network.seed"],
+    )
+    def test_negative_seed_is_data_error(self, tmp_path, capsys, raw, message):
+        rc, err = self._run(tmp_path, capsys, raw)
+        assert rc == EXIT_DATA
+        assert err == f"error: {message}\n"
         assert not (tmp_path / "r").exists()
 
     def test_unknown_generator_param(self, tmp_path, capsys):

@@ -137,6 +137,11 @@ class TestConfigLoading:
             _tiny_vc_config("x", mode="other")
         with pytest.raises(ValueError):
             _tiny_vc_config("x", jobs=0)
+        # numpy's SeedSequence would refuse these later, without naming the key
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -3$"):
+            _tiny_vc_config("x", seed=-3)
+        with pytest.raises(ValueError, match=r"^network\.seed must be >= 0, got -1$"):
+            NetworkSpec("concave", seed=-1)
 
     def test_anchor_default_is_the_library_default(self):
         assert ExperimentConfig(network=NetworkSpec("concave")).anchors == AnchorSelection()

@@ -1,4 +1,5 @@
 import csv
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +8,8 @@ import pytest
 
 from hopmap.cli import EXIT_OK, main
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 
 
 def _spectrum_study(*args):
@@ -85,3 +87,24 @@ def test_spectrum_study_graph_out_of_range(tmp_path, graph, rule):
     assert "error: --n " in proc.stderr and rule in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not out.exists()
+
+
+def _commands(lines):
+    """Shell commands, one per item: continued lines joined, trailing and
+    whole-line comments and blank lines dropped, runs of spaces collapsed."""
+    text = re.sub(r"\\\n", " ", "\n".join(lines))
+    commands = (re.sub(r"\s+#.*$|^#.*$", "", line) for line in text.splitlines())
+    return [" ".join(c.split()) for c in commands if c.strip()]
+
+
+def test_walkthrough_script_follows_readme():
+    # the script opens with README's walkthrough, command for command, and
+    # goes on to checks that README does not show
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"\n```\n(hopmap generate .*?)\n```\n", readme, re.S).group(1)
+    shown = _commands(block.splitlines())
+    script = (SCRIPTS / "walkthrough.sh").read_text().splitlines()
+    start = script.index('hopmap() { python -m hopmap.cli "$@"; }') + 1
+    run = _commands(script[start:])
+    assert len(shown) == 13
+    assert run[: len(shown)] == shown
