@@ -130,7 +130,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--mode", choices=MODES, default="vc")
     p.add_argument("--fraction", type=_fraction, required=True, help="missing fraction in [0, 1)")
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--out", required=True, help="observation base path (no suffix)")
+    p.add_argument("--out", required=True, help="observation base path; .csv and .json are appended")
 
     c = sub.add_parser("complete", help="complete an observation as the sweep of its mode does")
     c.add_argument("--input", required=True, help="observation base path")
@@ -262,7 +262,7 @@ def _cmd_sample(args) -> int:
     csv_path, json_path = save_observed(o, args.out)
     if args.mode == "vc":
         # anchor node ids, needed later by `eval --metric E --anchor-ids`
-        anchors_path = Path(args.out).with_suffix(".anchors.txt")
+        anchors_path = Path(f"{args.out}.anchors.txt")
         write_ids(truth.anchor_ids, anchors_path)
         print(f"anchors: {anchors_path}")
     print(f"wrote {csv_path} and {json_path} ({o.n_observed} entries)")
@@ -289,7 +289,7 @@ def _cmd_complete(args) -> int:
         "converged": res.converged,
         "kept_rank": res.rank_trace[-1] if res.rank_trace else None,
     }
-    write_json(meta, Path(args.out).with_suffix(".meta.json"))
+    write_json(meta, args.out.removesuffix(".csv") + ".meta.json")
     print(
         f"wrote {args.out}: iterations={res.iterations} "
         f"residual={res.final_residual:.3e} converged={res.converged}"
@@ -378,9 +378,6 @@ def main(argv=None) -> int:
         if exc.message:
             print(exc.message, file=sys.stderr)
         return exc.code
-    except CompletionFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONVERGENCE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

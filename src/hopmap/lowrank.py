@@ -158,8 +158,8 @@ class CompletionConfig:
     max_iters: int = 500
 
     def __post_init__(self):
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        if not self.tolerance > 0:  # NaN too, which no residual would meet
+            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
 

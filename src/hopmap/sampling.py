@@ -256,10 +256,9 @@ def random_entry_observations(
 
 
 def save_observed(o: ObservedMatrix, base: str | Path) -> tuple[Path, Path]:
-    """Write <base>.csv (row, col, value triplets) and <base>.json header."""
-    base = Path(base)
-    csv_path = base.with_suffix(".csv")
-    json_path = base.with_suffix(".json")
+    """Write <base>.csv (row, col, value triplets) and <base>.json header,
+    each suffix appended to base, so run.a and run.b keep apart."""
+    csv_path, json_path = Path(f"{base}.csv"), Path(f"{base}.json")
     write_csv(["row", "col", "value"], zip(*np.nonzero(o.mask), o.values[o.mask]), csv_path)
     header = {
         "rows": int(o.shape[0]),
@@ -282,9 +281,7 @@ def load_observed(base: str | Path) -> ObservedMatrix:
     memory, or the cells are not a valid ObservedMatrix (a symmetric-mode
     matrix that is not square, whose mask or values do not mirror, or
     whose diagonal is not observed)."""
-    base = Path(base)
-    json_path = base.with_suffix(".json")
-    csv_path = base.with_suffix(".csv")
+    csv_path, json_path = Path(f"{base}.csv"), Path(f"{base}.json")
     header = read_json_object(json_path)
     for key in ("rows", "cols"):
         size = header.get(key)

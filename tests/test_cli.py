@@ -250,6 +250,20 @@ class TestPipeline:
         assert len(res.residual_trace) == res.iterations == meta["iterations"]
         assert float(expected[-1].split(",")[1]) == meta["final_residual"]
 
+    def test_sibling_files_append_to_the_given_name(self, hk_edges, tmp_path):
+        # every suffix is appended, so bases that differ after a dot keep
+        # apart; complete drops only a trailing .csv before .meta.json
+        out = tmp_path / "out"
+        out.mkdir()
+        for base in ("run.a", "run.b"):
+            rc = main(["sample", "--input", str(hk_edges), "--fraction", "0.3",
+                       "--anchors", "10", "--out", str(out / base)])
+            assert rc == EXIT_OK
+        written = sorted(p.name for p in out.iterdir())
+        assert written == sorted(f"run.{x}.{s}" for x in "ab" for s in ("csv", "json", "anchors.txt"))
+        assert main(["complete", "--input", str(out / "run.a"), "--out", str(out / "a.b")]) == EXIT_OK
+        assert (out / "a.b.meta.json").exists() and not (out / "a.meta.json").exists()
+
     def test_complete_trace_of_full_observation_is_header_only(self, tmp_path):
         o = ObservedMatrix(values=np.ones((4, 3)), mask=np.ones((4, 3), dtype=bool))
         save_observed(o, tmp_path / "obs")
@@ -886,6 +900,13 @@ class TestConfigKeys:
         rc, err = self._run(tmp_path, capsys, {"mode": mode, key: value})
         assert rc == EXIT_DATA
         assert err.startswith(f"error: unknown config key(s) ['{key}']; accepted keys: [")
+        assert not (tmp_path / "r").exists()
+
+    def test_nan_tolerance_is_data_error(self, tmp_path, capsys):
+        # json reads NaN, and no residual is ever at most NaN
+        rc, err = self._run(tmp_path, capsys, {"completion": {"tolerance": float("nan")}})
+        assert rc == EXIT_DATA
+        assert err.startswith("error:") and "tolerance must be positive, got nan" in err
         assert not (tmp_path / "r").exists()
 
     def test_anchor_seed_is_data_error(self, tmp_path, capsys):

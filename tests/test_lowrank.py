@@ -347,6 +347,8 @@ class TestCompletion:
         with pytest.raises(ValueError):
             CompletionConfig(tolerance=0.0)
         with pytest.raises(ValueError):
+            CompletionConfig(tolerance=float("nan"))
+        with pytest.raises(ValueError):
             CompletionConfig(max_iters=0)
 
 
