@@ -5,8 +5,8 @@
 # completed and scored by E_m, whose 555 x 555
 # completion takes the randomized SVT path (about 15 s in all, 4-5 s of it
 # that completion, on a 2-core VM with one BLAS thread), and a one-repeat
-# sweep on a 12 x 10 layout whose printed table must list its fractions by
-# value. It ends with the exit codes of flags and configs that are refused.
+# sweep on the concave layout whose printed table must list its fractions
+# by value. It ends with the exit codes of flags and configs that are refused.
 #
 # Run it from an empty directory, where it writes its files:
 #   bash path/to/scripts/walkthrough.sh
@@ -27,7 +27,7 @@ hopmap eval     --metric E_TP --map map.csv --layout net/concave_layout.csv
 hopmap sample --input net/concave_edges.txt --mode random_entry --fraction 0.8 --seed 1 --out ent
 hopmap complete --input ent --out ent_done.csv
 hopmap eval --metric E_m --est ent_done.csv --edges net/concave_edges.txt
-echo '{"network": {"kind": "concave", "params": {"width": 12, "height": 10}}, "fractions": [0.00001, 0.1], "repeats": 1, "out_dir": "sweep"}' > sweep.json
+echo '{"network": {"kind": "concave"}, "fractions": [0.00001, 0.1], "repeats": 1, "out_dir": "sweep"}' > sweep.json
 hopmap experiment --config sweep.json > sweep.log
 cat sweep.log
 # the table lists the fractions by value (as text, 1e-05 would come last)

@@ -101,22 +101,18 @@ def _type_name(hint) -> str:
     if typing.get_origin(hint) in (typing.Union, types.UnionType):
         return " or ".join(_type_name(a) for a in args)
     if typing.get_origin(hint) is tuple:
-        if args[-1] is Ellipsis:
-            return f"a list of {_type_name(args[0])}"
-        return f"[{', '.join(_type_name(a) for a in args)}]"
+        return f"a list of {_type_name(args[0])}"
     return "null" if hint is type(None) else hint.__name__
 
 
 def _fits(value, hint) -> bool:
-    """Whether a JSON value fits a field typed hint (a tuple takes a list)."""
+    """Whether a JSON value fits a field typed hint (a tuple[X, ...] takes
+    a list of X)."""
     args = typing.get_args(hint)
     if typing.get_origin(hint) in (typing.Union, types.UnionType):
         return any(_fits(value, a) for a in args)
     if typing.get_origin(hint) is tuple:
-        if not isinstance(value, (list, tuple)):
-            return False
-        items = args[:1] * len(value) if args[-1] is Ellipsis else args
-        return len(items) == len(value) and all(map(_fits, value, items))
+        return isinstance(value, (list, tuple)) and all(_fits(v, args[0]) for v in value)
     # JSON true/false are not numbers; an integer is a valid float
     if hint in (int, float) and isinstance(value, bool):
         return False
@@ -236,7 +232,7 @@ def build_network(spec: NetworkSpec) -> tuple[Graph, PointCloud | None, str]:
     a short display name."""
     params = spec.params
     if spec.kind in GENERATORS:
-        pc, g = GENERATORS[spec.kind](GeneratorConfig(seed=spec.seed), **params)
+        pc, g = GENERATORS[spec.kind](GeneratorConfig(seed=spec.seed))
         return g, pc, f"{spec.kind}-{g.n}"
     if spec.kind == "holme-kim":
         g = gen_holme_kim(**params, seed=spec.seed)

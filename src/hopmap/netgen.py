@@ -44,12 +44,10 @@ class PointCloud:
 
 # the placement every layout shares: clean points one unit apart (a unit
 # grid, or rings one unit apart), each coordinate moved by a uniform draw
-# in [-JITTER, JITTER], and a link between every two nodes within RADIUS,
-# widened by 10% up to MAX_RETRIES times until the graph connects; hop
-# counts, and so every result, do not depend on the physical scale
+# in [-JITTER, JITTER], and a link between every two nodes within RADIUS;
+# hop counts, and so every result, do not depend on the physical scale
 JITTER = 0.3
 RADIUS = 1.8
-MAX_RETRIES = 5
 
 
 @dataclass(frozen=True)
@@ -65,110 +63,73 @@ def unit_disk_connect(pc: PointCloud, radius: float) -> Graph:
     return Graph(pc.n, pairs)
 
 
-def _connect_with_retries(pc: PointCloud) -> Graph:
-    radius = RADIUS
-    for _ in range(MAX_RETRIES + 1):
-        g = unit_disk_connect(pc, radius)
-        if is_connected(g):
-            return g
-        radius *= 1.1
-    raise ValueError(f"layout stayed disconnected after {MAX_RETRIES} radius increases")
-
-
-def _perturbed_points(clean: np.ndarray, cfg: GeneratorConfig, label: str) -> PointCloud:
-    # membership is decided on the clean grid, so node count ignores the seed
+def _layout(clean: np.ndarray, cfg: GeneratorConfig, label: str) -> tuple[PointCloud, Graph]:
+    """The clean points moved by the seed's jitter and linked within
+    RADIUS. Membership is decided on the clean points, so the node count
+    ignores the seed. A graph that does not connect raises ValueError. On
+    a 2-D grid, neighbours along an axis stay within sqrt(1.6**2 + 0.6**2)
+    = 1.71 of each other, and seeds 0-3999 of every layout connect."""
     rng = spawn_rng(cfg.seed, label)
-    return PointCloud(coords=clean + rng.uniform(-JITTER, JITTER, size=clean.shape))
+    pc = PointCloud(coords=clean + rng.uniform(-JITTER, JITTER, size=clean.shape))
+    g = unit_disk_connect(pc, RADIUS)
+    if not is_connected(g):
+        raise ValueError(f"{label} layout with seed {cfg.seed} is disconnected at radius {RADIUS}")
+    return pc, g
 
 
-def gen_concave_2d(
-    cfg: GeneratorConfig,
-    width: int = 30,
-    height: int = 25,
-    notch: tuple[float, float, float] = (8.5, 21.5, 9.5),
-) -> tuple[PointCloud, Graph]:
-    """U-shaped deployment: a rectangle with a rectangular notch cut from
-    the top edge. 555 nodes with the default extents, at any seed."""
-    xs, ys = np.meshgrid(np.arange(width), np.arange(height), indexing="ij")
+def gen_concave_2d(cfg: GeneratorConfig) -> tuple[PointCloud, Graph]:
+    """U-shaped deployment: the 30 x 25 unit grid less the notch
+    8.5 < x < 21.5, y > 9.5 cut from its top edge. 555 nodes at any seed."""
+    xs, ys = np.meshgrid(np.arange(30), np.arange(25), indexing="ij")
     pts = np.column_stack([xs.ravel(), ys.ravel()]).astype(float)
-    x0, x1, y0 = notch
-    inside_notch = (pts[:, 0] > x0) & (pts[:, 0] < x1) & (pts[:, 1] > y0)
-    pc = _perturbed_points(pts[~inside_notch], cfg, "concave-2d")
-    return pc, _connect_with_retries(pc)
+    inside_notch = (pts[:, 0] > 8.5) & (pts[:, 0] < 21.5) & (pts[:, 1] > 9.5)
+    return _layout(pts[~inside_notch], cfg, "concave-2d")
 
 
-def gen_circular_voids_2d(
-    cfg: GeneratorConfig,
-    outer_radius: float = 13.0,
-    voids: tuple[tuple[float, float, float], ...] = (
-        (-5.5, 4.5, 2.1),
-        (5.0, -3.0, 2.1),
-        (1.5, 8.0, 1.6),
-    ),
-) -> tuple[PointCloud, Graph]:
-    """Disk-shaped deployment with interior circular holes. 496 nodes
-    with the default extents, at any seed."""
-    if len(voids) < 2:
-        raise ValueError("need at least two interior voids")
-    r = int(math.ceil(outer_radius))
-    xs, ys = np.meshgrid(np.arange(-r, r + 1), np.arange(-r, r + 1), indexing="ij")
+def gen_circular_voids_2d(cfg: GeneratorConfig) -> tuple[PointCloud, Graph]:
+    """Disk-shaped deployment: the unit grid points within 13 of the
+    origin, less three circular holes, of radius 2.1 around (-5.5, 4.5)
+    and (5, -3) and of radius 1.6 around (1.5, 8). 496 nodes at any seed."""
+    xs, ys = np.meshgrid(np.arange(-13, 14), np.arange(-13, 14), indexing="ij")
     pts = np.column_stack([xs.ravel(), ys.ravel()]).astype(float)
-    keep = (pts ** 2).sum(axis=1) <= outer_radius ** 2
-    for cx, cy, vr in voids:
+    keep = (pts ** 2).sum(axis=1) <= 13.0 ** 2
+    for cx, cy, vr in ((-5.5, 4.5, 2.1), (5.0, -3.0, 2.1), (1.5, 8.0, 1.6)):
         keep &= (pts[:, 0] - cx) ** 2 + (pts[:, 1] - cy) ** 2 > vr ** 2
-    pc = _perturbed_points(pts[keep], cfg, "circular-voids-2d")
-    return pc, _connect_with_retries(pc)
+    return _layout(pts[keep], cfg, "circular-voids-2d")
 
 
-def gen_cube_void_3d(
-    cfg: GeneratorConfig,
-    side: int = 12,
-    waist_radius: float = 2.5,
-) -> tuple[PointCloud, Graph]:
-    """Cube-filling deployment with an hourglass (double cone) hollow
-    around the vertical axis. 1640 nodes with the defaults, at any seed."""
-    ax = np.arange(side, dtype=float)
+def gen_cube_void_3d(cfg: GeneratorConfig) -> tuple[PointCloud, Graph]:
+    """Cube-filling deployment: the 12 x 12 x 12 unit grid less an
+    hourglass (double cone) hollow around its vertical axis, of radius 2.5
+    at the top and bottom faces and 0 at the mid-plane. 1640 nodes at any
+    seed."""
+    ax = np.arange(12, dtype=float)
     xs, ys, zs = np.meshgrid(ax, ax, ax, indexing="ij")
     pts = np.column_stack([xs.ravel(), ys.ravel(), zs.ravel()])
-    c = (side - 1) / 2.0
-    half = c if c > 0 else 1.0
+    c = 5.5
     # cone radius widens linearly away from the mid-plane waist
-    cone_r = waist_radius * np.abs(pts[:, 2] - c) / half
+    cone_r = 2.5 * np.abs(pts[:, 2] - c) / c
     radial = np.hypot(pts[:, 0] - c, pts[:, 1] - c)
-    keep = radial > cone_r
-    pc = _perturbed_points(pts[keep], cfg, "cube-void-3d")
-    return pc, _connect_with_retries(pc)
+    return _layout(pts[radial > cone_r], cfg, "cube-void-3d")
 
 
-def gen_t_cylinder_3d(
-    cfg: GeneratorConfig,
-    radius: float = 3.0,
-    bar_length: int = 40,
-    stem_length: int = 26,
-    ring_points: int = 19,
-) -> tuple[PointCloud, Graph]:
-    """Two hollow cylinder surfaces joined in a T. 1213 nodes with the
-    defaults, at any seed."""
-    theta = 2.0 * np.pi * np.arange(ring_points) / ring_points
-    ring = radius * np.array([[math.cos(t), math.sin(t)] for t in theta])
+def gen_t_cylinder_3d(cfg: GeneratorConfig) -> tuple[PointCloud, Graph]:
+    """Two hollow cylinder surfaces of radius 3 joined in a T, each ring
+    of 19 points and one unit from the next: a bar from x = 0 to 40 and a
+    stem from z = 0 to 26 over its middle. 1213 nodes at any seed."""
+    theta = 2.0 * np.pi * np.arange(19) / 19
+    ring = 3.0 * np.array([[math.cos(t), math.sin(t)] for t in theta])
     # bar along the x axis, one ring per unit step
-    bar = np.column_stack(
-        [np.repeat(np.arange(bar_length + 1.0), ring_points), np.tile(ring, (bar_length + 1, 1))]
-    )
+    bar = np.column_stack([np.repeat(np.arange(41.0), 19), np.tile(ring, (41, 1))])
     # stem along the z axis, centered over the bar middle
-    xc = bar_length / 2.0
-    cos, sin = np.tile(ring, (stem_length + 1, 1)).T
-    stem = np.column_stack([xc + cos, sin, np.repeat(np.arange(stem_length + 1.0), ring_points)])
+    xc = 20.0
+    cos, sin = np.tile(ring, (27, 1)).T
+    stem = np.column_stack([xc + cos, sin, np.repeat(np.arange(27.0), 19)])
     # drop stem points buried inside the bar, and open a hole in the bar
     # wall where the stem attaches
-    stem = stem[stem[:, 1] ** 2 + stem[:, 2] ** 2 > radius ** 2]
-    hole = (
-        ((bar[:, 0] - xc) ** 2 + bar[:, 1] ** 2 < radius ** 2)
-        & (bar[:, 2] > 0)
-    )
-    pts = np.vstack([bar[~hole], stem])
-    pc = _perturbed_points(pts, cfg, "t-cylinder-3d")
-    return pc, _connect_with_retries(pc)
+    stem = stem[stem[:, 1] ** 2 + stem[:, 2] ** 2 > 3.0 ** 2]
+    hole = ((bar[:, 0] - xc) ** 2 + bar[:, 1] ** 2 < 3.0 ** 2) & (bar[:, 2] > 0)
+    return _layout(np.vstack([bar[~hole], stem]), cfg, "t-cylinder-3d")
 
 
 def gen_holme_kim(n: int = 500, m: int = 3, p_triad: float = 0.5, seed: int = 0) -> Graph:

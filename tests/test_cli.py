@@ -943,12 +943,24 @@ class TestConfigKeys:
 
     @pytest.mark.parametrize("key", ["pitch", "jitter", "comm_radius", "max_retries"])
     def test_placement_is_no_param(self, tmp_path, capsys, key):
-        # every layout shares one placement: a unit grid, netgen's JITTER,
-        # RADIUS and MAX_RETRIES
+        # every layout shares one placement: a unit grid, netgen's JITTER
+        # and RADIUS
         network = {"kind": "concave", "params": {key: 1}}
         rc, err = self._run(tmp_path, capsys, {"network": network})
         assert rc == EXIT_DATA
         assert err.startswith(f"error: unknown concave network key(s) ['{key}']; accepted keys: [")
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize(
+        "kind, key",
+        [("concave", "width"), ("circular", "outer_radius"), ("cube", "side"),
+         ("t-cylinder", "bar_length")],
+    )
+    def test_layout_geometry_is_no_param(self, tmp_path, capsys, kind, key):
+        # each layout is the paper's one deployment, of fixed geometry
+        rc, err = self._run(tmp_path, capsys, {"network": {"kind": kind, "params": {key: 12}}})
+        assert rc == EXIT_DATA
+        assert err == f"error: unknown {kind} network key(s) ['{key}']; accepted keys: []\n"
         assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize(
@@ -980,12 +992,13 @@ class TestConfigKeys:
             ({"completion": {"max_iters": True}}, "max_iters"),
             ({"anchors": {"m": "5"}}, "m"),
             ({"network": {"kind": "holme-kim", "seed": "1", "params": {"n": 40}}}, "seed"),
-            ({"network": {"kind": "concave", "params": {"width": "30"}}}, "width"),
-            ({"network": {"kind": "concave", "params": {"notch": 3}}}, "notch"),
+            ({"network": {"kind": "edges", "params": {"path": "net.txt", "target_n": "30"}}},
+             "target_n"),
+            ({"network": {"kind": "holme-kim", "params": {"p_triad": "0.5"}}}, "p_triad"),
             ({"network": {"kind": "holme-kim", "params": {"n": 40.7}}}, "n"),
             ({"network": {"kind": "holme-kim", "params": {"n": True}}}, "n"),
             ({"network": {"kind": "holme-kim", "params": {"n": "abc"}}}, "n"),
-            ({"network": {"kind": "circular", "params": {"voids": [[1, 2]]}}}, "voids"),
+            ({"procedures": "grammian"}, "procedures"),
             ({"network": {"kind": "edges", "params": {"path": 5}}}, "path"),
             ({"network": {"kind": "edges", "params": {"path": 0}}}, "path"),
         ],

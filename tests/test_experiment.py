@@ -79,7 +79,7 @@ class TestConfigLoading:
     def test_inline_params_and_procedures_list(self, tmp_path):
         # network params go under "params" only; inline they are unknown keys
         raw = {
-            "network": {"kind": "concave", "seed": 2, "params": {"width": 12}},
+            "network": {"kind": "holme-kim", "seed": 2, "params": {"n": 40}},
             "anchors": {"strategy": "degree", "m": 10},
             "procedures": ["grammian", "p-completion"],
             "completion": {"tolerance": 1e-4, "max_iters": 100},
@@ -88,24 +88,19 @@ class TestConfigLoading:
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(raw))
         cfg = load_config(p)
-        assert cfg.network.params == {"width": 12}
+        assert cfg.network.params == {"n": 40}
         assert cfg.anchors.strategy == "degree" and cfg.anchors.m == 10
         assert cfg.procedures == ("grammian", "p-completion")
         assert cfg.completion.tolerance == 1e-4
         assert cfg.fractions == (0.1, 0.2, 0.4, 0.6, 0.8)
         assert cfg.repeats == 100
-        raw["network"] = {"kind": "concave", "seed": 2, "width": 12}
+        raw["network"] = {"kind": "holme-kim", "seed": 2, "n": 40}
         p.write_text(json.dumps(raw))
-        with pytest.raises(ValueError, match=r"unknown network key\(s\) \['width'\]"):
+        with pytest.raises(ValueError, match=r"unknown network key\(s\) \['n'\]"):
             load_config(p)
 
     def test_optional_params_take_null(self, tmp_path):
         p = tmp_path / "cfg.json"
-        voids = [[-5, 4.5, 2.1], [5, -3, 2.1]]
-        p.write_text(json.dumps({
-            "network": {"kind": "circular", "params": {"voids": voids}},
-        }))
-        assert load_config(p).network.params == {"voids": voids}
         p.write_text(json.dumps({
             "network": {"kind": "edges", "params": {"path": "net.txt", "target_n": None}},
         }))
@@ -168,10 +163,8 @@ class TestBuildNetwork:
         )
         assert g.n == 70 and layout is None and name == "holme-kim-70"
 
-    def test_geometric_with_size_override(self):
-        g, layout, name = build_network(
-            NetworkSpec("circular", seed=1, params={"outer_radius": 5.0})
-        )
+    def test_geometric_layout(self):
+        g, layout, name = build_network(NetworkSpec("circular", seed=1))
         assert layout is not None and layout.dim == 2
         assert layout.n == g.n
         assert name == f"circular-{g.n}"
@@ -254,22 +247,17 @@ class TestVcSweep:
     def test_geometric_layout_adds_etp(self, tmp_path):
         cfg = _tiny_vc_config(
             tmp_path / "r",
-            network=NetworkSpec("circular", seed=1, params={"outer_radius": 5.0}),
+            network=NetworkSpec("circular", seed=1),
             fractions=(0.2,),
         )
         res = run_experiment(cfg)
         metrics = {r.metric for r in res.reports}
         assert metrics == {"E", "E_TP"}
 
-    @pytest.mark.parametrize(
-        "kind, params, dim",
-        [("cube", {"side": 6}, 3), ("concave", {"width": 12, "height": 10}, 2)],
-    )
-    def test_maps_take_the_layout_dimension(self, tmp_path, kind, params, dim):
+    @pytest.mark.parametrize("kind, dim", [("cube", 3), ("concave", 2)])
+    def test_maps_take_the_layout_dimension(self, tmp_path, kind, dim):
         # E_TP scans 2-D layouts only
-        cfg = _tiny_vc_config(
-            tmp_path / "r", network=NetworkSpec(kind, params=params), fractions=(0.2,)
-        )
+        cfg = _tiny_vc_config(tmp_path / "r", network=NetworkSpec(kind), fractions=(0.2,))
         res = run_experiment(cfg)
         n = build_network(cfg.network)[0].n
         for name in ("baseline", "f20"):

@@ -157,10 +157,6 @@ class TestLayoutGenerators:
         d2 = (pc.coords[:, 0] + 5.5) ** 2 + (pc.coords[:, 1] - 4.5) ** 2
         assert np.all(d2 > 2.1 ** 2)
 
-    def test_too_few_voids_rejected(self):
-        with pytest.raises(ValueError):
-            gen_circular_voids_2d(GeneratorConfig(seed=0), voids=((0.0, 0.0, 2.0),))
-
     def test_hourglass_waist_removed(self, clean_grid):
         pc, _ = gen_cube_void_3d(GeneratorConfig(seed=1))
         c = 5.5
@@ -185,22 +181,26 @@ class TestLayoutGenerators:
         hole = ((bar[:, 0] - 20.0) ** 2 + bar[:, 1] ** 2 < 9.0) & (bar[:, 2] > 0)
         assert not np.any(hole)
 
+    def test_t_cylinder_matches_point_by_point_oracle(self, clean_grid):
+        pc, _ = gen_t_cylinder_3d(GeneratorConfig(seed=2))
+        assert pc.coords.tobytes() == naive_t_cylinder_points().tobytes()
+
     @pytest.mark.parametrize(
-        "geometry", [{}, {"radius": 2.5, "bar_length": 12, "stem_length": 9, "ring_points": 13}]
+        "fn, label",
+        [(gen_concave_2d, "concave-2d"), (gen_circular_voids_2d, "circular-voids-2d"),
+         (gen_cube_void_3d, "cube-void-3d"), (gen_t_cylinder_3d, "t-cylinder-3d")],
     )
-    def test_t_cylinder_matches_point_by_point_oracle(self, clean_grid, geometry):
-        pc, _ = gen_t_cylinder_3d(GeneratorConfig(seed=2), **geometry)
-        assert pc.coords.tobytes() == naive_t_cylinder_points(**geometry).tobytes()
+    def test_disconnected_layout_errors(self, monkeypatch, fn, label):
+        # most neighbours, one unit apart before the jitter, do not link within 0.5
+        monkeypatch.setattr(netgen, "RADIUS", 0.5)
+        with pytest.raises(
+            ValueError, match=f"^{label} layout with seed 3 is disconnected at radius 0.5$"
+        ):
+            fn(GeneratorConfig(seed=3))
 
-    def test_retry_exhaustion_errors(self):
-        # a notch through every row splits the grid into two blocks 16 apart,
-        # which no radius up to 1.8 * 1.1**5 can bridge
-        with pytest.raises(ValueError, match="stayed disconnected after 5 radius increases"):
-            gen_concave_2d(GeneratorConfig(seed=0), notch=(5.5, 20.5, -1.0))
-
-    def test_retry_connects_at_a_wider_radius(self, monkeypatch):
-        # a thin t-cylinder whose seed-0 placement connects only on the
-        # fourth attempt, each radius 10% wider than the last
+    @pytest.mark.parametrize("fn", [fn for fn, _, _ in LAYOUTS])
+    def test_one_link_pass_per_seed(self, monkeypatch, fn):
+        # each layout links its points once, at RADIUS: no seed needs a wider one
         radii = []
 
         def connect(pc, radius):
@@ -208,12 +208,9 @@ class TestLayoutGenerators:
             return unit_disk_connect(pc, radius)
 
         monkeypatch.setattr(netgen, "unit_disk_connect", connect)
-        pc, g = gen_t_cylinder_3d(
-            GeneratorConfig(seed=0), ring_points=7, bar_length=6, stem_length=4
-        )
-        assert radii == [1.8, 1.8 * 1.1, 1.8 * 1.1 * 1.1, 1.8 * 1.1 * 1.1 * 1.1]
-        assert is_connected(g)
-        assert np.array_equal(g.edges, unit_disk_connect(pc, radii[-1]).edges)
+        for seed in range(20):
+            fn(GeneratorConfig(seed=seed))
+        assert radii == [netgen.RADIUS] * 20
 
 
 class TestHolmeKim:
