@@ -6,7 +6,9 @@
 # completion takes the randomized SVT path (about 15 s in all, 4-5 s of it
 # that completion, on a 2-core VM with one BLAS thread), and a one-repeat
 # sweep on the concave layout whose printed table must list its fractions
-# by value. It ends with the exit codes of flags and configs that are refused.
+# by value. The same sweep of the layout's edge list, read whole as an
+# edges network, must give the layout sweep's E rows and map. It ends
+# with the exit codes of flags and configs that are refused.
 #
 # Run it from an empty directory, where it writes its files:
 #   bash path/to/scripts/walkthrough.sh
@@ -32,6 +34,14 @@ hopmap experiment --config sweep.json > sweep.log
 cat sweep.log
 # the table lists the fractions by value (as text, 1e-05 would come last)
 test "$(grep -o 'f=[^ ]*' sweep.log | uniq | tr '\n' ' ')" = "f=1e-05 f=0.1 "
+# the same sweep of the layout's edge list as an edges network: its E
+# rows, less the network column, and its first map are the layout sweep's
+echo '{"network": {"kind": "edges", "params": {"path": "net/concave_edges.txt"}}, "fractions": [0.00001, 0.1], "repeats": 1, "out_dir": "sweep_edges"}' > sweep_edges.json
+hopmap experiment --config sweep_edges.json > /dev/null
+cut -d, -f2- sweep/runs.csv | grep ',E,' > sweep_E.csv
+cut -d, -f2- sweep_edges/runs.csv | grep ',E,' > sweep_edges_E.csv
+cmp sweep_E.csv sweep_edges_E.csv
+cmp sweep/tpm_p-completion_f10.csv sweep_edges/tpm_p-completion_f10.csv
 # an anchor flag that --matrix would ignore is a usage error (exit 1)
 rc=0; hopmap tpm --matrix done --anchors 5 --out x.csv || rc=$?
 test "$rc" -eq 1

@@ -6,7 +6,6 @@ import inspect
 import os
 import platform
 import time
-import types
 import typing
 from collections import Counter
 from collections.abc import Callable
@@ -38,7 +37,6 @@ from .netgen import (
     gen_t_cylinder_3d,
     load_snap_edge_list,
     read_json_object,
-    subgraph_bfs,
     write_csv,
     write_json,
 )
@@ -76,13 +74,9 @@ GENERATORS = {
 }
 
 
-def _edge_network(path: str, target_n: int | None = None, root: int = 0) -> Graph:
-    """The graph of an edge-list file, cut to its first target_n nodes
-    breadth-first from root when target_n is given."""
-    g, _ = load_snap_edge_list(path)
-    if not 0 <= root < g.n:
-        raise ValueError(f"root {root} out of range for a {g.n}-node graph")
-    return g if target_n is None else subgraph_bfs(g, root, target_n)
+def _edge_network(path: str) -> Graph:
+    """The whole graph of an edge-list file."""
+    return load_snap_edge_list(path)[0]
 
 
 def _declared(target, *skip: str) -> dict[str, tuple[object, bool]]:
@@ -97,22 +91,17 @@ def _declared(target, *skip: str) -> dict[str, tuple[object, bool]]:
 
 
 def _type_name(hint) -> str:
-    args = typing.get_args(hint)
-    if typing.get_origin(hint) in (typing.Union, types.UnionType):
-        return " or ".join(_type_name(a) for a in args)
     if typing.get_origin(hint) is tuple:
-        return f"a list of {_type_name(args[0])}"
-    return "null" if hint is type(None) else hint.__name__
+        return f"a list of {_type_name(typing.get_args(hint)[0])}"
+    return hint.__name__
 
 
 def _fits(value, hint) -> bool:
     """Whether a JSON value fits a field typed hint (a tuple[X, ...] takes
     a list of X)."""
-    args = typing.get_args(hint)
-    if typing.get_origin(hint) in (typing.Union, types.UnionType):
-        return any(_fits(value, a) for a in args)
     if typing.get_origin(hint) is tuple:
-        return isinstance(value, (list, tuple)) and all(_fits(v, args[0]) for v in value)
+        item = typing.get_args(hint)[0]
+        return isinstance(value, (list, tuple)) and all(_fits(v, item) for v in value)
     # JSON true/false are not numbers; an integer is a valid float
     if hint in (int, float) and isinstance(value, bool):
         return False

@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.sparse import triu
-from scipy.sparse.csgraph import breadth_first_order
 from scipy.spatial import cKDTree
 
 from .graph import Graph, is_connected
@@ -301,21 +299,6 @@ def load_snap_edge_list(path: str | Path) -> tuple[Graph, np.ndarray]:
 def write_edge_list(g: Graph, path: str | Path) -> None:
     header = f"undirected graph: {g.n} nodes, {g.edge_count} edges"
     np.savetxt(path, g.edges, fmt="%d", header=header)
-
-
-def subgraph_bfs(g: Graph, root: int, target_n: int) -> Graph:
-    """Induced subgraph on the first target_n nodes discovered breadth-
-    first from root, relabeled in discovery order."""
-    if not 0 <= root < g.n:
-        raise ValueError(f"root {root} out of range")
-    if target_n < 1 or target_n > g.n:
-        raise ValueError(f"target_n {target_n} out of range")
-    order = breadth_first_order(g.csr, root, return_predecessors=False)[:target_n]
-    if len(order) < target_n:
-        raise ValueError(
-            f"component of root holds only {len(order)} of {target_n} requested nodes"
-        )
-    return Graph(target_n, np.column_stack(triu(g.csr[order][:, order]).nonzero()))
 
 
 def write_csv(header: list[str], rows, path: str | Path) -> None:

@@ -165,13 +165,19 @@ def vc_observations(p: HopDistanceMatrix, delete_fraction: float, seed: int = 0)
 
     Deletions that would empty a row are re-drawn elsewhere so that every
     node keeps at least one measured coordinate; the deletion count is
-    preserved.
+    preserved. A fraction that leaves fewer cells than rows is refused
+    before any draw.
     """
     if not 0.0 <= delete_fraction < 1.0:
         raise ValueError("delete_fraction must be in [0, 1)")
     n, m = p.hops.shape
     total = n * m
     n_delete = int(np.floor(delete_fraction * total))
+    if total - n_delete < n:
+        raise ValueError(
+            f"deleting f={delete_fraction} of a {n} x {m} matrix leaves "
+            f"{total - n_delete} cells, fewer than one per row"
+        )
     rng = spawn_rng(seed, "vc-observations")
     mask = np.ones((n, m), dtype=bool)
     if n_delete:

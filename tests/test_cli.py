@@ -624,6 +624,15 @@ class TestExitCodes:
         assert err.startswith("error:") and "obs.csv" in err
         assert not (tmp_path / "done.csv").exists()
 
+    def test_header_only_observation_is_data_error(self, tmp_path, capsys):
+        (tmp_path / "obs.json").write_text('{"rows": 3, "cols": 3, "mode": "general"}\n')
+        (tmp_path / "obs.csv").write_text("row,col,value\n")
+        out = tmp_path / "done.csv"
+        assert main(["complete", "--input", str(tmp_path / "obs"), "--out", str(out)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err == f"error: {tmp_path / 'obs.csv'}: observation file contains no entries\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["complete"])
     def test_negative_hop_is_data_error(self, tmp_path, capsys, command):
         # a general file holds hops; a negative one would send the geodesic
@@ -814,16 +823,6 @@ class TestExperimentCommand:
         assert "No such file or directory" in capsys.readouterr().err
         assert not (tmp_path / "results").exists()
 
-    @pytest.mark.parametrize("params", [{"root": 100000}, {"root": -1}, {"root": 70, "target_n": 40}])
-    def test_out_of_range_root_is_data_error(self, hk_edges, tmp_path, capsys, params):
-        # checked against the loaded 70-node graph, with or without target_n
-        cfg = self._config(
-            tmp_path, network={"kind": "edges", "params": {"path": str(hk_edges), **params}}
-        )
-        assert main(["experiment", "--config", str(cfg)]) == EXIT_DATA
-        assert f"root {params['root']} out of range" in capsys.readouterr().err
-        assert not (tmp_path / "results").exists()
-
     @pytest.mark.parametrize(
         "key, values", [("procedures", ["grammian", "grammian"]), ("fractions", [0.3, 0.3])]
     )
@@ -951,6 +950,24 @@ class TestConfigKeys:
         assert err.startswith(f"error: unknown concave network key(s) ['{key}']; accepted keys: [")
         assert not (tmp_path / "r").exists()
 
+    def test_unknown_network_kind(self, tmp_path, capsys):
+        rc, err = self._run(tmp_path, capsys, {"network": {"kind": "grid"}})
+        assert rc == EXIT_DATA
+        assert err == (
+            "error: unknown network kind 'grid'; choose from "
+            "['circular', 'concave', 'cube', 'edges', 'holme-kim', 't-cylinder']\n"
+        )
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("key, value", [("target_n", 30), ("root", 0)])
+    def test_edge_list_is_read_whole(self, hk_edges, tmp_path, capsys, key, value):
+        # an edges network is its whole file: no breadth-first cut
+        network = {"kind": "edges", "params": {"path": str(hk_edges), key: value}}
+        rc, err = self._run(tmp_path, capsys, {"network": network})
+        assert rc == EXIT_DATA
+        assert err == f"error: unknown edges network key(s) ['{key}']; accepted keys: ['path']\n"
+        assert not (tmp_path / "r").exists()
+
     @pytest.mark.parametrize(
         "kind, key",
         [("concave", "width"), ("circular", "outer_radius"), ("cube", "side"),
@@ -992,8 +1009,7 @@ class TestConfigKeys:
             ({"completion": {"max_iters": True}}, "max_iters"),
             ({"anchors": {"m": "5"}}, "m"),
             ({"network": {"kind": "holme-kim", "seed": "1", "params": {"n": 40}}}, "seed"),
-            ({"network": {"kind": "edges", "params": {"path": "net.txt", "target_n": "30"}}},
-             "target_n"),
+            ({"jobs": "2"}, "jobs"),
             ({"network": {"kind": "holme-kim", "params": {"p_triad": "0.5"}}}, "p_triad"),
             ({"network": {"kind": "holme-kim", "params": {"n": 40.7}}}, "n"),
             ({"network": {"kind": "holme-kim", "params": {"n": True}}}, "n"),

@@ -1,7 +1,6 @@
 """Experiment sweep driver: config loading, network building, run bookkeeping."""
 import csv
 import json
-import typing
 from dataclasses import replace
 
 import numpy as np
@@ -99,18 +98,6 @@ class TestConfigLoading:
         with pytest.raises(ValueError, match=r"unknown network key\(s\) \['n'\]"):
             load_config(p)
 
-    def test_optional_params_take_null(self, tmp_path):
-        p = tmp_path / "cfg.json"
-        p.write_text(json.dumps({
-            "network": {"kind": "edges", "params": {"path": "net.txt", "target_n": None}},
-        }))
-        assert load_config(p).network.params == {"path": "net.txt", "target_n": None}
-        with pytest.raises(ValueError, match="'target_n' must be int or null, got 1.5"):
-            NetworkSpec("edges", params={"path": "net.txt", "target_n": 1.5})
-        # typing.Optional and the X | None union read alike
-        assert experiment._fits(None, typing.Optional[int])
-        assert not experiment._fits(1.5, typing.Optional[int])
-
     def test_params_and_inline_conflict_rejected(self, tmp_path):
         raw = {
             "network": {"kind": "holme-kim", "params": {"n": 50}, "n": 60},
@@ -169,17 +156,16 @@ class TestBuildNetwork:
         assert layout.n == g.n
         assert name == f"circular-{g.n}"
 
-    def test_edge_list_with_bfs_ball(self, tmp_path):
+    def test_edge_list_is_its_whole_file(self, tmp_path):
         g0, _, _ = build_network(
             NetworkSpec("holme-kim", seed=5, params={"n": 120, "m": 3, "p_triad": 0.3})
         )
         path = tmp_path / "net.txt"
         write_edge_list(g0, path)
-        g, layout, name = build_network(
-            NetworkSpec("edges", params={"path": str(path), "target_n": 60, "root": 0})
-        )
-        assert g.n == 60 and layout is None
-        assert name == "net-60"
+        g, layout, name = build_network(NetworkSpec("edges", params={"path": str(path)}))
+        assert g.n == g0.n == 120 and layout is None
+        assert np.array_equal(g.edges, g0.edges)
+        assert name == "net-120"
 
     def test_unknown_params_rejected(self, tmp_path):
         with pytest.raises(ValueError):

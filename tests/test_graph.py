@@ -16,14 +16,13 @@ from hopmap.graph import (
     is_connected,
 )
 
-from hopmap.netgen import gen_holme_kim, subgraph_bfs
+from hopmap.netgen import gen_holme_kim
 from hopmap.sampling import AnchorSelection, select_anchors
 
 from oracles import (
     complete_graph,
     cycle_graph,
     floyd_warshall_hops,
-    naive_bfs_order,
     neighbours,
     grid_graph,
     masked_hops_from,
@@ -54,6 +53,16 @@ class TestFromEdgeList:
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError, match="self-loop"):
             Graph(3, [(1, 1)])
+
+    @pytest.mark.parametrize(
+        "n, edges, message",
+        [(-1, [], "node count must be nonnegative, got -1"),
+         (3, [(0, 1, 2)], "edges must be index pairs, got shape (1, 3)")],
+    )
+    def test_bad_node_count_or_edge_shape_rejected(self, n, edges, message):
+        with pytest.raises(ValueError) as info:
+            Graph(n, edges)
+        assert str(info.value) == message
 
     def test_constructor_checks_raw_pairs(self):
         with pytest.raises(ValueError, match="self-loop at node 1"):
@@ -299,6 +308,12 @@ def test_hdm_wrapper_is_read_only():
     assert isinstance(h, HopDistanceMatrix)
 
 
+def test_hdm_column_count_must_match_anchors():
+    with pytest.raises(ValueError) as info:
+        HopDistanceMatrix(hops=np.zeros((3, 2), dtype=np.int64), anchor_ids=(0,))
+    assert str(info.value) == "anchor column count mismatch"
+
+
 class TestHopsCache:
     def test_all_pairs_shares_the_read_only_cache(self):
         g = cycle_graph(5)
@@ -410,19 +425,6 @@ class TestTraversalOracles:
             expected = sorted(list(c) for c in classes)
             assert _components(g) == expected
             assert is_connected(g) == (len(expected) == 1)
-
-    def test_subgraph_bfs_relabels_in_naive_bfs_order(self):
-        rng = np.random.default_rng(36)
-        for g in _oracle_graphs(37):
-            root = int(rng.integers(0, g.n))
-            order = naive_bfs_order(g, root)
-            for target_n in sorted({1, (len(order) + 1) // 2, len(order)}):
-                index = {v: i for i, v in enumerate(order[:target_n])}
-                expected = Graph(
-                    target_n,
-                    [(index[i], index[j]) for i, j in g.edges if i in index and j in index],
-                )
-                assert np.array_equal(subgraph_bfs(g, root, target_n).edges, expected.edges)
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:

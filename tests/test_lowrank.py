@@ -81,6 +81,12 @@ class TestSvd:
         with pytest.raises(ValueError):
             svd(m)
 
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0,)])
+    def test_empty_rejected(self, shape):
+        with pytest.raises(ValueError) as info:
+            svd(np.zeros(shape))
+        assert str(info.value) == "svd expects a nonempty 2-d array"
+
     @settings(max_examples=25, deadline=None)
     @given(
         arrays(
@@ -210,6 +216,14 @@ class TestCentering:
         o = ObservedMatrix(values=np.zeros((4, 3)), mask=mask)
         with pytest.raises(ValueError):
             double_center_partial(o)
+
+    def test_empty_column_rejected(self):
+        mask = np.ones((4, 3), dtype=bool)
+        mask[:, 1] = False
+        o = ObservedMatrix(values=np.zeros((4, 3)), mask=mask)
+        with pytest.raises(ValueError) as info:
+            double_center_partial(o)
+        assert str(info.value) == "empty column 1 in observation mask"
 
     def test_symmetric_partial_mirrors_exactly(self):
         # row sums and column sums of a mirrored matrix add in different

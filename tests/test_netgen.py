@@ -6,7 +6,7 @@ import pytest
 
 import hopmap
 from hopmap import netgen
-from hopmap.graph import all_pairs_hops, is_connected
+from hopmap.graph import is_connected
 from hopmap.netgen import (
     GeneratorConfig,
     PointCloud,
@@ -20,7 +20,6 @@ from hopmap.netgen import (
     read_json_object,
     read_matrix,
     read_points,
-    subgraph_bfs,
     unit_disk_connect,
     write_csv,
     write_edge_list,
@@ -30,7 +29,7 @@ from hopmap.netgen import (
     write_points,
 )
 from hopmap.sampling import load_observed
-from oracles import cycle_graph, naive_t_cylinder_points, random_connected_graph
+from oracles import naive_t_cylinder_points
 
 
 def brute_unit_disk_edges(coords, radius):
@@ -463,40 +462,6 @@ class TestIdList:
         (tmp_path / "a.txt").write_text("1,x,3\n")
         with pytest.raises(ValueError, match=r"a\.txt: non-integer value 'x'"):
             read_ids(tmp_path / "a.txt")
-
-
-class TestSubgraphBfs:
-    def test_full_graph_round_trip(self):
-        g = cycle_graph(12)
-        sub = subgraph_bfs(g, 0, 12)
-        assert sub.n == 12
-        assert len(sub.edges) == 12
-
-    def test_single_node(self):
-        sub = subgraph_bfs(cycle_graph(5), 3, 1)
-        assert sub.n == 1
-        assert sub.edges.tolist() == []
-
-    def test_connected_and_sized(self):
-        rng = np.random.default_rng(6)
-        g = random_connected_graph(rng, 200, extra_edge_frac=1.0)
-        sub = subgraph_bfs(g, 17, 80)
-        assert sub.n == 80
-        assert is_connected(sub)
-
-    def test_small_component_rejected(self):
-        from hopmap.graph import Graph
-
-        g = Graph(6, [(0, 1), (2, 3), (3, 4), (4, 5)])
-        with pytest.raises(ValueError):
-            subgraph_bfs(g, 0, 3)
-
-    def test_hop_distances_preserved_near_root(self):
-        # nodes are relabeled in discovery order, root becomes 0
-        g = cycle_graph(20)
-        sub = subgraph_bfs(g, 5, 9)
-        h = all_pairs_hops(sub)
-        assert h.hops[0].max() <= all_pairs_hops(g).hops[5].max()
 
 
 class TestLayoutIo:

@@ -111,6 +111,11 @@ class TestSelectAnchors:
         with pytest.raises(ValueError):
             AnchorSelection("pagerank", 3)
 
+    def test_zero_anchors_rejected(self):
+        with pytest.raises(ValueError) as info:
+            AnchorSelection(m=0)
+        assert str(info.value) == "anchor count must be >= 1"
+
 
 class TestBetweenness:
     """The blocked level-by-level sweeps against Brandes' per-source loop
@@ -202,6 +207,15 @@ class TestVcObservations:
         with pytest.raises(ValueError):
             vc_observations(p, 0.9, seed=3)
 
+    def test_fewer_cells_than_rows_refused_before_drawing(self):
+        # 0.97 of 60x20 leaves 36 cells for 60 rows: no repair can succeed
+        p = random_vc(np.random.default_rng(2), 60, 20)
+        with pytest.raises(ValueError) as info:
+            vc_observations(p, 0.97, seed=3)
+        assert str(info.value) == (
+            "deleting f=0.97 of a 60 x 20 matrix leaves 36 cells, fewer than one per row"
+        )
+
     def test_deterministic_given_seed(self):
         p = random_vc(np.random.default_rng(3), 40, 6)
         a = vc_observations(p, 0.5, seed=9)
@@ -266,6 +280,21 @@ class TestRandomEntryObservations:
         h = all_pairs_hops(cycle_graph(50))
         with pytest.raises(ValueError):
             random_entry_observations(h, 0.01, seed=0)
+
+    @pytest.mark.parametrize("fraction", [0.0, 1.5])
+    def test_fraction_outside_unit_interval_rejected(self, fraction):
+        h = all_pairs_hops(cycle_graph(8))
+        with pytest.raises(ValueError) as info:
+            random_entry_observations(h, fraction, seed=0)
+        assert str(info.value) == "observe_fraction must be in (0, 1]"
+
+    def test_row_coverage_failure_rejected(self):
+        # n=4 at 0.5 draws two pairs; seed 1's share a node, so the fourth
+        # node can take a pair only from a node left with one
+        h = all_pairs_hops(cycle_graph(4))
+        with pytest.raises(ValueError) as info:
+            random_entry_observations(h, 0.5, seed=1)
+        assert str(info.value) == "could not enforce row coverage"
 
     def test_unreachable_input_rejected(self):
         g = Graph(4, [(0, 1), (2, 3)])
