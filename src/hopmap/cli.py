@@ -121,7 +121,6 @@ def _build_parser() -> _Parser:
         help="what to build from the edge list, or file: the input is the matrix (default hdm)",
     )
     s.add_argument("--centered", action="store_true")
-    s.add_argument("--top", type=_positive_int, default=None, help="keep first K >= 1 values")
     s.add_argument("--seed", type=_seed, default=None, help=f"vc anchor seed (default {AnchorSelection.seed})")
     s.add_argument("--out", required=True, help="output CSV path")
 
@@ -139,20 +138,17 @@ def _build_parser() -> _Parser:
     c.add_argument("--tolerance", type=_positive_float, default=None, help=f"default {CompletionConfig.tolerance:g}")
     c.add_argument("--max-iters", type=_positive_int, default=None, help=f"default {CompletionConfig.max_iters}")
 
-    t = sub.add_parser("tpm", help="topology map from a completed matrix or full VCs")
-    source = t.add_mutually_exclusive_group(required=True)
-    source.add_argument("--matrix", help="completed hop-matrix CSV, as complete writes it")
-    source.add_argument("--edges", help="edge list for the full-VC map")
+    t = sub.add_parser("tpm", help="topology map from a completed matrix")
+    t.add_argument("--matrix", required=True, help="completed hop-matrix CSV, as complete writes it")
     t.add_argument("--procedure", choices=PROCEDURES, default="p-completion")
     t.add_argument("--k", type=int, default=2, choices=[2, 3])
-    t.add_argument("--seed", type=_seed, default=None, help=f"anchor seed (default {AnchorSelection.seed})")
     t.add_argument("--out", required=True, help="map CSV path")
 
     # generate's holme-kim flags and the anchor and completion flags
     # default to None, so that a command can refuse one it would
     # ignore; a flag not given takes the library's default, which its help
     # text reads from the library type
-    for anchored in (s, p, t):
+    for anchored in (s, p):
         anchored.add_argument("--anchors", type=_positive_int, default=None, help=f"anchor count (default {AnchorSelection.m})")
         anchored.add_argument("--strategy", choices=STRATEGIES, default=None, help=f"anchor strategy (default {AnchorSelection.strategy})")
 
@@ -169,7 +165,6 @@ def _build_parser() -> _Parser:
     x = sub.add_parser("experiment", help="Monte-Carlo sweep from a JSON config")
     x.add_argument("--config", required=True)
     x.add_argument("--out", default=None, help="override output directory")
-    x.add_argument("--seed", type=_seed, default=None, help="override seed")
 
     return parser
 
@@ -204,12 +199,6 @@ def _selection(args) -> AnchorSelection:
     return sel if args.anchors is None else replace(sel, m=args.anchors)
 
 
-def _refuse_unseeded(args) -> None:
-    """Refuse --seed with a --strategy that ranks by centrality and draws nothing."""
-    if args.strategy not in (None, "random"):
-        _refuse_given(args, ("seed",), f"with --strategy {args.strategy}, which draws no anchors at random")
-
-
 def _given(args, *names) -> dict:
     """name -> value of each of these flags that was given."""
     return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
@@ -242,11 +231,9 @@ def _cmd_spectrum(args) -> int:
     if args.matrix_kind != "vc":
         where = f"with --matrix-kind {args.matrix_kind}, which selects no anchors"
         _refuse_given(args, ("anchors", "strategy", "seed"), where)
-    _refuse_unseeded(args)
-    m = _spectrum_matrix(args)
-    values = normalized_spectrum(m, center=args.centered)
-    if args.top is not None:
-        values = values[: args.top]
+    if args.strategy not in (None, "random"):
+        _refuse_given(args, ("seed",), f"with --strategy {args.strategy}, which draws no anchors at random")
+    values = normalized_spectrum(_spectrum_matrix(args), center=args.centered)
     write_spectrum(values, args.out)
     print(f"wrote {args.out} ({values.size} values)")
     return EXIT_OK
@@ -298,14 +285,7 @@ def _cmd_complete(args) -> int:
 
 
 def _cmd_tpm(args) -> int:
-    if args.edges is not None:
-        _refuse_unseeded(args)
-        g, _ = load_snap_edge_list(args.edges)
-        hops = MODES["vc"].truth(g, _selection(args)).as_float()
-    else:
-        _refuse_given(args, ("anchors", "strategy", "seed"), "with --matrix, which selects no anchors")
-        hops = read_matrix(args.matrix)
-    tm = MAP_EXTRACTORS[args.procedure](hops, args.k)
+    tm = MAP_EXTRACTORS[args.procedure](read_matrix(args.matrix), args.k)
     write_points(tm, args.out)
     print(f"wrote {args.out} ({tm.n} points, k={tm.dim})")
     return EXIT_OK
@@ -343,8 +323,6 @@ def _cmd_experiment(args) -> int:
     cfg = load_config(args.config)
     if args.out is not None:
         cfg = replace(cfg, out_dir=args.out)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
     result = run_experiment(cfg)
     print(
         f"{result.total_runs} runs, {len(result.failures)} failures, "

@@ -166,7 +166,9 @@ def vc_observations(p: HopDistanceMatrix, delete_fraction: float, seed: int = 0)
     Deletions that would empty a row are re-drawn elsewhere so that every
     node keeps at least one measured coordinate; the deletion count is
     preserved. A fraction that leaves fewer cells than rows is refused
-    before any draw.
+    before any draw, and a draw that leaves no observed cell free to move
+    (one whose row and column each hold two or more) raises ValueError
+    naming the row it could not repair.
     """
     if not 0.0 <= delete_fraction < 1.0:
         raise ValueError("delete_fraction must be in [0, 1)")
@@ -183,27 +185,30 @@ def vc_observations(p: HopDistanceMatrix, delete_fraction: float, seed: int = 0)
     if n_delete:
         flat = rng.choice(total, size=n_delete, replace=False)
         mask.flat[flat] = False
-        _repair_empty_rows(mask, rng, max_moves=100 * n)
+        _repair_empty_rows(mask, rng)
     return ObservedMatrix(values=p.hops, mask=mask, symmetric=False, seed=seed)
 
 
-def _repair_empty_rows(mask: np.ndarray, rng: np.random.Generator, max_moves: int) -> None:
-    """Move deletions out of empty rows into rows that can spare a cell,
-    drawing at most max_moves cells in all. A move deletes only from a row
-    that holds two cells or more, so it never empties one, and one pass
-    over the rows that start empty covers every row."""
-    moves = 0
+def _repair_empty_rows(mask: np.ndarray, rng: np.random.Generator) -> None:
+    """Move deletions out of empty rows into rows that can spare a cell.
+    A move deletes only an observed cell whose row and column each hold
+    two cells or more, so it never empties one, and one pass over the rows
+    that start empty covers every row. Raises ValueError naming the row
+    when no observed cell can move."""
     for row in np.flatnonzero(~mask.any(axis=1)):
         mask[row, rng.integers(0, mask.shape[1])] = True
-        # delete another observed cell, without emptying its row or column;
-        # the cell just restored is its row's only one
+        # the cell just restored is its row's only one, so it is not movable
+        movable = mask & (mask.sum(axis=1) >= 2)[:, None] & (mask.sum(axis=0) >= 2)
+        if not movable.any():
+            raise ValueError(
+                f"cannot repair empty row {row}: no observed cell lies in a row "
+                "and a column that each hold two or more"
+            )
+        # probe cells uniformly until one can move; each probe may hit one
         while True:
-            moves += 1
-            if moves > max_moves:
-                raise ValueError("could not repair empty rows within retry budget")
             r = rng.integers(0, mask.shape[0])
             c = rng.integers(0, mask.shape[1])
-            if mask[r, c] and mask[r].sum() >= 2 and mask[:, c].sum() >= 2:
+            if movable[r, c]:
                 mask[r, c] = False
                 break
 

@@ -8,11 +8,18 @@ import re
 import numpy as np
 import pytest
 
-from hopmap import cli, experiment
+from hopmap import cli, experiment, netgen
 from hopmap.cli import EXIT_CONVERGENCE, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from hopmap.graph import anchor_hops
 from hopmap.lowrank import CompletionConfig, complete_nuclear_norm
 from hopmap.netgen import PointCloud, gen_holme_kim, read_points, write_points
-from hopmap.sampling import AnchorSelection, ObservedMatrix, load_observed, save_observed
+from hopmap.sampling import (
+    AnchorSelection,
+    ObservedMatrix,
+    load_observed,
+    save_observed,
+    select_anchors,
+)
 from hopmap.tpm import MAP_EXTRACTORS
 
 
@@ -83,6 +90,17 @@ class TestGenerate:
         assert f"argument {flags[0]}: not allowed with --net concave" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_disconnected_layout_is_data_error(self, tmp_path, capsys, monkeypatch):
+        # a layout reads no flag that could fix it, so it is no usage error
+        monkeypatch.setattr(netgen, "RADIUS", 0.5)
+        out = tmp_path / "net"
+        rc = main(["generate", "--net", "concave", "--seed", "3", "--out", str(out)])
+        assert rc == EXIT_DATA
+        assert capsys.readouterr().err == (
+            "error: concave-2d layout with seed 3 is disconnected at radius 0.5\n"
+        )
+        assert not out.exists()
+
     def test_holme_kim_defaults(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         assert main(["generate", "--net", "holme-kim", "--out", str(a)]) == EXIT_OK
@@ -104,26 +122,20 @@ class TestSpectrum:
         assert all(float(r["value"]) == 1.0 for r in rows)
 
     def test_graph_kinds_and_top(self, hk_edges, tmp_path):
-        for kind in ("hdm", "adjacency", "vc"):
+        # every value, the top one 1; vc has one per anchor
+        for kind, size in (("hdm", 70), ("adjacency", 70), ("vc", AnchorSelection.m)):
             out = tmp_path / f"{kind}.csv"
             rc = main(
                 ["spectrum", "--input", str(hk_edges), "--matrix-kind", kind,
-                 "--centered", "--top", "5", "--out", str(out)]
+                 "--centered", "--out", str(out)]
             )
             assert rc == EXIT_OK
             with open(out, newline="") as fh:
                 rows = list(csv.DictReader(fh))
-            assert len(rows) == 5
+            assert len(rows) == size
             values = [float(r["value"]) for r in rows]
             assert values[0] == 1.0
             assert all(v1 >= v2 for v1, v2 in zip(values, values[1:]))
-
-    @pytest.mark.parametrize("top", ["-1", "0"])
-    def test_top_below_one_is_usage_error(self, hk_edges, tmp_path, top):
-        out = tmp_path / "s.csv"
-        rc = main(["spectrum", "--input", str(hk_edges), "--top", top, "--out", str(out)])
-        assert rc == EXIT_USAGE
-        assert not out.exists()
 
     def test_missing_input_is_data_error(self, tmp_path):
         rc = main(
@@ -180,9 +192,15 @@ class TestPipeline:
                    "--k", "2", "--out", str(mp)])
         assert rc == EXIT_OK
 
-        base = tmp_path / "base.csv"
-        rc = main(["tpm", "--edges", str(hk_edges), "--k", "2", "--anchors", "10",
-                   "--strategy", "random", "--seed", "3", "--out", str(base)])
+        # the full-VC baseline: the pipeline with nothing deleted, same anchors
+        obs0, done0, base = tmp_path / "obs0", tmp_path / "done0.csv", tmp_path / "base.csv"
+        rc = main(["sample", "--input", str(hk_edges), "--mode", "vc", "--fraction", "0",
+                   "--anchors", "10", "--strategy", "random", "--seed", "3", "--out", str(obs0)])
+        assert rc == EXIT_OK
+        assert (tmp_path / "obs0.anchors.txt").read_text() == anchors_file.read_text()
+        assert main(["complete", "--input", str(obs0), "--out", str(done0)]) == EXIT_OK
+        rc = main(["tpm", "--matrix", str(done0), "--procedure", "p-completion",
+                   "--k", "2", "--out", str(base)])
         assert rc == EXIT_OK
 
         rc = main(["eval", "--metric", "E", "--map", str(mp), "--baseline", str(base),
@@ -193,22 +211,25 @@ class TestPipeline:
         assert row["metric"] == "E" and float(row["value"]) >= 0.0
 
     def test_zero_fraction_map_matches_full_vc(self, hk_edges, tmp_path):
+        # the pipeline at f = 0 writes the sweep's baseline map: the map
+        # of the full anchor hops
+        sel = AnchorSelection("degree", 10)
         obs = tmp_path / "obs"
         main(["sample", "--input", str(hk_edges), "--mode", "vc", "--fraction", "0.0",
               "--anchors", "10", "--strategy", "degree", "--seed", "3", "--out", str(obs)])
         done = tmp_path / "done.csv"
         assert main(["complete", "--input", str(obs), "--out", str(done)]) == EXIT_OK
+        g, _ = netgen.load_snap_edge_list(hk_edges)
+        hops = anchor_hops(g, select_anchors(g, sel)).as_float()
         maps = {}
         for procedure in ("p-completion", "grammian"):
-            mp = tmp_path / f"map_{procedure}.csv"
+            mp, ref = tmp_path / f"map_{procedure}.csv", tmp_path / f"ref_{procedure}.csv"
             main(["tpm", "--matrix", str(done), "--procedure", procedure,
                   "--k", "2", "--out", str(mp)])
-            base = tmp_path / f"base_{procedure}.csv"
-            main(["tpm", "--edges", str(hk_edges), "--procedure", procedure, "--k", "2",
-                  "--anchors", "10", "--strategy", "degree", "--out", str(base)])
-            assert mp.read_bytes() == base.read_bytes()
+            write_points(MAP_EXTRACTORS[procedure](hops, 2), ref)
+            assert mp.read_bytes() == ref.read_bytes()
             maps[procedure] = mp.read_bytes()
-        # --edges honours --procedure: the two maps differ
+        # tpm honours --procedure: the two maps differ
         assert maps["p-completion"] != maps["grammian"]
 
     def test_complete_writes_the_matrix_tpm_maps(self, hk_edges, tmp_path):
@@ -355,10 +376,10 @@ class TestExitCodes:
 
     def test_help_reads_the_library_defaults(self, capsys):
         with pytest.raises(SystemExit):
-            main(["tpm", "--help"])
+            main(["spectrum", "--help"])
         text = " ".join(capsys.readouterr().out.split())
         sel, done = AnchorSelection(), CompletionConfig()
-        for default in (f"anchor seed (default {sel.seed})", f"anchor count (default {sel.m})",
+        for default in (f"vc anchor seed (default {sel.seed})", f"anchor count (default {sel.m})",
                         f"anchor strategy (default {sel.strategy})"):
             assert default in text
         with pytest.raises(SystemExit):
@@ -378,7 +399,6 @@ class TestExitCodes:
         [
             ["spectrum", "--input", "e.txt", "--matrix-kind", "vc", "--out", "s.csv"],
             ["sample", "--input", "e.txt", "--fraction", "0.5", "--out", "obs"],
-            ["tpm", "--edges", "e.txt", "--out", "m.csv"],
         ],
     )
     def test_selection_without_anchor_flags_is_the_library_default(self, argv):
@@ -434,12 +454,12 @@ class TestExitCodes:
          (["--seed", "9"], "--seed")],
     )
     def test_tpm_input_refuses_anchor_flags(self, hk_edges, tmp_path, capsys, extra, flag):
-        # tpm's input matrix file fixes the anchors; only --edges selects
-        # them. The refusal comes before the file is read
+        # tpm's input matrix file fixes the anchors, so tpm has no anchor
+        # flag. The refusal comes before the file is read
         out = tmp_path / "map.csv"
         rc = main(["tpm", "--matrix", str(tmp_path / "done.csv"), *extra, "--out", str(out)])
         assert rc == EXIT_USAGE
-        assert f"argument {flag}: not allowed with --matrix" in capsys.readouterr().err
+        assert f"unrecognized arguments: {' '.join(extra)}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -447,14 +467,12 @@ class TestExitCodes:
         [(["--tolerance", "0.5"], "--tolerance"), (["--max-iters", "1"], "--max-iters")],
     )
     def test_tpm_edges_refuses_completion_flags(self, hk_edges, tmp_path, capsys, extra, flag):
-        # tpm completes nothing, from --edges or --matrix: only complete
-        # takes the completion flags
+        # tpm completes nothing: only complete takes the completion flags
         out = tmp_path / "map.csv"
-        for source in (["--edges", str(hk_edges)], ["--matrix", str(tmp_path / "done.csv")]):
-            rc = main(["tpm", *source, *extra, "--out", str(out)])
-            assert rc == EXIT_USAGE
-            assert f"unrecognized arguments: {' '.join(extra)}" in capsys.readouterr().err
-            assert not out.exists()
+        rc = main(["tpm", "--matrix", str(tmp_path / "done.csv"), *extra, "--out", str(out)])
+        assert rc == EXIT_USAGE
+        assert f"unrecognized arguments: {' '.join(extra)}" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "argv",
@@ -482,11 +500,11 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["tpm", "--edges", "{edges}", "--strategy", "degree"],
-            ["tpm", "--edges", "{edges}", "--strategy", "closeness"],
+            ["spectrum", "--input", "{edges}", "--matrix-kind", "vc", "--strategy", "degree"],
+            ["spectrum", "--input", "{edges}", "--matrix-kind", "vc", "--strategy", "closeness"],
             ["spectrum", "--input", "{edges}", "--matrix-kind", "vc", "--strategy", "betweenness"],
         ],
-        ids=["tpm-degree", "tpm-closeness", "spectrum-betweenness"],
+        ids=["spectrum-degree", "spectrum-closeness", "spectrum-betweenness"],
     )
     def test_centrality_strategy_refuses_anchor_seed(self, hk_edges, tmp_path, capsys, argv):
         # a centrality strategy takes the most central nodes and draws
@@ -540,6 +558,30 @@ class TestExitCodes:
         assert "unrecognized arguments: --bin-width 2" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, removed",
+        [
+            (["tpm", "--matrix", "done.csv"], ["--edges", "{edges}"]),
+            (["spectrum", "--input", "{edges}"], ["--top", "5"]),
+            (["experiment", "--config", "{config}"], ["--seed", "1"]),
+        ],
+        ids=["tpm-edges", "spectrum-top", "experiment-seed"],
+    )
+    def test_duplicate_routes_are_unrecognized(self, hk_edges, tmp_path, capsys, argv, removed):
+        # the full-VC map is tpm --matrix of the pipeline at f = 0, the
+        # leading values are head's, and a sweep's seed is its config's
+        config = tmp_path / "cfg.json"
+        sweep = tmp_path / "sweep"
+        config.write_text(json.dumps({"network": {"kind": "concave"}, "out_dir": str(sweep)}))
+        out = tmp_path / "out.csv"
+        removed = [a.format(edges=hk_edges) for a in removed]
+        argv = [a.format(edges=hk_edges, config=config) for a in argv] + removed
+        if argv[0] != "experiment":
+            argv += ["--out", str(out)]
+        assert main(argv) == EXIT_USAGE
+        assert f"unrecognized arguments: {' '.join(removed)}" in capsys.readouterr().err
+        assert not out.exists() and not sweep.exists()
+
     def test_tpm_requires_one_source(self, tmp_path):
         rc = main(["tpm", "--out", str(tmp_path / "m.csv")])
         assert rc == EXIT_USAGE
@@ -556,7 +598,6 @@ class TestExitCodes:
         [
             (["spectrum", "--matrix-kind", "vc", "--anchors", "0"], "--anchors"),
             (["sample", "--fraction", "0.3", "--anchors", "-2"], "--anchors"),
-            (["tpm", "--edges", "{edges}", "--anchors", "0"], "--anchors"),
             (["sample", "--fraction", "1.5"], "--fraction"),
             (["sample", "--fraction", "-0.1"], "--fraction"),
             (["sample", "--fraction", "1"], "--fraction"),
@@ -565,12 +606,10 @@ class TestExitCodes:
             (["generate", "--net", "concave", "--seed", "-1"], "--seed"),
             (["spectrum", "--matrix-kind", "vc", "--seed", "-1"], "--seed"),
             (["sample", "--fraction", "0.3", "--seed", "-2"], "--seed"),
-            (["tpm", "--edges", "{edges}", "--seed", "-1"], "--seed"),
-            (["experiment", "--config", "cfg.json", "--seed", "-1"], "--seed"),
         ],
-        ids=["spectrum-anchors", "sample-anchors", "tpm-anchors", "fraction-above",
+        ids=["spectrum-anchors", "sample-anchors", "fraction-above",
              "fraction-below", "fraction-one", "complete-tolerance", "max-iters",
-             "generate-seed", "spectrum-seed", "sample-seed", "tpm-seed", "experiment-seed"],
+             "generate-seed", "spectrum-seed", "sample-seed"],
     )
     def test_out_of_range_number_is_usage_error(self, hk_edges, tmp_path, capsys, argv, flag):
         # refused by the parser, before any input is read or output written
@@ -784,10 +823,11 @@ class TestExperimentCommand:
             assert [float(r["f"]) for r in csv.DictReader(fh)] == [0.00001, 0.1, 0.5]
 
     def test_out_and_seed_overrides(self, tmp_path):
-        cfg = self._config(tmp_path)
-        rc = main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "other"),
-                   "--seed", "123"])
+        # --out moves the results; the seed is the config's alone
+        cfg = self._config(tmp_path, seed=123)
+        rc = main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "other")])
         assert rc == EXIT_OK
+        assert not (tmp_path / "results").exists()
         meta = json.loads((tmp_path / "other" / "meta.json").read_text())
         assert meta["seed"] == 123
 

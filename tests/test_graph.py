@@ -241,6 +241,9 @@ class TestAdjacencyFromHdm:
         m = np.array([[0.0, 1.0], [2.0, 0.0]])
         with pytest.raises(ValueError, match="symmetric"):
             adjacency_from_hdm(m)
+        # so is a matrix that is not square, before any rounding
+        with pytest.raises(ValueError, match=r"^expected square matrix, got shape \(2, 3\)$"):
+            adjacency_from_hdm(np.zeros((2, 3)))
 
 
 class TestLaplacian:

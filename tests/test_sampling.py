@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from hopmap import graph, sampling
 from hopmap.graph import Graph, HopDistanceMatrix, all_pairs_hops, anchor_hops
-from hopmap.netgen import gen_holme_kim
+from hopmap.netgen import GeneratorConfig, gen_concave_2d, gen_holme_kim
 from hopmap.sampling import (
     AnchorSelection,
     ObservedMatrix,
@@ -215,6 +215,42 @@ class TestVcObservations:
         assert str(info.value) == (
             "deleting f=0.97 of a 60 x 20 matrix leaves 36 cells, fewer than one per row"
         )
+
+    def test_repair_at_the_tightest_fraction(self):
+        # 0.95 of the concave layout's 555 x 20 leaves 555 cells for 555
+        # rows; this seed empties rows that only a long search refills
+        g = gen_concave_2d(GeneratorConfig(seed=0))[1]
+        p = anchor_hops(g, select_anchors(g, AnchorSelection("random", 20, seed=0)))
+        o = vc_observations(p, 0.95, seed=3)
+        assert o.mask.any(axis=1).all()
+        assert o.n_observed == 555 * 20 - int(np.floor(0.95 * 555 * 20))
+
+    @pytest.mark.parametrize(
+        "seed, restored, moved",
+        [(0, 2, None), (1, 1, (0, 1))],
+    )
+    def test_repair_moves_only_a_cell_whose_row_and_column_can_spare_it(
+        self, seed, restored, moved
+    ):
+        # rows {0, 1}, {2} and {}: row 2 takes back the cell that the rng
+        # draws first. In column 2 no cell can move, as each sits alone in
+        # its row or column; in column 1 only (0, 1) can
+        mask = np.zeros((3, 3), dtype=bool)
+        mask[0, [0, 1]] = mask[1, 2] = True
+        rng = np.random.default_rng(seed)
+        assert np.random.default_rng(seed).integers(0, 3) == restored
+        if moved is None:
+            with pytest.raises(ValueError) as info:
+                sampling._repair_empty_rows(mask, rng)
+            assert str(info.value) == (
+                "cannot repair empty row 2: no observed cell lies in a row "
+                "and a column that each hold two or more"
+            )
+        else:
+            want = mask.copy()
+            want[2, restored], want[moved] = True, False
+            sampling._repair_empty_rows(mask, rng)
+            assert np.array_equal(mask, want)
 
     def test_deterministic_given_seed(self):
         p = random_vc(np.random.default_rng(3), 40, 6)

@@ -42,5 +42,5 @@ def test_walkthrough_script_follows_readme():
     script = (SCRIPTS / "walkthrough.sh").read_text().splitlines()
     start = script.index('hopmap() { python -m hopmap.cli "$@"; }') + 1
     run = _commands(script[start:])
-    assert len(shown) == 13
+    assert len(shown) == 15
     assert run[: len(shown)] == shown
